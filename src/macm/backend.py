@@ -94,10 +94,6 @@ class QueryCounter:
             self.choices += n_choices
 
 
-def make_request(messages: list[ChatMessage], sampling: SamplingParams) -> ChatRequest:
-    return ChatRequest(messages=tuple(messages), sampling=sampling)
-
-
 # ---------------------------------------------------------------------------
 # Scripted backend
 # ---------------------------------------------------------------------------
@@ -165,6 +161,16 @@ class ScriptedBackend:
 RETRYABLE_STATUS = {429, 500, 502, 503, 504}
 DEFAULT_TIMEOUT_S = 120.0
 MAX_RETRIES = 3
+MAX_RETRY_AFTER_S = 60
+
+
+def _retry_after_s(resp) -> int:
+    """The integer-seconds ``Retry-After`` of a response, capped at
+    ``MAX_RETRY_AFTER_S``; 0 when absent or given as an HTTP date."""
+    value = resp.headers.get("Retry-After", "").strip()
+    if not (value.isascii() and value.isdigit()):
+        return 0
+    return min(int(value), MAX_RETRY_AFTER_S)
 
 
 class HttpBackend:
@@ -173,7 +179,12 @@ class HttpBackend:
     Configuration comes from arguments or the MACM_BASE_URL / MACM_API_KEY /
     MACM_MODEL environment variables. Transient transport failures and
     retryable HTTP statuses are retried up to 3 times with exponential
-    backoff; 4xx auth/client errors fail immediately.
+    backoff, or after the server's integer ``Retry-After`` if that is longer;
+    4xx auth/client errors fail immediately.
+
+    One instance may be shared by many threads. Each thread keeps its own
+    keep-alive session, created on its first call; proxy and CA-bundle
+    environment variables are read then, once per thread.
     """
 
     def __init__(self, base_url: str | None = None, api_key: str | None = None,
@@ -189,6 +200,24 @@ class HttpBackend:
             raise BackendFailure("no base URL configured (set MACM_BASE_URL)")
         if not self.api_key:
             raise BackendFailure("no API key configured (set MACM_API_KEY)")
+        self._url = f"{self.base_url}/v1/chat/completions"
+        self._headers = {"Authorization": f"Bearer {self.api_key}"}
+        self._local = threading.local()
+
+    def _session(self):
+        session = getattr(self._local, "session", None)
+        if session is None:
+            import requests
+
+            session = requests.Session()
+            # With trust_env on, requests scans the environment twice per
+            # request; resolve it once for this URL and switch the scan off.
+            settings = session.merge_environment_settings(self._url, {}, None, None, None)
+            session.trust_env = False
+            session.proxies = settings["proxies"]
+            session.verify = settings["verify"]
+            self._local.session = session
+        return session
 
     def complete(self, request: ChatRequest, role: str) -> ChatResponse:
         import requests
@@ -206,20 +235,25 @@ class HttpBackend:
             "max_tokens": request.sampling.max_tokens,
             "n": request.sampling.n,
         }
-        url = f"{self.base_url}/v1/chat/completions"
-        headers = {"Authorization": f"Bearer {self.api_key}"}
+        session = self._session()
 
         last_error: Exception | None = None
+        retry_after = 0
         for attempt in range(MAX_RETRIES + 1):
             if attempt:
-                time.sleep(min(2 ** (attempt - 1), 8))
+                time.sleep(max(min(2 ** (attempt - 1), 8), retry_after))
+            retry_after = 0
             try:
-                resp = requests.post(url, json=body, headers=headers, timeout=self.timeout)
+                # A pooled connection the server has dropped surfaces here as
+                # a ConnectionError and is retried like any transport failure.
+                resp = session.post(self._url, json=body, headers=self._headers,
+                                    timeout=self.timeout)
             except requests.RequestException as exc:
                 last_error = exc
                 continue
             if resp.status_code in RETRYABLE_STATUS:
                 last_error = BackendFailure(f"HTTP {resp.status_code}: {resp.text[:200]}")
+                retry_after = _retry_after_s(resp)
                 continue
             if resp.status_code != 200:
                 self.counter.record(request.sampling.n)

@@ -1,5 +1,10 @@
 import json
+import os
+import socket
+import subprocess
+import sys
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
@@ -158,16 +163,29 @@ class TestRecordReplay:
 # ---------------------------------------------------------------------------
 
 class _StubHandler(BaseHTTPRequestHandler):
-    # Class-level script: list of (status, body_dict_or_None) consumed per request.
+    """HTTP/1.1 keep-alive chat-completions stub that counts connections."""
+
+    protocol_version = "HTTP/1.1"
+    # Class-level script: list of (status, body_dict_or_None[, headers]) consumed
+    # per request.
     script = []
     seen = []
+    opened = []   # one entry per accepted connection
+    dropped = []  # one entry per connection closed by drop_after_response
+    # Close each connection after one response, without announcing it, as a
+    # server dropping an idle keep-alive connection does.
+    drop_after_response = False
+
+    def setup(self):
+        super().setup()
+        type(self).opened.append(self.client_address)
 
     def do_POST(self):
         length = int(self.headers.get("Content-Length", 0))
         body = json.loads(self.rfile.read(length))
         type(self).seen.append({"path": self.path, "body": body,
                                 "auth": self.headers.get("Authorization")})
-        status, payload = type(self).script.pop(0)
+        status, payload, *extra = type(self).script.pop(0)
         if payload is None:
             n = body.get("n", 1)
             payload = {
@@ -175,11 +193,17 @@ class _StubHandler(BaseHTTPRequestHandler):
                 "usage": {"prompt_tokens": 7, "completion_tokens": 3},
             }
         data = json.dumps(payload).encode()
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(data)))
-        self.end_headers()
-        self.wfile.write(data)
+        headers = {"Content-Type": "application/json", "Content-Length": str(len(data)),
+                   **(extra[0] if extra else {})}
+        head = f"HTTP/1.1 {status} {self.responses[status][0]}\r\n" + "".join(
+            f"{name}: {value}\r\n" for name, value in headers.items()) + "\r\n"
+        # One write per response: split writes stall a keep-alive client on
+        # delayed ACKs.
+        self.wfile.write(head.encode("latin-1") + data)
+        if type(self).drop_after_response:
+            self.connection.shutdown(socket.SHUT_WR)
+            type(self).dropped.append(self.client_address)
+            self.close_connection = True
 
     def log_message(self, *args):
         pass
@@ -188,23 +212,42 @@ class _StubHandler(BaseHTTPRequestHandler):
 @pytest.fixture
 def stub_server():
     server = ThreadingHTTPServer(("127.0.0.1", 0), _StubHandler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    # A short poll interval keeps shutdown() from waiting half a second per test.
+    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.02},
+                              daemon=True)
     thread.start()
     _StubHandler.script = []
     _StubHandler.seen = []
+    _StubHandler.opened = []
+    _StubHandler.dropped = []
+    _StubHandler.drop_after_response = False
     yield server
     server.shutdown()
+    server.server_close()
 
 
 @pytest.fixture
 def no_sleep(monkeypatch):
-    monkeypatch.setattr(macm.backend.time, "sleep", lambda _s: None)
+    """Skip backoff waits; returns the list of durations asked for."""
+    slept = []
+    monkeypatch.setattr(macm.backend.time, "sleep", slept.append)
+    return slept
 
 
 def _backend(server, **kwargs):
     host, port = server.server_address
     return HttpBackend(base_url=f"http://{host}:{port}", api_key="test-key",
                        model="test-model", **kwargs)
+
+
+_real_sleep = time.sleep  # no_sleep patches time.sleep itself
+
+
+def _wait_for(condition, timeout=5.0):
+    deadline = time.monotonic() + timeout
+    while not condition():
+        assert time.monotonic() < deadline, "timed out"
+        _real_sleep(0.005)
 
 
 class TestHttpBackend:
@@ -274,3 +317,112 @@ class TestHttpBackend:
             monkeypatch.delenv(var, raising=False)
         with pytest.raises(BackendFailure):
             HttpBackend()
+
+    @pytest.mark.parametrize("status", [429, 503])
+    @pytest.mark.parametrize("retry_after, slept", [
+        (None, 1),
+        ("5", 5),
+        ("0", 1),
+        ("3600", macm.backend.MAX_RETRY_AFTER_S),
+        ("Wed, 21 Oct 2015 07:28:00 GMT", 1),
+    ])
+    def test_retry_after_seconds(self, stub_server, no_sleep, status, retry_after, slept):
+        headers = {} if retry_after is None else {"Retry-After": retry_after}
+        _StubHandler.script = [(status, {"error": "busy"}, headers), (200, None)]
+        counter = QueryCounter()
+        backend = _backend(stub_server, counter=counter)
+        assert backend.complete(request(), "thinker").choices
+        assert no_sleep == [slept]
+        assert counter.requests == 1
+
+    def test_retry_after_applies_to_the_next_wait_only(self, stub_server, no_sleep):
+        _StubHandler.script = [(429, {}, {"Retry-After": "7"}), (503, {}), (200, None)]
+        _backend(stub_server).complete(request(), "thinker")
+        assert no_sleep == [7, 2]
+
+
+class TestHttpKeepAlive:
+    def test_sequential_calls_share_one_connection(self, stub_server):
+        calls = 5
+        _StubHandler.script = [(200, None)] * calls
+        counter = QueryCounter()
+        backend = _backend(stub_server, counter=counter)
+        for _ in range(calls):
+            assert backend.complete(request(), "thinker").choices
+        assert len(_StubHandler.opened) == 1
+        assert len(_StubHandler.seen) == calls
+        assert counter.requests == calls
+
+    @pytest.mark.parametrize("threads", [2, 8])
+    def test_one_connection_per_thread(self, stub_server, threads):
+        calls = 10
+        _StubHandler.script = [(200, None)] * (threads * calls)
+        counter = QueryCounter()
+        backend = _backend(stub_server, counter=counter)
+        start = threading.Barrier(threads)
+        results = []
+
+        def work():
+            start.wait(timeout=10)
+            for _ in range(calls):
+                results.append(backend.complete(request(), "thinker").text)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            workers = [threading.Thread(target=work) for _ in range(threads)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert results == ["choice-0"] * (threads * calls)
+        assert len(_StubHandler.opened) == threads
+        assert counter.requests == threads * calls
+
+    def test_call_after_server_dropped_idle_connection(self, stub_server, no_sleep):
+        calls = 3
+        _StubHandler.script = [(200, None)] * calls
+        _StubHandler.drop_after_response = True
+        counter = QueryCounter()
+        backend = _backend(stub_server, counter=counter)
+        for i in range(calls):
+            assert backend.complete(request(), "thinker").choices
+            _wait_for(lambda: len(_StubHandler.dropped) == i + 1)
+        assert len(_StubHandler.opened) == calls
+        assert counter.requests == calls
+
+    def test_environment_proxy_is_honoured(self, stub_server, monkeypatch, no_sleep):
+        host, port = stub_server.server_address
+        for var in ("http_proxy", "NO_PROXY", "no_proxy", "ALL_PROXY", "all_proxy"):
+            monkeypatch.delenv(var, raising=False)
+        monkeypatch.setenv("HTTP_PROXY", f"http://{host}:{port}")
+        # The backend's own host never resolves, so only a proxied request
+        # can reach the stub.
+        resolve = socket.getaddrinfo
+
+        def getaddrinfo(name, *args, **kwargs):
+            if name == "macm-backend.invalid":
+                raise socket.gaierror(socket.EAI_NONAME, "unresolvable")
+            return resolve(name, *args, **kwargs)
+
+        monkeypatch.setattr(socket, "getaddrinfo", getaddrinfo)
+        _StubHandler.script = [(200, None)]
+        backend = HttpBackend(base_url="http://macm-backend.invalid", api_key="test-key",
+                              model="test-model")
+        assert backend.complete(request(), "thinker").choices
+        assert _StubHandler.seen[0]["path"] == \
+            "http://macm-backend.invalid/v1/chat/completions"
+
+
+def test_import_leaves_requests_unloaded():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = ("import sys, macm, macm.cli, macm.harness; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'requests'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=60, check=True)
+    assert out.stdout.strip() == "[]"
