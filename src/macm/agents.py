@@ -12,7 +12,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from .backend import ChatMessage, ChatRequest, ROLE_ASSISTANT, ROLE_SYSTEM, ROLE_USER
+from .backend import ChatMessage, ChatRequest, ChatResponse, ROLE_ASSISTANT, ROLE_SYSTEM, ROLE_USER
 from .domain import (
     AgentCall,
     Condition,
@@ -176,6 +176,24 @@ def render_conditions(texts: list[str]) -> str:
     return "\n".join(f"{i}. {t}" for i, t in enumerate(texts, start=1))
 
 
+def logged_request(backend, role: str, request: ChatRequest,
+                   transcript: Transcript | None) -> ChatResponse:
+    """Send one request and, when a transcript is given, log it there as an
+    AgentCall (one event per backend request)."""
+    response = backend.complete(request, role)
+    if transcript is not None:
+        transcript.append(AgentCall(
+            role=role,
+            prompt=request.prompt_text(),
+            raw_response=response.text,
+            tokens_in=response.tokens_in,
+            tokens_out=response.tokens_out,
+            timestamp=now(),
+            n_choices=len(response.choices),
+        ))
+    return response
+
+
 @dataclass
 class AgentClient:
     """Stateless request builder + parser over one backend, logging every
@@ -201,17 +219,7 @@ class AgentClient:
         if budget is not None and self.transcript.query_count() >= budget:
             raise BudgetExceeded(f"query budget of {budget} requests reached")
         request = ChatRequest(messages=tuple(messages), sampling=self._sampling_for(role))
-        response = self.backend.complete(request, role)
-        self.transcript.append(AgentCall(
-            role=role,
-            prompt=request.prompt_text(),
-            raw_response=response.text,
-            tokens_in=response.tokens_in,
-            tokens_out=response.tokens_out,
-            timestamp=now(),
-            n_choices=len(response.choices),
-        ))
-        return response.text
+        return logged_request(self.backend, role, request, self.transcript).text
 
     def _call_parsed(self, role: str, user_prompt: str, parser):
         messages = [ChatMessage(ROLE_SYSTEM, self._system_for(role)),

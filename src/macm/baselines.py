@@ -10,17 +10,11 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .agents import extract_answer, _ANSWER_MARKER
+from .agents import _ANSWER_MARKER, extract_answer, logged_request
 from .backend import ChatMessage, ChatRequest, ROLE_ASSISTANT, ROLE_USER
-from .domain import (
-    AgentCall,
-    Problem,
-    RunConfig,
-    SamplingParams,
-    Transcript,
-    now,
-)
+from .domain import Problem, RunConfig, SamplingParams, Transcript
 from .errors import ParseFailure
+from .prompts import PromptCatalog
 
 SOLVER = "solver"
 
@@ -67,6 +61,7 @@ class MethodSCCoT:
 @dataclass(frozen=True)
 class MethodMACM:
     config: RunConfig = field(default_factory=RunConfig)
+    prompts: PromptCatalog = field(default_factory=PromptCatalog)
 
 
 Method = MethodIO | MethodCoT | MethodSCCoT | MethodMACM
@@ -74,19 +69,7 @@ Method = MethodIO | MethodCoT | MethodSCCoT | MethodMACM
 
 def _request(backend, messages: list[ChatMessage], sampling: SamplingParams,
              transcript: Transcript | None):
-    request = ChatRequest(messages=tuple(messages), sampling=sampling)
-    response = backend.complete(request, SOLVER)
-    if transcript is not None:
-        transcript.append(AgentCall(
-            role=SOLVER,
-            prompt=request.prompt_text(),
-            raw_response=response.text,
-            tokens_in=response.tokens_in,
-            tokens_out=response.tokens_out,
-            timestamp=now(),
-            n_choices=len(response.choices),
-        ))
-    return response
+    return logged_request(backend, SOLVER, ChatRequest(tuple(messages), sampling), transcript)
 
 
 def solve_io(problem: Problem, sampling: SamplingParams, backend,

@@ -7,32 +7,20 @@ import json
 import sys
 from pathlib import Path
 
-from . import harness, orchestrator
-from .backend import HttpBackend, QueryCounter, RecordingBackend, ReplayBackend, ScriptedBackend
-from .baselines import MethodCoT, MethodIO, MethodMACM, MethodSCCoT, solve_cot, solve_io, solve_sc_cot
+from . import harness
+from .backend import QueryCounter
+from .baselines import MethodCoT, MethodIO, MethodMACM, MethodSCCoT
 from .domain import (
-    Final,
     Problem,
     RunConfig,
     RunError,
     SamplingParams,
-    Solved,
     THINKER_MAX_TOKENS,
     JUDGE_MAX_TOKENS,
     EXECUTOR_MAX_TOKENS,
-    Transcript,
     outcome_to_dict,
 )
-from .errors import (
-    BackendFailure,
-    BudgetExceeded,
-    CassetteExhausted,
-    CassetteMismatch,
-    EmptyDataset,
-    SchemaError,
-    ScriptExhausted,
-    ScriptMismatch,
-)
+from .errors import BackendFailure, BudgetExceeded, EmptyDataset, SchemaError
 from .prompts import PromptCatalog
 
 EXIT_OK = 0
@@ -41,15 +29,13 @@ EXIT_CONFIG = 2
 EXIT_BACKEND = 3
 EXIT_BUDGET = 4
 
-_BACKEND_ERRORS = (BackendFailure, ScriptExhausted, ScriptMismatch,
-                   CassetteMismatch, CassetteExhausted)
-
 
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--method", choices=["io", "cot", "sc-cot", "macm"], default="macm")
     parser.add_argument("--backend", required=True,
                         help="http | scripted:<file> | replay:<cassette-or-dir>")
-    parser.add_argument("--record", help="record traffic to this cassette file/dir")
+    parser.add_argument("--record", help="record traffic to this directory, one cassette "
+                                         "<problem id>.jsonl per problem")
     parser.add_argument("--max-iterations", type=int, default=5)
     parser.add_argument("--temperature", type=float, default=0.7)
     parser.add_argument("--n", type=int, default=1)
@@ -57,7 +43,8 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--v", type=int, default=5)
     parser.add_argument("--format-retries", type=int, default=2)
     parser.add_argument("--query-budget", type=int)
-    parser.add_argument("--prompts-dir", help="directory of prompt override files")
+    parser.add_argument("--prompts-dir",
+                        help="directory of prompt override files (--method macm)")
     parser.add_argument("--out", help="output directory")
 
 
@@ -110,7 +97,6 @@ def _run_config(args) -> RunConfig:
         thinker_sampling=sampling(THINKER_MAX_TOKENS),
         judge_sampling=sampling(JUDGE_MAX_TOKENS),
         executor_sampling=sampling(EXECUTOR_MAX_TOKENS),
-        backend=args.backend,
         query_budget=args.query_budget,
     )
 
@@ -122,21 +108,7 @@ def _method(args):
         return MethodCoT(chain_length_l=args.l)
     if args.method == "sc-cot":
         return MethodSCCoT(chain_length_l=args.l, voters_v=args.v)
-    return MethodMACM(config=_run_config(args))
-
-
-def _single_backend(selector: str, counter: QueryCounter, record_path: str | None):
-    if selector == "http":
-        backend = HttpBackend(counter=counter)
-    elif selector.startswith("scripted:"):
-        backend = ScriptedBackend.from_file(selector.split(":", 1)[1], counter=counter)
-    elif selector.startswith("replay:"):
-        backend = ReplayBackend(selector.split(":", 1)[1], counter=counter)
-    else:
-        raise ValueError(f"unknown backend selector {selector!r}")
-    if record_path:
-        backend = RecordingBackend(backend, record_path)
-    return backend
+    return MethodMACM(config=_run_config(args), prompts=PromptCatalog.load(args.prompts_dir))
 
 
 def _load_dataset(args) -> list[Problem]:
@@ -154,9 +126,7 @@ def _load_dataset(args) -> list[Problem]:
 
 
 def cmd_solve(args) -> int:
-    counter = QueryCounter()
-    backend = _single_backend(args.backend, counter, args.record)
-    prompts = PromptCatalog.load(args.prompts_dir)
+    factory = harness.make_backend_factory(args.backend, QueryCounter(), record_dir=args.record)
     if args.question:
         problem = Problem(id="cli", question=args.question)
     else:
@@ -165,24 +135,9 @@ def cmd_solve(args) -> int:
             raise EmptyDataset(f"no problems in {args.problem_file}")
         problem = problems[0]
 
-    sampling = SamplingParams(n=args.n, temperature=args.temperature)
-    if args.method == "macm":
-        outcome, transcript = orchestrator.solve(problem, _run_config(args), backend,
-                                                 prompts=prompts)
-    else:
-        transcript = Transcript(run_id=problem.id)
-        try:
-            if args.method == "io":
-                answer, _ = solve_io(problem, sampling, backend, transcript)
-            elif args.method == "cot":
-                answer, _ = solve_cot(problem, args.l, sampling, backend, transcript)
-            else:
-                answer, _ = solve_sc_cot(problem, args.l, args.v, sampling, backend, transcript)
-            outcome = Solved(answer)
-        except harness._SOLVE_ERRORS as exc:
-            outcome = orchestrator._error_outcome(exc)
-        transcript.append(Final(outcome))
-
+    transcript = harness.solve_one(problem, _method(args), factory(problem.id),
+                                   SamplingParams(n=args.n, temperature=args.temperature))
+    outcome = transcript.outcome
     print(json.dumps({"outcome": outcome_to_dict(outcome),
                       "queries": transcript.query_count(),
                       "choices": transcript.choice_count()}, ensure_ascii=False))
@@ -237,13 +192,13 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "bench":
             return cmd_bench(args)
         return cmd_sweep(args)
-    except (SchemaError, EmptyDataset, ValueError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (SchemaError, EmptyDataset, ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except _BACKEND_ERRORS as exc:
+    except BackendFailure as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BACKEND
 

@@ -131,23 +131,12 @@ EXECUTOR_MAX_TOKENS = 256
 
 
 @dataclass(frozen=True)
-class BaselineConfig:
-    chain_length_l: int = 5
-    voters_v: int = 5
-
-    def __post_init__(self):
-        if self.chain_length_l < 1 or self.voters_v < 1:
-            raise ValueError("l and v must be >= 1")
-
-
-@dataclass(frozen=True)
 class RunConfig:
     max_iterations: int = 5
     format_retries: int = 2
     thinker_sampling: SamplingParams = SamplingParams(max_tokens=THINKER_MAX_TOKENS)
     judge_sampling: SamplingParams = SamplingParams(max_tokens=JUDGE_MAX_TOKENS)
     executor_sampling: SamplingParams = SamplingParams(max_tokens=EXECUTOR_MAX_TOKENS)
-    backend: str = "scripted"
     query_budget: int | None = None
     candidate_cap: int = 8
 

@@ -10,26 +10,28 @@ class ParseFailure(MacmError):
 
 
 class BackendFailure(MacmError):
-    """Transport, auth, or HTTP error from a chat backend after retries."""
+    """A chat backend could not serve a request: transport, auth, or HTTP
+    error after retries, or a scripted or replayed backend that cannot
+    answer (the subclasses below)."""
 
 
 class BudgetExceeded(MacmError):
     """The per-run query cap was hit."""
 
 
-class ScriptExhausted(MacmError):
+class ScriptExhausted(BackendFailure):
     """A scripted reply queue was consumed past its end."""
 
 
-class ScriptMismatch(MacmError):
+class ScriptMismatch(BackendFailure):
     """A scripted entry's expected-prompt-substring assertion failed."""
 
 
-class CassetteMismatch(MacmError):
+class CassetteMismatch(BackendFailure):
     """A replayed request did not match the recorded one."""
 
 
-class CassetteExhausted(MacmError):
+class CassetteExhausted(BackendFailure):
     """More calls were replayed than the cassette holds."""
 
 

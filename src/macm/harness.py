@@ -41,23 +41,10 @@ from .domain import (
     outcome_from_dict,
     outcome_to_dict,
 )
-from .errors import (
-    BackendFailure,
-    BudgetExceeded,
-    CassetteExhausted,
-    CassetteMismatch,
-    EmptyDataset,
-    ParseFailure,
-    SchemaError,
-    ScriptExhausted,
-    ScriptMismatch,
-)
+from .errors import BackendFailure, EmptyDataset, SchemaError
 from .tasks import Game24Instance, equal_answers, needs_manual_review, verify_game24, verify_sorted
 
 TASKS = ("math", "game24", "sorting")
-
-_SOLVE_ERRORS = (ParseFailure, BudgetExceeded, BackendFailure,
-                 ScriptExhausted, ScriptMismatch, CassetteMismatch, CassetteExhausted)
 
 
 # ---------------------------------------------------------------------------
@@ -323,13 +310,13 @@ def method_label(method: Method) -> str:
     return "macm"
 
 
-def _solve_one(problem: Problem, method: Method, backend,
-               sampling: SamplingParams) -> Transcript:
+def solve_one(problem: Problem, method: Method, backend,
+              sampling: SamplingParams) -> Transcript:
     """Run one problem with the chosen method; always returns a finalized
     transcript."""
     if isinstance(method, MethodMACM):
         _, transcript = orchestrator.solve(problem, method.config, backend,
-                                           run_id=problem.id)
+                                           prompts=method.prompts, run_id=problem.id)
         return transcript
 
     transcript = Transcript(run_id=problem.id)
@@ -344,7 +331,7 @@ def _solve_one(problem: Problem, method: Method, backend,
                                      sampling, backend, transcript,
                                      majority=method.majority)
         transcript.append(Final(Solved(answer)))
-    except _SOLVE_ERRORS as exc:
+    except orchestrator.SOLVE_ERRORS as exc:
         transcript.append(Final(orchestrator._error_outcome(exc)))
     return transcript
 
@@ -356,7 +343,8 @@ def run_benchmark(problems: list[Problem], method: Method, backend_factory,
     """Solve every problem, grade it, and write one transcript file each.
 
     ``backend_factory(problem_id)`` must return a backend for that problem
-    (scripted/replay backends are single-run). Individual problem failures
+    (scripted/replay backends are single-run). Individual problem failures,
+    including a backend that cannot be built (say, a missing cassette),
     become Error rows; the batch never aborts. Row order is by problem id,
     independent of parallelism.
     """
@@ -369,9 +357,14 @@ def run_benchmark(problems: list[Problem], method: Method, backend_factory,
     label = method_label(method)
 
     def run_one(problem: Problem) -> ReportRow:
-        backend = backend_factory(problem.id)
         start = time.monotonic()
-        transcript = _solve_one(problem, method, backend, sampling)
+        try:
+            backend = backend_factory(problem.id)
+        except (OSError, BackendFailure) as exc:
+            transcript = Transcript(run_id=problem.id)
+            transcript.append(Final(orchestrator._error_outcome(exc)))
+        else:
+            transcript = solve_one(problem, method, backend, sampling)
         wall_ms = int((time.monotonic() - start) * 1000)
         outcome = transcript.outcome
         correct = False

@@ -25,20 +25,11 @@ from .domain import (
     Unsolvable,
     VerdictEvent,
 )
-from .errors import (
-    BackendFailure,
-    BudgetExceeded,
-    CassetteExhausted,
-    CassetteMismatch,
-    CorruptTranscript,
-    ParseFailure,
-    ScriptExhausted,
-    ScriptMismatch,
-)
+from .errors import BackendFailure, BudgetExceeded, CorruptTranscript, ParseFailure
 from .prompts import PromptCatalog
 
-_BACKEND_ERRORS = (BackendFailure, ScriptExhausted, ScriptMismatch,
-                   CassetteMismatch, CassetteExhausted)
+# The errors that end one run as a RunError outcome instead of propagating.
+SOLVE_ERRORS = (ParseFailure, BudgetExceeded, BackendFailure)
 
 OBJECTIVE_SET = "objective set"
 CONDITION_ACCEPTED = "condition accepted"
@@ -69,26 +60,24 @@ def solve(problem: Problem, config: RunConfig, backend,
     BackendFailure, or BudgetExceeded the partial transcript is kept and the
     outcome is an error, never an exception.
     """
-    transcript = Transcript(run_id)
-    client = AgentClient(backend=backend, config=config, transcript=transcript,
-                         prompts=prompts or PromptCatalog())
-    try:
-        known = client.thinker_extract(problem)
-    except (ParseFailure, BudgetExceeded, *_BACKEND_ERRORS) as exc:
-        return _finalize(transcript, _error_outcome(exc))
-    transcript.append(StateChange(OBJECTIVE_SET, {"objective": known.objective.text}))
-    for cond in known.accepted():
-        transcript.append(StateChange(CONDITION_ACCEPTED,
-                                      {"text": cond.text, "provenance": "initial"}))
-    return _continue(client, known, transcript, config)
+    return resume_from_transcript(Transcript(run_id), backend, problem=problem,
+                                  config=config, prompts=prompts)
 
 
-def _continue(client: AgentClient, known: ConditionList, transcript: Transcript,
-              config: RunConfig, *, round_start: int = 1,
+def _continue(client: AgentClient, known: ConditionList | None, transcript: Transcript,
+              config: RunConfig, *, problem: Problem | None = None, round_start: int = 1,
               pending: list[CandidateCondition] | None = None,
               phase: str = "mining",
               plan: StepPlan | None = None) -> tuple[Outcome, Transcript]:
     try:
+        if phase == "extracting":
+            known = client.thinker_extract(problem)
+            transcript.append(StateChange(OBJECTIVE_SET, {"objective": known.objective.text}))
+            for cond in known.accepted():
+                transcript.append(StateChange(CONDITION_ACCEPTED,
+                                              {"text": cond.text, "provenance": "initial"}))
+            phase = "mining"
+
         if phase == "mining":
             reached_sufficiency = False
             for r in range(round_start, config.max_iterations + 1):
@@ -131,7 +120,7 @@ def _continue(client: AgentClient, known: ConditionList, transcript: Transcript,
         assert plan is not None
         answer = client.executor_compute(known, plan)
         return _finalize(transcript, Solved(answer))
-    except (ParseFailure, BudgetExceeded, *_BACKEND_ERRORS) as exc:
+    except SOLVE_ERRORS as exc:
         return _finalize(transcript, _error_outcome(exc))
 
 
@@ -185,27 +174,18 @@ def resume_from_transcript(transcript: Transcript, backend, *,
                 sufficiency_rounds += 1
                 sufficiency_true = sufficiency_true or event.value
 
+    client = AgentClient(backend=backend, config=config, transcript=transcript,
+                         prompts=prompts or PromptCatalog())
     if objective is None:
         if problem is None:
             raise CorruptTranscript("transcript has no objective and no problem was given")
         # Extraction never completed: run fresh, appending to the same transcript.
-        client = AgentClient(backend=backend, config=config, transcript=transcript,
-                             prompts=prompts or PromptCatalog())
-        try:
-            known = client.thinker_extract(problem)
-        except (ParseFailure, BudgetExceeded, *_BACKEND_ERRORS) as exc:
-            return _finalize(transcript, _error_outcome(exc))
-        transcript.append(StateChange(OBJECTIVE_SET, {"objective": known.objective.text}))
-        for cond in known.accepted():
-            transcript.append(StateChange(CONDITION_ACCEPTED,
-                                          {"text": cond.text, "provenance": "initial"}))
-        return _continue(client, known, transcript, config)
+        return _continue(client, None, transcript, config, problem=problem,
+                         phase="extracting")
 
     known = ConditionList(Objective(objective), accepted)
     for cond in discarded:
         known.add(cond)
-    client = AgentClient(backend=backend, config=config, transcript=transcript,
-                         prompts=prompts or PromptCatalog())
 
     if plan is not None:
         return _continue(client, known, transcript, config, phase="executing", plan=plan)

@@ -1,7 +1,11 @@
 import json
 
+import pytest
+
 from macm.cli import main
 from macm.demo import ALGEBRA_QUESTION, algebra_trace_path
+
+from conftest import extraction_reply, mining_reply
 
 
 def write_jsonl(path, records):
@@ -66,6 +70,41 @@ class TestSolve:
         code = main(["solve", "--problem-file", str(dataset), "--method", "io",
                      "--backend", f"scripted:{script}"])
         assert code == 0
+
+    def test_record_dir_then_replay(self, tmp_path, capsys):
+        cassettes = tmp_path / "cassettes"
+        solve = ["solve", "--question", ALGEBRA_QUESTION]
+        assert main(solve + ["--backend", f"scripted:{algebra_trace_path()}",
+                             "--record", str(cassettes)]) == 0
+        recorded = json.loads(capsys.readouterr().out)
+        assert [p.name for p in cassettes.iterdir()] == ["cli.jsonl"]
+        for target in (cassettes, cassettes / "cli.jsonl"):
+            assert main(solve + ["--backend", f"replay:{target}"]) == 0
+            assert json.loads(capsys.readouterr().out) == recorded
+
+
+@pytest.mark.parametrize("command", ["solve", "bench"])
+def test_prompts_dir_overrides_macm_prompts(command, tmp_path, capsys):
+    prompts = tmp_path / "prompts"
+    prompts.mkdir()
+    (prompts / "prompt0.txt").write_text("OVERRIDDEN EXTRACTION PROMPT\n{question}")
+    script = tmp_path / "s.json"
+    script.write_text(json.dumps({"roles": {
+        "thinker": [{"reply": extraction_reply(["x = 1"], "find x + 1"),
+                     "expect_substring": "OVERRIDDEN EXTRACTION PROMPT"},
+                    mining_reply(["x + 1 = 2"]), "1. add"],
+        "judge": ["True", "True"],
+        "executor": ["Answer: 2"]}}))
+    dataset = tmp_path / "d.jsonl"
+    write_jsonl(dataset, [{"id": "p0", "question": "If x = 1, find x + 1.", "answer": "2"}])
+    out = tmp_path / "out"
+    source = (["--problem-file", str(dataset)] if command == "solve"
+              else ["--dataset", str(dataset)])
+    assert main([command, *source, "--method", "macm", "--backend", f"scripted:{script}",
+                 "--prompts-dir", str(prompts), "--out", str(out)]) == 0
+    transcript = (out / ("p0.jsonl" if command == "solve" else "transcripts/p0.jsonl"))
+    final = json.loads(transcript.read_text().splitlines()[-1])
+    assert final["outcome"] == {"kind": "solved", "answer": "2"}
 
 
 class TestBench:

@@ -325,3 +325,28 @@ class TestRecordReplayBenchmark:
 
         assert _report_csv_text(recorded) == _report_csv_text(replayed)
         assert replay_counter.requests == rec_counter.requests
+
+    def test_missing_cassette_becomes_error_row(self, tmp_path):
+        problems = [Problem(id=f"p{i}", question=f"q{i}", gold_answer="0") for i in range(3)]
+        script_path = tmp_path / "script.json"
+        script_path.write_text(json.dumps({"roles": {"solver": [{"reply": "Answer: 0"}]}}))
+        cassettes = tmp_path / "cassettes"
+        recorded = run_benchmark(
+            problems, MethodIO(),
+            make_backend_factory(f"scripted:{script_path}", QueryCounter(), record_dir=cassettes),
+            tmp_path / "rec")
+        (cassettes / "p1.jsonl").unlink()
+
+        out = tmp_path / "rep"
+        replayed = run_benchmark(problems, MethodIO(),
+                                 make_backend_factory(f"replay:{cassettes}", QueryCounter()), out)
+
+        assert [r.id for r in replayed.rows] == ["p0", "p1", "p2"]
+        error = replayed.rows[1]
+        assert error.outcome["kind"] == "error"
+        assert error.outcome["error_kind"] == "BackendFailure"
+        assert not error.correct and error.queries == 0
+        transcript = read_transcript(out / error.transcript_path)
+        assert len(transcript.events) == 1 and transcript.is_final
+        assert [(r.outcome, r.correct, r.queries) for r in (replayed.rows[0], replayed.rows[2])] \
+            == [(r.outcome, r.correct, r.queries) for r in (recorded.rows[0], recorded.rows[2])]

@@ -1,19 +1,29 @@
 import pytest
 
-from macm.backend import ScriptedBackend, record, replay
+from macm.backend import ChatMessage, ChatRequest, ScriptedBackend, ScriptEntry, record, replay
+from macm.baselines import MethodIO
 from macm.demo import algebra_problem, algebra_trace_path
 from macm.domain import (
     AgentCall,
     Final,
     RunConfig,
     RunError,
+    SamplingParams,
     Solved,
     StateChange,
     Transcript,
     Unsolvable,
     VerdictEvent,
 )
-from macm.errors import CorruptTranscript
+from macm.errors import (
+    BackendFailure,
+    CassetteExhausted,
+    CassetteMismatch,
+    CorruptTranscript,
+    ScriptExhausted,
+    ScriptMismatch,
+)
+from macm.harness import solve_one
 from macm.orchestrator import (
     CONDITION_ACCEPTED,
     CONDITION_DISCARDED,
@@ -83,6 +93,20 @@ class TestTermination:
         assert outcome == Unsolvable(1)
 
 
+def failing_backend(error, role, tmp_path):
+    """A scripted or replay backend whose first call for ``role`` raises ``error``."""
+    if error is ScriptExhausted:
+        return scripted()
+    if error is ScriptMismatch:
+        return scripted(**{role: [ScriptEntry("x", expect_substring="absent")]})
+    cassette = tmp_path / "cassette.jsonl"
+    recording = record(scripted(**{role: ["x"]}), cassette)
+    if error is CassetteMismatch:
+        recording.complete(ChatRequest((ChatMessage("user", "another prompt"),),
+                                       SamplingParams()), role)
+    return replay(cassette)
+
+
 class TestErrorPropagation:
     def test_judge_off_vocabulary_aborts(self, toy_problem):
         config = RunConfig(format_retries=0)
@@ -95,11 +119,25 @@ class TestErrorPropagation:
         # Partial transcript intact: the failed judging call is recorded.
         assert transcript.agent_calls()[-1].role == "judge"
 
-    def test_script_exhaustion_is_backend_failure(self, toy_problem, fast_config):
-        backend = scripted(thinker=[extraction_reply(["c0"], "obj")])
-        outcome, _ = solve(toy_problem, fast_config, backend)
-        assert isinstance(outcome, RunError)
-        assert outcome.kind == "BackendFailure"
+    @pytest.mark.parametrize(
+        "error", [ScriptExhausted, ScriptMismatch, CassetteExhausted, CassetteMismatch],
+        ids=lambda error: error.__name__)
+    def test_backend_errors_end_as_backend_failure(self, error, toy_problem, fast_config,
+                                                   tmp_path):
+        assert issubclass(error, BackendFailure)
+        with pytest.raises(error):
+            failing_backend(error, "solver", tmp_path / "a").complete(
+                ChatRequest((ChatMessage("user", "q"),), SamplingParams()), "solver")
+
+        outcome, transcript = solve(toy_problem, fast_config,
+                                    failing_backend(error, "thinker", tmp_path / "b"))
+        assert isinstance(outcome, RunError) and outcome.kind == "BackendFailure"
+        assert transcript.is_final
+
+        transcript = solve_one(toy_problem, MethodIO(),
+                               failing_backend(error, "solver", tmp_path / "c"), SamplingParams())
+        assert isinstance(transcript.outcome, RunError)
+        assert transcript.outcome.kind == "BackendFailure"
 
     def test_query_budget(self, toy_problem):
         config = RunConfig(format_retries=0, query_budget=2)
