@@ -5,6 +5,7 @@ synthetic dataset, using scripted backends. Writes sweep.csv under --out."""
 import argparse
 
 from macm.backend import QueryCounter, ScriptedBackend, ScriptEntry
+from macm.baselines import MethodIO
 from macm.domain import Problem
 from macm.harness import sweep_queries
 
@@ -24,7 +25,7 @@ def main() -> None:
         entries = [ScriptEntry(reply=f"Answer: {answer}")] * 2
         return ScriptedBackend({"solver": list(entries)}, counter=counter)
 
-    points = sweep_queries(problems, "io", {"n": [1, 3]}, factory, args.out)
+    points = sweep_queries(problems, MethodIO(), {"n": [1, 3]}, factory, args.out)
     for point in points:
         print(f"{point.settings} -> mean_queries={point.mean_queries:.2f} "
               f"corrected={point.corrected_fraction:.3f}")

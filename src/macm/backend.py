@@ -164,13 +164,27 @@ MAX_RETRIES = 3
 MAX_RETRY_AFTER_S = 60
 
 
-def _retry_after_s(resp) -> int:
-    """The integer-seconds ``Retry-After`` of a response, capped at
-    ``MAX_RETRY_AFTER_S``; 0 when absent or given as an HTTP date."""
+def _retry_after_s(resp) -> float:
+    """The ``Retry-After`` of a response in seconds, given as an integer or as
+    an HTTP date, floored at 0 and capped at ``MAX_RETRY_AFTER_S``; 0 when
+    absent or unparseable."""
     value = resp.headers.get("Retry-After", "").strip()
-    if not (value.isascii() and value.isdigit()):
+    if value.isascii() and value.isdigit():
+        return min(int(value), MAX_RETRY_AFTER_S)
+    # Imported here: only a retryable response needs the date parser, and
+    # email.utils loads some twenty modules.
+    from datetime import datetime, timezone
+    from email.utils import parsedate_to_datetime
+
+    try:
+        when = parsedate_to_datetime(value)
+    except (TypeError, ValueError):
         return 0
-    return min(int(value), MAX_RETRY_AFTER_S)
+    if when.tzinfo is None:
+        # HTTP dates are GMT; the asctime form carries no zone.
+        when = when.replace(tzinfo=timezone.utc)
+    seconds = (when - datetime.now(timezone.utc)).total_seconds()
+    return min(max(seconds, 0), MAX_RETRY_AFTER_S)
 
 
 class HttpBackend:
@@ -179,7 +193,8 @@ class HttpBackend:
     Configuration comes from arguments or the MACM_BASE_URL / MACM_API_KEY /
     MACM_MODEL environment variables. Transient transport failures and
     retryable HTTP statuses are retried up to 3 times with exponential
-    backoff, or after the server's integer ``Retry-After`` if that is longer;
+    backoff, or after the server's ``Retry-After`` (seconds or an HTTP date)
+    if that is longer;
     4xx auth/client errors fail immediately.
 
     One instance may be shared by many threads. Each thread keeps its own
@@ -281,6 +296,12 @@ class HttpBackend:
 # Record / replay cassettes
 # ---------------------------------------------------------------------------
 
+# Shared by the cassette and transcript writers: json.dumps with a non-default
+# argument builds a new encoder on every call. encode() keeps no state between
+# calls, so one instance serves every thread.
+JSON_ENCODER = json.JSONEncoder(ensure_ascii=False)
+
+
 def _cassette_line(seq: int, role: str, request: ChatRequest, response: ChatResponse) -> dict:
     return {
         "seq": seq,
@@ -319,14 +340,22 @@ class RecordingBackend:
         with self._lock:
             line = _cassette_line(self._seq, role, request, response)
             self._seq += 1
-            with open(self.path, "a", encoding="utf-8") as fh:
-                fh.write(json.dumps(line, ensure_ascii=False) + "\n")
+            data = memoryview((JSON_ENCODER.encode(line) + "\n").encode("utf-8"))
+            # The whole line is written before complete() returns, and no
+            # handle outlives the call.
+            fd = os.open(self.path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
+            try:
+                while data:
+                    data = data[os.write(fd, data):]
+            finally:
+                os.close(fd)
         return response
 
 
 class ReplayBackend:
     """Serves recorded responses back in order, asserting that each request's
-    prompt matches the recorded one after whitespace normalization."""
+    prompt matches the recorded one after whitespace normalization, and that
+    its role and number of choices ``n`` match the recording."""
 
     def __init__(self, cassette_path: str | Path, counter: QueryCounter | None = None,
                  skip_calls: int = 0):
@@ -343,12 +372,17 @@ class ReplayBackend:
         entry = self._entries[self._pos]
         recorded = "\n".join(m["content"] for m in entry["request_messages"])
         got = request.prompt_text()
-        if normalize_condition_text(recorded) != normalize_condition_text(got):
+        # Equal strings normalise equal; normalise only when they differ.
+        if recorded != got and normalize_condition_text(recorded) != normalize_condition_text(got):
             raise CassetteMismatch(
                 f"cassette {self.path} entry {entry['seq']}: prompt differs from recording")
         if entry["role"] != role:
             raise CassetteMismatch(
                 f"cassette {self.path} entry {entry['seq']}: role {role!r} != recorded {entry['role']!r}")
+        if entry["sampling"]["n"] != request.sampling.n:
+            raise CassetteMismatch(
+                f"cassette {self.path} entry {entry['seq']}: n={request.sampling.n} "
+                f"!= recorded n={entry['sampling']['n']}")
         self._pos += 1
         choices = tuple(entry["choices"])
         self.counter.record(len(choices))

@@ -176,8 +176,10 @@ def cmd_sweep(args) -> int:
     counter = QueryCounter()
     factory = harness.make_backend_factory(args.backend, counter, record_dir=args.record)
     out_dir = Path(args.out or "sweep_out")
-    points = harness.sweep_queries(problems, args.method, grid, factory, out_dir,
-                                   task=args.task, count_choices=args.count_choices)
+    points = harness.sweep_queries(
+        problems, _method(args), grid, factory, out_dir, task=args.task,
+        count_choices=args.count_choices,
+        sampling=SamplingParams(n=args.n, temperature=args.temperature))
     for point in points:
         print(f"{point.settings} -> mean_queries={point.mean_queries:.2f} "
               f"corrected={point.corrected_fraction:.3f}")

@@ -10,12 +10,17 @@ import os
 import random
 import re
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from . import orchestrator
-from .backend import QueryCounter, ReplayBackend, RecordingBackend, ScriptedBackend
+from .backend import (
+    JSON_ENCODER,
+    QueryCounter,
+    RecordingBackend,
+    ReplayBackend,
+    ScriptedBackend,
+)
 from .baselines import (
     Method,
     MethodCoT,
@@ -32,7 +37,6 @@ from .domain import (
     Event,
     Final,
     Problem,
-    RunConfig,
     SamplingParams,
     Solved,
     StateChange,
@@ -230,8 +234,8 @@ def _atomic_write(path: Path, content: str) -> None:
 def write_transcript(transcript: Transcript, path: str | Path) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    lines = [json.dumps({"event": "meta", "run_id": transcript.run_id}, ensure_ascii=False)]
-    lines += [json.dumps(_event_to_dict(e), ensure_ascii=False) for e in transcript.events]
+    lines = [JSON_ENCODER.encode({"event": "meta", "run_id": transcript.run_id})]
+    lines += [JSON_ENCODER.encode(_event_to_dict(e)) for e in transcript.events]
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
@@ -256,7 +260,9 @@ def read_transcript(path: str | Path) -> Transcript:
 # Reports
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+# slots: a long benchmark keeps every row in memory until its report is
+# written.
+@dataclass(frozen=True, slots=True)
 class ReportRow:
     id: str
     method: str
@@ -393,6 +399,10 @@ def run_benchmark(problems: list[Problem], method: Method, backend_factory,
         )
 
     if parallelism > 1:
+        # Imported here: concurrent.futures loads logging and queue, which a
+        # serial run never uses.
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=parallelism) as pool:
             rows = list(pool.map(run_one, problems))
     else:
@@ -503,26 +513,31 @@ class SweepPoint:
 KNOBS = ("n", "l", "v", "max_iterations")
 
 
-def _method_for_point(method_name: str, settings: dict) -> tuple[Method, SamplingParams]:
-    sampling = SamplingParams(n=settings.get("n", 1))
-    if method_name == "io":
-        return MethodIO(n=sampling.n), sampling
-    if method_name == "cot":
-        return MethodCoT(chain_length_l=settings.get("l", 5)), sampling
-    if method_name == "sc-cot":
-        return MethodSCCoT(chain_length_l=settings.get("l", 5),
-                           voters_v=settings.get("v", 5)), sampling
-    if method_name == "macm":
-        config = RunConfig(max_iterations=settings.get("max_iterations", 5))
-        return MethodMACM(config=config), sampling
-    raise ValueError(f"unknown method {method_name!r}")
+def _method_for_point(method: Method, settings: dict,
+                      sampling: SamplingParams) -> tuple[Method, SamplingParams]:
+    """The base method and sampling with one grid point's knobs applied;
+    a knob the method has no use for leaves it unchanged."""
+    if "n" in settings:
+        sampling = replace(sampling, n=settings["n"])
+    if isinstance(method, MethodIO):
+        method = replace(method, n=sampling.n)
+    if isinstance(method, (MethodCoT, MethodSCCoT)) and "l" in settings:
+        method = replace(method, chain_length_l=settings["l"])
+    if isinstance(method, MethodSCCoT) and "v" in settings:
+        method = replace(method, voters_v=settings["v"])
+    if isinstance(method, MethodMACM) and "max_iterations" in settings:
+        method = replace(method, config=replace(
+            method.config, max_iterations=settings["max_iterations"]))
+    return method, sampling
 
 
-def sweep_queries(problems: list[Problem], method_name: str, knob_grid: dict,
+def sweep_queries(problems: list[Problem], method: Method, knob_grid: dict,
                   backend_factory, out_dir: str | Path, task: str = "math",
-                  count_choices: bool = True) -> list[SweepPoint]:
-    """Run one benchmark per knob setting and record (mean query count,
-    fraction corrected). Writes sweep.csv under out_dir."""
+                  count_choices: bool = True,
+                  sampling: SamplingParams | None = None) -> list[SweepPoint]:
+    """Run one benchmark per knob setting of the grid, applied to ``method``
+    and ``sampling``, and record (mean query count, fraction corrected).
+    Writes sweep.csv under out_dir."""
     if not problems:
         raise EmptyDataset("sweep requires at least one problem")
     if not knob_grid:
@@ -532,15 +547,16 @@ def sweep_queries(problems: list[Problem], method_name: str, knob_grid: dict,
             raise ValueError(f"unknown knob {knob!r}")
 
     out_dir = Path(out_dir)
+    sampling = sampling or SamplingParams()
     keys = sorted(knob_grid)
     points: list[SweepPoint] = []
     for values in itertools.product(*(knob_grid[k] for k in keys)):
         settings = dict(zip(keys, values))
-        method, sampling = _method_for_point(method_name, settings)
+        point_method, point_sampling = _method_for_point(method, settings, sampling)
         point_dir = out_dir / ("point_" + "_".join(f"{k}{v}" for k, v in settings.items()))
-        report = run_benchmark(problems, method, backend_factory, point_dir,
+        report = run_benchmark(problems, point_method, backend_factory, point_dir,
                                task=task, count_choices=count_choices,
-                               sampling=sampling)
+                               sampling=point_sampling)
         points.append(SweepPoint(
             settings=settings,
             mean_queries=report.aggregates["mean_queries"],

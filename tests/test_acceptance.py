@@ -224,7 +224,7 @@ def test_query_accounting(capfd):
 
         import tempfile
         with tempfile.TemporaryDirectory() as out_dir:
-            points = sweep_queries([problem], "io", {"n": [1, 3]}, factory, out_dir)
+            points = sweep_queries([problem], MethodIO(), {"n": [1, 3]}, factory, out_dir)
         swept = sum(int(p.mean_queries * 1) for p in points)
         assert swept == global_counter.choices == 5
 

@@ -1,4 +1,6 @@
+import email.utils
 import json
+import math
 import os
 import socket
 import subprocess
@@ -145,6 +147,64 @@ class TestRecordReplay:
         recorder.complete(request("q2"), "judge")
         player = replay(cassette, skip_calls=1)
         assert player.complete(request("q2"), "judge").text == "two"
+
+    @pytest.mark.parametrize("replayed", ["a  b\tc", "a b c", " a\u3000b\n\nc\u2028"])
+    def test_exact_or_whitespace_equal_prompt_accepted(self, tmp_path, replayed):
+        cassette = tmp_path / "run.jsonl"
+        record(ScriptedBackend({"judge": [ScriptEntry("True")]}),
+               cassette).complete(request("a  b\tc"), "judge")
+        assert replay(cassette).complete(request(replayed), "judge").text == "True"
+
+    def test_identical_prompt_is_not_normalised(self, tmp_path, monkeypatch):
+        cassette = tmp_path / "run.jsonl"
+        record(ScriptedBackend({"judge": [ScriptEntry("True")]}),
+               cassette).complete(request("a  b"), "judge")
+
+        def fail(text):
+            raise AssertionError("normalised an identical prompt")
+
+        monkeypatch.setattr(macm.backend, "normalize_condition_text", fail)
+        assert replay(cassette).complete(request("a  b"), "judge").text == "True"
+
+    def test_non_whitespace_difference_message(self, tmp_path):
+        cassette = tmp_path / "run.jsonl"
+        record(ScriptedBackend({"judge": [ScriptEntry("True")]}),
+               cassette).complete(request("a  b"), "judge")
+        with pytest.raises(CassetteMismatch) as info:
+            replay(cassette).complete(request("a  c"), "judge")
+        assert str(info.value) == f"cassette {cassette} entry 0: prompt differs from recording"
+
+    def test_choice_count_mismatch(self, tmp_path):
+        cassette = tmp_path / "run.jsonl"
+        record(ScriptedBackend({"solver": [ScriptEntry("ok")]}),
+               cassette).complete(request("q", n=3), "solver")
+        with pytest.raises(CassetteMismatch) as info:
+            replay(cassette).complete(request("q", n=1), "solver")
+        assert str(info.value) == f"cassette {cassette} entry 0: n=1 != recorded n=3"
+        assert replay(cassette).complete(request("q", n=3), "solver").choices == ("ok",) * 3
+
+    def test_cassette_lines_are_json_dumps_bytes(self, tmp_path):
+        cassette = tmp_path / "run.jsonl"
+        inner = ScriptedBackend({"judge": [ScriptEntry("Vrai ✓"), ScriptEntry("False")]})
+        recorder = record(inner, cassette)
+        calls = [(request("ça fait π ≈ 3.14 — 数学", system="sys"), "judge"),
+                 (request("q2", n=2), "judge")]
+        expected = b""
+        for seq, (req, role) in enumerate(calls):
+            response = recorder.complete(req, role)
+            line = macm.backend._cassette_line(seq, role, req, response)
+            expected += (json.dumps(line, ensure_ascii=False) + "\n").encode("utf-8")
+        assert cassette.read_bytes() == expected
+
+    def test_new_recorder_starts_the_cassette_empty(self, tmp_path):
+        cassette = tmp_path / "run.jsonl"
+        first = record(ScriptedBackend({"judge": [ScriptEntry("True")]}), cassette)
+        first.complete(request("q1"), "judge")
+        second = record(ScriptedBackend({"judge": [ScriptEntry("False")]}), cassette)
+        assert cassette.read_bytes() == b""
+        second.complete(request("q2"), "judge")
+        entries = [json.loads(line) for line in cassette.read_text().splitlines()]
+        assert [(e["seq"], e["choices"]) for e in entries] == [(0, ["False"])]
 
     def test_cassette_schema(self, tmp_path):
         cassette = tmp_path / "run.jsonl"
@@ -325,6 +385,8 @@ class TestHttpBackend:
         ("0", 1),
         ("3600", macm.backend.MAX_RETRY_AFTER_S),
         ("Wed, 21 Oct 2015 07:28:00 GMT", 1),
+        ("Fri, 01 Jan 2100 00:00:00 GMT", macm.backend.MAX_RETRY_AFTER_S),
+        ("soon", 1),
     ])
     def test_retry_after_seconds(self, stub_server, no_sleep, status, retry_after, slept):
         headers = {} if retry_after is None else {"Retry-After": retry_after}
@@ -334,6 +396,14 @@ class TestHttpBackend:
         assert backend.complete(request(), "thinker").choices
         assert no_sleep == [slept]
         assert counter.requests == 1
+
+    def test_retry_after_http_date(self, stub_server, no_sleep):
+        # At least 2 s ahead: HTTP dates have whole seconds.
+        date = email.utils.formatdate(math.ceil(time.time()) + 2, usegmt=True)
+        _StubHandler.script = [(503, {"error": "busy"}, {"Retry-After": date}), (200, None)]
+        assert _backend(stub_server).complete(request(), "thinker").choices
+        assert len(no_sleep) == 1
+        assert 1.5 < no_sleep[0] <= 3
 
     def test_retry_after_applies_to_the_next_wait_only(self, stub_server, no_sleep):
         _StubHandler.script = [(429, {}, {"Retry-After": "7"}), (503, {}), (200, None)]
@@ -421,8 +491,10 @@ def test_import_leaves_requests_unloaded():
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    # The thread pool and the HTTP-date parser are imported lazily too.
     code = ("import sys, macm, macm.cli, macm.harness; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'requests'))")
+            "print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('requests', 'concurrent', 'email')))")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=60, check=True)
     assert out.stdout.strip() == "[]"

@@ -83,7 +83,7 @@ class TestSolve:
             assert json.loads(capsys.readouterr().out) == recorded
 
 
-@pytest.mark.parametrize("command", ["solve", "bench"])
+@pytest.mark.parametrize("command", ["solve", "bench", "sweep"])
 def test_prompts_dir_overrides_macm_prompts(command, tmp_path, capsys):
     prompts = tmp_path / "prompts"
     prompts.mkdir()
@@ -98,13 +98,18 @@ def test_prompts_dir_overrides_macm_prompts(command, tmp_path, capsys):
     dataset = tmp_path / "d.jsonl"
     write_jsonl(dataset, [{"id": "p0", "question": "If x = 1, find x + 1.", "answer": "2"}])
     out = tmp_path / "out"
-    source = (["--problem-file", str(dataset)] if command == "solve"
-              else ["--dataset", str(dataset)])
-    assert main([command, *source, "--method", "macm", "--backend", f"scripted:{script}",
+    source = {"solve": ["--problem-file", str(dataset)],
+              "bench": ["--dataset", str(dataset)],
+              "sweep": ["--dataset", str(dataset), "--grid", '{"max_iterations": [5]}']}
+    assert main([command, *source[command], "--method", "macm",
+                 "--backend", f"scripted:{script}",
                  "--prompts-dir", str(prompts), "--out", str(out)]) == 0
-    transcript = (out / ("p0.jsonl" if command == "solve" else "transcripts/p0.jsonl"))
+    transcript = out / {"solve": "p0.jsonl", "bench": "transcripts/p0.jsonl",
+                        "sweep": "point_max_iterations5/transcripts/p0.jsonl"}[command]
     final = json.loads(transcript.read_text().splitlines()[-1])
     assert final["outcome"] == {"kind": "solved", "answer": "2"}
+    if command == "sweep":
+        assert (out / "sweep.csv").read_text().splitlines()[1] == "5,6.0,1.0"
 
 
 class TestBench:
@@ -202,6 +207,31 @@ class TestSweep:
                      "--grid", f"@{grid_file}",
                      "--backend", f"scripted:{script}", "--out", str(tmp_path / "o")])
         assert code == 0
+
+    def test_record_then_replay_checks_n(self, tmp_path, capsys):
+        # Every grid point records to the same <dir>/<id>.jsonl, so the
+        # cassettes hold the n=3 point; replay must refuse them for n=1.
+        dataset = tmp_path / "d.jsonl"
+        write_jsonl(dataset, [{"id": f"p{i}", "question": f"q{i}", "answer": "7"}
+                              for i in range(6)])
+        script = tmp_path / "s.json"
+        solver_script(script, ["Answer: 7", "Answer: 7"])
+        cassettes = tmp_path / "cassettes"
+        sweep = ["sweep", "--dataset", str(dataset), "--method", "io",
+                 "--grid", '{"n": [1, 3]}']
+        assert main(sweep + ["--backend", f"scripted:{script}", "--record", str(cassettes),
+                             "--out", str(tmp_path / "rec")]) == 0
+        assert main(sweep + ["--backend", f"replay:{cassettes}",
+                             "--out", str(tmp_path / "rep")]) == 0
+        recorded = (tmp_path / "rec" / "sweep.csv").read_text().splitlines()
+        replayed = (tmp_path / "rep" / "sweep.csv").read_text().splitlines()
+        assert recorded[1:] == ["1,1.0,1.0", "3,4.0,1.0"]
+        assert replayed[1:] == ["1,0.0,0.0", "3,4.0,1.0"]
+        for i in range(6):
+            transcript = tmp_path / "rep" / "point_n1" / "transcripts" / f"p{i}.jsonl"
+            final = json.loads(transcript.read_text().splitlines()[-1])
+            assert final["outcome"]["kind"] == "error"
+            assert final["outcome"]["error_kind"] == "BackendFailure"
 
     def test_bad_grid_json_exit_code(self, tmp_path, capsys):
         dataset = tmp_path / "d.jsonl"

@@ -1,3 +1,7 @@
+import re
+import sys
+import unicodedata
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -40,6 +44,29 @@ class TestNormalizeConditionText:
         normalized = normalize_condition_text(text)
         assert "  " not in normalized
         assert normalized == normalized.strip()
+
+
+# Every code point str.isspace() accepts, and pieces NFC composes (e + acute,
+# the Angstrom sign), mixed with arbitrary text.
+_SPACES = [chr(c) for c in range(sys.maxunicode + 1) if chr(c).isspace()]
+_MIXED_TEXT = st.text(alphabet=st.one_of(
+    st.sampled_from(_SPACES + ["e", "\u0301", "\u212b", "x"]), st.characters()))
+
+
+def regex_normalize(text: str) -> str:
+    """The regex form of the normaliser, kept as the oracle."""
+    return re.sub(r"\s+", " ", unicodedata.normalize("NFC", text)).strip()
+
+
+class TestNormalizeMatchesRegexOracle:
+    def test_whitespace_table(self):
+        for space in _SPACES:
+            text = f"{space}a{space}{space}b{space}"
+            assert normalize_condition_text(text) == regex_normalize(text) == "a b"
+
+    @given(_MIXED_TEXT)
+    def test_equals_oracle(self, text):
+        assert normalize_condition_text(text) == regex_normalize(text)
 
 
 class TestConditionInvariants:

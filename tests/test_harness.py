@@ -6,10 +6,11 @@ import pytest
 
 from macm.backend import QueryCounter
 from macm.baselines import MethodCoT, MethodIO, MethodMACM
-from macm.domain import Problem, RunConfig, Solved, Transcript, Final
+from macm.domain import Problem, RunConfig, SamplingParams, Solved, Transcript, Final
 from macm.errors import EmptyDataset, SchemaError
 from macm.harness import (
     Report,
+    _method_for_point,
     compute_aggregates,
     filter_wrong,
     grade,
@@ -266,14 +267,14 @@ class TestSweep:
         def factory(pid):
             return scripted(solver=["Answer: 7", "Answer: 7"], counter=counter)
 
-        points = sweep_queries(problems, "io", {"n": [1, 3]}, factory, tmp_path)
+        points = sweep_queries(problems, MethodIO(), {"n": [1, 3]}, factory, tmp_path)
         assert [p.mean_queries for p in points] == [1, 4]
         csv_text = (tmp_path / "sweep.csv").read_text()
         assert csv_text.splitlines()[0] == "n,mean_queries,corrected_fraction"
 
     def test_empty_dataset(self, tmp_path):
         with pytest.raises(EmptyDataset):
-            sweep_queries([], "io", {"n": [1]}, lambda pid: None, tmp_path)
+            sweep_queries([], MethodIO(), {"n": [1]}, lambda pid: None, tmp_path)
 
     def test_macm_iterations_monotone_queries(self, tmp_path, toy_problem):
         def factory(pid):
@@ -282,13 +283,23 @@ class TestSweep:
                 + [mining_reply([f"m{r}"]) for r in range(1, 6)],
                 judge=["True", "False"] * 5)
 
-        points = sweep_queries([toy_problem], "macm", {"max_iterations": [1, 5]},
+        points = sweep_queries([toy_problem], MethodMACM(), {"max_iterations": [1, 5]},
                                factory, tmp_path)
         assert points[0].mean_queries <= points[1].mean_queries
 
+    def test_grid_applies_to_the_base_method_and_sampling(self):
+        base = MethodMACM(config=RunConfig(format_retries=0, query_budget=9))
+        method, sampling = _method_for_point(
+            base, {"max_iterations": 2, "n": 3}, SamplingParams(temperature=0.0))
+        assert method.config == RunConfig(max_iterations=2, format_retries=0, query_budget=9)
+        assert method.prompts is base.prompts
+        assert sampling == SamplingParams(n=3, temperature=0.0)
+        method, _ = _method_for_point(MethodCoT(chain_length_l=2), {"n": 3}, sampling)
+        assert method == MethodCoT(chain_length_l=2)
+
     def test_unknown_knob_rejected(self, tmp_path, toy_problem):
         with pytest.raises(ValueError):
-            sweep_queries([toy_problem], "io", {"bogus": [1]}, lambda pid: None, tmp_path)
+            sweep_queries([toy_problem], MethodIO(), {"bogus": [1]}, lambda pid: None, tmp_path)
 
 
 class TestFilterWrong:
