@@ -224,16 +224,18 @@ class AgentClient:
     def _call_parsed(self, role: str, user_prompt: str, parser):
         messages = [ChatMessage(ROLE_SYSTEM, self._system_for(role)),
                     ChatMessage(ROLE_USER, user_prompt)]
-        last_error: ParseFailure | None = None
-        for _ in range(self.config.format_retries + 1):
+        retries = self.config.format_retries
+        for attempt in range(retries + 1):
             reply = self._call(role, messages)
             try:
                 return parser(reply)
-            except ParseFailure as exc:
-                last_error = exc
-                messages = messages + [ChatMessage(ROLE_ASSISTANT, reply),
-                                       ChatMessage(ROLE_USER, self.prompts.format_reminder)]
-        raise last_error
+            except ParseFailure:
+                # Re-raised, never kept: a kept exception would hold this
+                # frame, and the caller's transcript, in a reference cycle.
+                if attempt == retries:
+                    raise
+            messages = messages + [ChatMessage(ROLE_ASSISTANT, reply),
+                                   ChatMessage(ROLE_USER, self.prompts.format_reminder)]
 
     # -- Thinker ------------------------------------------------------------
 

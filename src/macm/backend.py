@@ -20,6 +20,7 @@ import time
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
+from urllib.parse import unquote, urlsplit
 
 from .domain import SamplingParams, normalize_condition_text
 from .errors import (
@@ -187,6 +188,47 @@ def _retry_after_s(resp) -> float:
     return min(max(seconds, 0), MAX_RETRY_AFTER_S)
 
 
+def _http_url(url: str):
+    """``urlsplit(url)`` when ``url`` is an http:// or https:// URL with a host
+    and a valid port, else None."""
+    try:
+        parts = urlsplit(url)
+        parts.port  # a malformed port raises only when read
+    except ValueError:
+        return None
+    return parts if parts.scheme in ("http", "https") and parts.hostname else None
+
+
+def _peer_closed(sock) -> bool:
+    """Whether an idle keep-alive socket is readable. No reply is due on it,
+    so the server has closed it (or broken the protocol): it cannot carry the
+    next request."""
+    import select
+
+    if hasattr(select, "poll"):
+        # poll, unlike select, takes descriptors above FD_SETSIZE.
+        poller = select.poll()
+        poller.register(sock, select.POLLIN)
+        return bool(poller.poll(0))
+    return bool(select.select([sock], [], [], 0)[0])
+
+
+class _Route:
+    """One thread's connection to the endpoint, with the request target and
+    headers sent on it. The connection object outlives its socket: after
+    ``close()`` its next request connects again."""
+
+    __slots__ = ("conn", "target", "headers")
+
+    def __init__(self, conn, target: str, headers: dict):
+        self.conn, self.target, self.headers = conn, target, headers
+
+    def __del__(self):
+        # Dropped when its thread ends or the backend is freed; closing here
+        # leaves no open socket for the garbage collector to find.
+        self.conn.close()
+
+
 class HttpBackend:
     """OpenAI-compatible chat-completions client.
 
@@ -198,8 +240,11 @@ class HttpBackend:
     4xx auth/client errors fail immediately.
 
     One instance may be shared by many threads. Each thread keeps its own
-    keep-alive session, created on its first call; proxy and CA-bundle
-    environment variables are read then, once per thread.
+    keep-alive ``http.client`` connection, built on its first call; the
+    proxy variables (``HTTP_PROXY``, ``HTTPS_PROXY``, ``ALL_PROXY``,
+    ``NO_PROXY``) and the CA bundle (``REQUESTS_CA_BUNDLE`` or
+    ``CURL_CA_BUNDLE``, else the system trust store) are read then, once per
+    thread.
     """
 
     def __init__(self, base_url: str | None = None, api_key: str | None = None,
@@ -216,26 +261,73 @@ class HttpBackend:
         if not self.api_key:
             raise BackendFailure("no API key configured (set MACM_API_KEY)")
         self._url = f"{self.base_url}/v1/chat/completions"
-        self._headers = {"Authorization": f"Bearer {self.api_key}"}
+        self._parts = _http_url(self._url)
+        if self._parts is None:
+            raise BackendFailure(f"base URL {self.base_url!r} is not an http:// or https:// URL")
+        self._headers = {"Authorization": f"Bearer {self.api_key}",
+                         "Content-Type": "application/json"}
         self._local = threading.local()
 
-    def _session(self):
-        session = getattr(self._local, "session", None)
-        if session is None:
-            import requests
+    def _route(self) -> _Route:
+        """This thread's route, built on its first call."""
+        route = getattr(self._local, "route", None)
+        if route is None:
+            route = self._local.route = self._new_route()
+        return route
 
-            session = requests.Session()
-            # With trust_env on, requests scans the environment twice per
-            # request; resolve it once for this URL and switch the scan off.
-            settings = session.merge_environment_settings(self._url, {}, None, None, None)
-            session.trust_env = False
-            session.proxies = settings["proxies"]
-            session.verify = settings["verify"]
-            self._local.session = session
-        return session
+    def _new_route(self):
+        import http.client
+        from urllib.request import getproxies_environment, proxy_bypass_environment
+
+        parts = self._parts
+        https = parts.scheme == "https"
+        if https:
+            import ssl
+
+            bundle = os.environ.get("REQUESTS_CA_BUNDLE") or os.environ.get("CURL_CA_BUNDLE")
+            try:
+                # Verifies the certificate and the host name; without a bundle
+                # it loads the system store, which honours SSL_CERT_FILE.
+                context = ssl.create_default_context(cafile=bundle)
+            except OSError as exc:
+                raise BackendFailure(f"cannot load CA bundle {bundle!r}: {exc}") from exc
+
+        # Ports are explicit: http.client would read ":1" of "::1" as a port.
+        target_port = parts.port or (443 if https else 80)
+        host, port, target, headers = parts.hostname, target_port, parts.path, self._headers
+        proxies = getproxies_environment()
+        proxy = proxies.get(parts.scheme) or proxies.get("all")
+        if proxy and proxy_bypass_environment(parts.netloc, proxies):
+            proxy = None
+        if proxy:
+            proxy_parts = _http_url(proxy if "://" in proxy else f"http://{proxy}")
+            if proxy_parts is None or proxy_parts.scheme != "http":
+                # The URL is not echoed: it may carry a password.
+                raise BackendFailure(f"the {parts.scheme} proxy is not an http://host:port URL")
+            host, port = proxy_parts.hostname, proxy_parts.port or 80
+            proxy_headers = {}
+            if proxy_parts.username is not None:
+                import base64
+
+                user, password = proxy_parts.username, proxy_parts.password or ""
+                credentials = f"{unquote(user)}:{unquote(password)}".encode("utf-8")
+                proxy_headers["Proxy-Authorization"] = \
+                    "Basic " + base64.b64encode(credentials).decode("ascii")
+            if not https:
+                # A plain-HTTP proxy takes the absolute URL as the request target.
+                target, headers = self._url, {**headers, **proxy_headers}
+
+        if not https:
+            return _Route(http.client.HTTPConnection(host, port, timeout=self.timeout),
+                          target, headers)
+        conn = http.client.HTTPSConnection(host, port, timeout=self.timeout, context=context)
+        if proxy:
+            # CONNECT through the proxy, then TLS to the target host.
+            conn.set_tunnel(parts.hostname, target_port, headers=proxy_headers)
+        return _Route(conn, target, headers)
 
     def complete(self, request: ChatRequest, role: str) -> ChatResponse:
-        import requests
+        import http.client
 
         if request.sampling.top_k != 1 and not self._warned_top_k:
             # The chat-completions wire protocol has no top_k field; the value
@@ -243,50 +335,61 @@ class HttpBackend:
             warnings.warn("top_k is not transmitted over the chat-completions protocol")
             self._warned_top_k = True
 
-        body = {
+        body = json.dumps({
             "model": self.model,
             "messages": [{"role": m.role, "content": m.content} for m in request.messages],
             "temperature": request.sampling.temperature,
             "max_tokens": request.sampling.max_tokens,
             "n": request.sampling.n,
-        }
-        session = self._session()
+        }, allow_nan=False).encode("utf-8")
+        route = self._route()
+        conn = route.conn
 
-        last_error: Exception | None = None
+        # A message, not the exception: a kept exception would hold this
+        # frame through its traceback, a cycle only the cyclic GC frees.
+        last_error = ""
         retry_after = 0
         for attempt in range(MAX_RETRIES + 1):
             if attempt:
                 time.sleep(max(min(2 ** (attempt - 1), 8), retry_after))
             retry_after = 0
+            if conn.sock is not None and _peer_closed(conn.sock):
+                # The server dropped this idle keep-alive connection; the
+                # request below reconnects, without a backoff wait.
+                conn.close()
             try:
-                # A pooled connection the server has dropped surfaces here as
-                # a ConnectionError and is retried like any transport failure.
-                resp = session.post(self._url, json=body, headers=self._headers,
-                                    timeout=self.timeout)
-            except requests.RequestException as exc:
-                last_error = exc
+                conn.request("POST", route.target, body, route.headers)
+                resp = conn.getresponse()
+                # Read to the end, so the connection can carry the next request.
+                data = resp.read()
+            except (OSError, http.client.HTTPException) as exc:
+                conn.close()
+                last_error = f"{type(exc).__name__}: {exc}"
                 continue
-            if resp.status_code in RETRYABLE_STATUS:
-                last_error = BackendFailure(f"HTTP {resp.status_code}: {resp.text[:200]}")
-                retry_after = _retry_after_s(resp)
-                continue
-            if resp.status_code != 200:
+            if resp.status != 200:
+                error = f"HTTP {resp.status}: {data.decode('utf-8', 'replace')[:200]}"
+                if resp.status in RETRYABLE_STATUS:
+                    last_error = error
+                    retry_after = _retry_after_s(resp)
+                    continue
                 self.counter.record(request.sampling.n)
-                raise BackendFailure(f"HTTP {resp.status_code}: {resp.text[:200]}")
+                raise BackendFailure(error)
             try:
-                payload = resp.json()
+                payload = json.loads(data)
                 choices = tuple(c["message"]["content"] for c in payload["choices"])
-                usage = payload.get("usage", {})
-            except (ValueError, KeyError, TypeError) as exc:
+                if not all(isinstance(text, str) for text in choices):
+                    raise TypeError("message.content is not a string")
+                usage = payload.get("usage") or {}
+                tokens_in = int(usage.get("prompt_tokens", 0))
+                tokens_out = int(usage.get("completion_tokens", 0))
+            except (ValueError, KeyError, TypeError, AttributeError) as exc:
                 self.counter.record(request.sampling.n)
                 raise BackendFailure(f"malformed response body: {exc}") from exc
             if not choices:
                 self.counter.record(request.sampling.n)
                 raise BackendFailure("response carried no choices")
             self.counter.record(len(choices))
-            return ChatResponse(choices=choices,
-                                tokens_in=int(usage.get("prompt_tokens", 0)),
-                                tokens_out=int(usage.get("completion_tokens", 0)))
+            return ChatResponse(choices=choices, tokens_in=tokens_in, tokens_out=tokens_out)
 
         self.counter.record(request.sampling.n)
         raise BackendFailure(f"request failed after {MAX_RETRIES} retries: {last_error}")

@@ -1,3 +1,5 @@
+import gc
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -180,6 +182,20 @@ class TestAgentOps:
         with pytest.raises(ParseFailure):
             client.thinker_extract(toy_problem)
         assert client.transcript.query_count() == 2
+
+    def test_retry_then_success_leaves_no_cyclic_garbage(self, toy_problem):
+        client = AgentClient(
+            backend=scripted(thinker=["no structure here",
+                                      "1. one plus one\nObjective: compute 1+1"]),
+            config=RunConfig(format_retries=1), transcript=Transcript("t"))
+        gc.collect()
+        gc.disable()
+        try:
+            client.thinker_extract(toy_problem)
+            # A kept ParseFailure would hold its frame through its traceback.
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_mine_requires_accepted_condition(self):
         client = make_client(scripted(thinker=["x"]))
