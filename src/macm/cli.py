@@ -35,7 +35,8 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--backend", required=True,
                         help="http | scripted:<file> | replay:<cassette-or-dir>")
     parser.add_argument("--record", help="record traffic to this directory, one cassette "
-                                         "<problem id>.jsonl per problem")
+                                         "<problem id>.jsonl per problem (sweep: under "
+                                         "one point_... subdirectory per grid point)")
     parser.add_argument("--max-iterations", type=int, default=5)
     parser.add_argument("--temperature", type=float, default=0.7)
     parser.add_argument("--n", type=int, default=1)

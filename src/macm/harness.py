@@ -10,6 +10,7 @@ import os
 import random
 import re
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -46,7 +47,14 @@ from .domain import (
     outcome_to_dict,
 )
 from .errors import BackendFailure, EmptyDataset, SchemaError
-from .tasks import Game24Instance, equal_answers, needs_manual_review, verify_game24, verify_sorted
+from .tasks import (
+    Game24Instance,
+    bounded_int,
+    equal_answers,
+    needs_manual_review,
+    verify_game24,
+    verify_sorted,
+)
 
 TASKS = ("math", "game24", "sorting")
 
@@ -167,7 +175,7 @@ def sample_problems(problems: list[Problem], fraction: float, seed: int) -> list
 # Grading
 # ---------------------------------------------------------------------------
 
-_INT_PATTERN = re.compile(r"-?\d+")
+_INT_PATTERN = re.compile(r"(-?)(\d+)")
 _REFUSAL = re.compile(r"\b(?:cannot|can't|unable to|refuse)\b", re.IGNORECASE)
 
 
@@ -181,7 +189,15 @@ def grade(task: str, problem: Problem, answer: str) -> bool:
         return verify_game24(Game24Instance(numbers), answer)
     if task == "sorting":
         input_seq = [int(p) for p in problem.gold_answer.split()]
-        output_seq = [int(m.group()) for m in _INT_PATTERN.finditer(answer)]
+        max_digits = len(str(max(map(abs, input_seq), default=0)))
+        output_seq = []
+        for sign, digits in _INT_PATTERN.findall(answer):
+            # A number longer than every input cannot match one, and int()
+            # refuses a literal past CPython's digit limit.
+            value = bounded_int(digits, max_digits)
+            if value is None:
+                return False
+            output_seq.append(-value if sign else value)
         return verify_sorted(input_seq, output_seq)
     raise ValueError(f"unknown task {task!r}")
 
@@ -537,7 +553,9 @@ def sweep_queries(problems: list[Problem], method: Method, knob_grid: dict,
                   sampling: SamplingParams | None = None) -> list[SweepPoint]:
     """Run one benchmark per knob setting of the grid, applied to ``method``
     and ``sampling``, and record (mean query count, fraction corrected).
-    Writes sweep.csv under out_dir."""
+    Writes sweep.csv under out_dir. A factory from make_backend_factory
+    records and replays each point's cassettes under the point's directory
+    name (<dir>/point_n3/<id>.jsonl); any other factory is used as is."""
     if not problems:
         raise EmptyDataset("sweep requires at least one problem")
     if not knob_grid:
@@ -554,7 +572,10 @@ def sweep_queries(problems: list[Problem], method: Method, knob_grid: dict,
         settings = dict(zip(keys, values))
         point_method, point_sampling = _method_for_point(method, settings, sampling)
         point_dir = out_dir / ("point_" + "_".join(f"{k}{v}" for k, v in settings.items()))
-        report = run_benchmark(problems, point_method, backend_factory, point_dir,
+        point_factory = backend_factory
+        if isinstance(backend_factory, BackendFactory):
+            point_factory = replace(backend_factory, subdir=point_dir.name)
+        report = run_benchmark(problems, point_method, point_factory, point_dir,
                                task=task, count_choices=count_choices,
                                sampling=point_sampling)
         points.append(SweepPoint(
@@ -578,33 +599,46 @@ def sweep_queries(problems: list[Problem], method: Method, knob_grid: dict,
 # Backend factories
 # ---------------------------------------------------------------------------
 
-def make_backend_factory(selector: str, counter: QueryCounter,
-                         record_dir: str | Path | None = None):
-    """Build a per-problem backend factory from a CLI selector:
-    "http", "scripted:<file>", or "replay:<dir-or-file>". With ``record_dir``
-    every problem's traffic is recorded to <record_dir>/<id>.jsonl."""
+@dataclass(frozen=True)
+class BackendFactory:
+    """Builds each problem's backend. ``build`` takes the cassette path
+    relative to a cassette directory, <subdir>/<problem id>.jsonl; with
+    ``record_dir`` the traffic is also recorded to that path under it.
+    ``subdir`` is empty except in sweeps, which set it to each grid point's
+    output directory name."""
 
-    def wrap(backend, problem_id: str):
-        if record_dir is not None:
-            return RecordingBackend(backend, Path(record_dir) / f"{problem_id}.jsonl")
+    build: Callable[[str], object]
+    record_dir: Path | None = None
+    subdir: str = ""
+
+    def __call__(self, problem_id: str):
+        cassette = os.path.join(self.subdir, f"{problem_id}.jsonl")
+        backend = self.build(cassette)
+        if self.record_dir is not None:
+            return RecordingBackend(backend, self.record_dir / cassette)
         return backend
 
+
+def make_backend_factory(selector: str, counter: QueryCounter,
+                         record_dir: str | Path | None = None) -> BackendFactory:
+    """Build a per-problem backend factory from a CLI selector:
+    "http", "scripted:<file>", or "replay:<dir-or-file>". With ``record_dir``
+    every problem's traffic is recorded to <record_dir>/<id>.jsonl, and a
+    replay directory is read the same way (in a sweep, one directory level
+    deeper per grid point)."""
+    record_dir = None if record_dir is None else Path(record_dir)
     if selector == "http":
         from .backend import HttpBackend
         shared = HttpBackend(counter=counter)
-        return lambda problem_id: wrap(shared, problem_id)
+        return BackendFactory(lambda cassette: shared, record_dir)
     if selector.startswith("scripted:"):
         path = selector.split(":", 1)[1]
         with open(path, encoding="utf-8") as fh:
             script_data = json.load(fh)
-        return lambda problem_id: wrap(
-            ScriptedBackend.from_dict(script_data, counter=counter), problem_id)
+        return BackendFactory(
+            lambda cassette: ScriptedBackend.from_dict(script_data, counter=counter), record_dir)
     if selector.startswith("replay:"):
         target = Path(selector.split(":", 1)[1])
-
-        def factory(problem_id: str):
-            path = target / f"{problem_id}.jsonl" if target.is_dir() else target
-            return wrap(ReplayBackend(path, counter=counter), problem_id)
-
-        return factory
+        return BackendFactory(lambda cassette: ReplayBackend(
+            target / cassette if target.is_dir() else target, counter=counter), record_dir)
     raise ValueError(f"unknown backend selector {selector!r}")

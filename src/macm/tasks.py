@@ -7,6 +7,7 @@ All arithmetic is exact rational; nothing here ever rounds.
 from __future__ import annotations
 
 import itertools
+import math
 import re
 from collections import Counter
 from dataclasses import dataclass
@@ -75,7 +76,19 @@ def render(expr: Expr) -> str:
 _EQ24_SUFFIX = re.compile(r"\s*=\s*24\s*$")
 
 
-def _tokenize(text: str) -> list[tuple[str, object, int]]:
+def bounded_int(digits: str, limit: int) -> int | None:
+    """The value of a run of decimal digits, or None when it has more than
+    ``limit`` digits once its leading zeros are dropped. Leading zeros are
+    skipped one at a time, so a run too long for int() is never converted."""
+    k = 0
+    while len(digits) - k > limit and int(digits[k]) == 0:
+        k += 1
+    if len(digits) - k > limit:
+        return None
+    return int(digits[k:]) if k < len(digits) else 0
+
+
+def _tokenize(text: str, max_digits: int | None) -> list[tuple[str, object, int]]:
     tokens: list[tuple[str, object, int]] = []
     i = 0
     while i < len(text):
@@ -83,11 +96,15 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
         if c.isspace():
             i += 1
             continue
-        if c.isdigit():
+        if c.isdecimal():
             j = i
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and text[j].isdecimal():
                 j += 1
-            tokens.append(("num", int(text[i:j]), i))
+            if max_digits is None or j - i <= max_digits:
+                value = int(text[i:j])
+            elif (value := bounded_int(text[i:j], max_digits)) is None:
+                raise ExprSyntaxError(f"number longer than {max_digits} digits", i)
+            tokens.append(("num", value, i))
             i = j
             continue
         if c in "+-*/()":
@@ -103,9 +120,9 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
 
 
 class _Parser:
-    def __init__(self, text: str):
+    def __init__(self, text: str, max_digits: int | None):
         self.text = text
-        self.tokens = _tokenize(text)
+        self.tokens = _tokenize(text, max_digits)
         self.pos = 0
 
     def _peek(self) -> str | None:
@@ -162,9 +179,11 @@ class _Parser:
         raise ExprSyntaxError("expected number or '('", self._offset())
 
 
-def parse_expr(text: str) -> Expr:
-    """Parse infix arithmetic; an optional trailing "= 24" is stripped first."""
-    return _Parser(_EQ24_SUFFIX.sub("", text)).parse()
+def parse_expr(text: str, max_digits: int | None = None) -> Expr:
+    """Parse infix arithmetic; an optional trailing "= 24" is stripped first.
+    With ``max_digits``, a literal with more digits (leading zeros aside) is
+    an ExprSyntaxError, raised before the literal is converted."""
+    return _Parser(_EQ24_SUFFIX.sub("", text), max_digits).parse()
 
 
 # ---------------------------------------------------------------------------
@@ -189,13 +208,20 @@ class Game24Instance:
 
 
 def check_game24(instance: Game24Instance, text: str) -> tuple[bool, str]:
-    """Verify a candidate solution. Returns (valid, reason)."""
+    """Verify a candidate solution. Returns (valid, reason).
+
+    Any text gets an answer: a literal with more digits than every input
+    number is a parse error before it is converted, and an expression nested
+    past the recursion limit is rejected."""
     try:
-        expr = parse_expr(text)
+        expr = parse_expr(text, len(str(max(instance.numbers))))
+        found = leaves(expr)
     except ExprSyntaxError as exc:
         return False, f"parse error: {exc}"
-    if Counter(leaves(expr)) != Counter(instance.numbers):
-        return False, (f"leaf multiset {sorted(leaves(expr))} != "
+    except RecursionError:
+        return False, "expression nested too deeply"
+    if Counter(found) != Counter(instance.numbers):
+        return False, (f"leaf multiset {sorted(found)} != "
                        f"input {sorted(instance.numbers)}")
     try:
         value = eval_expr(expr)
@@ -212,39 +238,88 @@ def verify_game24(instance: Game24Instance, text: str) -> bool:
     return check_game24(instance, text)[0]
 
 
+# Move codes in search order: a+b, a*b, a-b, b-a, a/b, b/a.
+_OPS = "+*--//"
+_SWAPPED = (3, 5)
+
+
 def game24_oracle(instance: Game24Instance) -> Expr | None:
     """Exhaustive search for a witness expression equal to exactly 24.
 
     Repeatedly combines every pair of remaining values with every operator
     (both operand orders), which covers all operand orderings, operator
-    assignments, and parenthesizations of a 4-leaf binary tree.
+    assignments, and parenthesizations of a 4-leaf binary tree. Values are
+    exact rationals kept as reduced (numerator, denominator) integer pairs,
+    and a multiset of values already found unable to reach 24 is not
+    searched again. Only the winning moves are kept; the witness is built
+    from them at the end.
     """
-    items: list[tuple[Fraction, Expr]] = [(Fraction(n), Lit(n)) for n in instance.numbers]
-    return _search24(items)
+    moves: list[tuple[int, int, int]] = []
+    if not _reaches24([(n, 1) for n in instance.numbers], moves, set()):
+        return None
+    exprs: list[Expr] = [Lit(n) for n in instance.numbers]
+    for i, j, op in reversed(moves):
+        left, right = (exprs[j], exprs[i]) if op in _SWAPPED else (exprs[i], exprs[j])
+        exprs = [e for k, e in enumerate(exprs) if k != i and k != j]
+        exprs.append(BinOp(_OPS[op], left, right))
+    return exprs[0]
 
 
-def _search24(items: list[tuple[Fraction, Expr]]) -> Expr | None:
-    if len(items) == 1:
-        value, expr = items[0]
-        return expr if value == TARGET else None
-    for i, j in itertools.combinations(range(len(items)), 2):
-        (va, ea), (vb, eb) = items[i], items[j]
-        rest = [items[k] for k in range(len(items)) if k not in (i, j)]
-        combos = [
-            (va + vb, BinOp("+", ea, eb)),
-            (va * vb, BinOp("*", ea, eb)),
-            (va - vb, BinOp("-", ea, eb)),
-            (vb - va, BinOp("-", eb, ea)),
-        ]
-        if vb != 0:
-            combos.append((va / vb, BinOp("/", ea, eb)))
-        if va != 0:
-            combos.append((vb / va, BinOp("/", eb, ea)))
-        for combo in combos:
-            witness = _search24(rest + [combo])
-            if witness is not None:
-                return witness
-    return None
+def _reaches24(values: list[tuple[int, int]], moves: list[tuple[int, int, int]],
+               dead: set[tuple[tuple[int, int], ...]]) -> bool:
+    """True iff three or more values combine to 24; on success ``moves``
+    holds the winning (i, j, op) of each level, innermost first. ``dead``
+    collects the sorted value tuples that cannot reach 24."""
+    key = tuple(sorted(values))
+    if key in dead:
+        return False
+    last = len(values) == 3
+    for i, j in itertools.combinations(range(len(values)), 2):
+        (an, ad), (bn, bd) = values[i], values[j]
+        rest = [v for k, v in enumerate(values) if k != i and k != j]
+        den = ad * bd
+        candidates = [(0, an * bd + bn * ad, den), (1, an * bn, den),
+                      (2, an * bd - bn * ad, den), (3, bn * ad - an * bd, den)]
+        if bn:
+            candidates.append((4, an * bd, ad * bn))
+        if an:
+            candidates.append((5, bn * ad, bd * an))
+        for op, num, den in candidates:
+            g = math.gcd(num, den)
+            if den < 0:
+                g = -g
+            value = (num // g, den // g)
+            if (_last_pair24(rest[0], value, moves) if last
+                    else _reaches24(rest + [value], moves, dead)):
+                moves.append((i, j, op))
+                return True
+    dead.add(key)
+    return False
+
+
+def _last_pair24(a: tuple[int, int], b: tuple[int, int],
+                 moves: list[tuple[int, int, int]]) -> bool:
+    """Whether some operator on the last two values gives exactly 24, checked
+    by cross-multiplication; the first such operator is appended to
+    ``moves``."""
+    (an, ad), (bn, bd) = a, b
+    target = 24 * ad * bd
+    if an * bd + bn * ad == target:
+        op = 0
+    elif an * bn == target:
+        op = 1
+    elif an * bd - bn * ad == target:
+        op = 2
+    elif bn * ad - an * bd == target:
+        op = 3
+    elif bn and an * bd == 24 * ad * bn:
+        op = 4
+    elif an and bn * ad == 24 * bd * an:
+        op = 5
+    else:
+        return False
+    moves.append((0, 1, op))
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import os
 import stat
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from macm.backend import QueryCounter
 from macm.baselines import MethodCoT, MethodIO, MethodMACM
@@ -107,6 +108,38 @@ class TestGrading:
         assert grade("sorting", problem, "1 2 3")
         assert grade("sorting", problem, "sorted: 1, 2, 3")
         assert not grade("sorting", problem, "1 2")
+
+    def test_game24_literal_past_int_digit_limit_is_false(self):
+        problem = Problem(id="p", question="q", gold_answer="3 3 8 8")
+        assert grade("game24", problem, "9" * 5000 + "+1") is False
+        # Leading zeros do not count towards a literal's length.
+        assert grade("game24", problem, "8/(3-8/0003)")
+        assert grade("game24", problem, "8/(3-8/" + "0" * 5000 + "3)")
+        assert not grade("game24", problem, "8/(3-8/" + "0" * 5000 + "13)")
+
+    def test_game24_nesting_past_recursion_limit_is_false(self):
+        problem = Problem(id="p", question="q", gold_answer="3 3 8 8")
+        assert grade("game24", problem, "(" * 2000 + "8" + ")" * 2000) is False
+        assert grade("game24", problem, "8+" * 2000 + "8") is False
+
+    def test_sorting_literal_past_int_digit_limit_is_false(self):
+        problem = Problem(id="p", question="q", gold_answer="3 1 2")
+        assert grade("sorting", problem, "1 2 " + "9" * 5000) is False
+        assert grade("sorting", problem, "1 2 0003")
+        assert grade("sorting", problem, "1 2 " + "0" * 5000 + "3")
+        assert grade("sorting", Problem(id="p", question="q", gold_answer="-3 10"),
+                     "-0003, 010")
+
+    @settings(deadline=None, max_examples=50)
+    @given(answer=st.lists(
+        st.one_of(st.text("0123456789", min_size=1, max_size=50),
+                  st.builds(str.__mul__, st.sampled_from("0123456789"), st.integers(1, 5000)),
+                  st.sampled_from([" ", "+", "-", "*", "/", "(", ")", "x", ",", "٣", "²"])),
+        max_size=6).map("".join))
+    @pytest.mark.parametrize("task, gold", [("game24", "3 3 8 8"), ("sorting", "3 1 2 -7")])
+    def test_digit_heavy_answers_grade_to_a_bool(self, task, gold, answer):
+        problem = Problem(id="p", question="q", gold_answer=gold)
+        assert isinstance(grade(task, problem, answer), bool)
 
 
 def per_problem_factory(scripts: dict, counter: QueryCounter):

@@ -1,10 +1,12 @@
+import hashlib
+import itertools
 import random
 import re
 from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from macm.errors import DivisionByZero, ExprSyntaxError
 from macm.tasks import (
@@ -152,7 +154,60 @@ class TestVerifyGame24:
         assert not valid and "not 24" in reason
 
 
+def brute_force_solvable(numbers) -> bool:
+    """Independent 24-game check: every leaf order, every operator triple and
+    the five shapes of a 4-leaf binary tree, evaluated with Fraction."""
+    def op(o, x, y):
+        if x is None or y is None:
+            return None
+        if o == "+":
+            return x + y
+        if o == "-":
+            return x - y
+        if o == "*":
+            return x * y
+        return None if y == 0 else x / y
+
+    for a, b, c, d in set(itertools.permutations(map(Fraction, numbers))):
+        for p, q, r in itertools.product("+-*/", repeat=3):
+            shapes = (op(r, op(q, op(p, a, b), c), d),
+                      op(r, op(q, a, op(p, b, c)), d),
+                      op(q, op(p, a, b), op(r, c, d)),
+                      op(p, a, op(r, op(q, b, c), d)),
+                      op(p, a, op(q, b, op(r, c, d))))
+            if 24 in shapes:
+                return True
+    return False
+
+
+# SHA-256 of the rendered witnesses, "-" for an unsolvable instance, one line
+# per sorted multiset of 1..13 in combinations_with_replacement order, as
+# given by the oracle that searched Fraction values and built an expression
+# tree for every candidate. The oracle must keep returning these exact trees.
+DECK_WITNESS_DIGEST = "7b30bbf09567d77da7eaeaa68ae02afdaefe607672df0ee01afb3b0052548801"
+
+
 class TestGame24Oracle:
+    def test_every_deck_multiset_gives_the_pinned_witness(self):
+        instances = [Game24Instance(numbers) for numbers
+                     in itertools.combinations_with_replacement(range(1, 14), 4)]
+        witnesses = [game24_oracle(instance) for instance in instances]
+        text = "\n".join(render(w) if w is not None else "-" for w in witnesses)
+        assert len(instances) == 1820
+        assert hashlib.sha256(text.encode()).hexdigest() == DECK_WITNESS_DIGEST
+        solved = [(i, w) for i, w in zip(instances, witnesses) if w is not None]
+        assert len(solved) == 1362
+        assert all(verify_game24(instance, render(w)) for instance, w in solved)
+
+    @settings(deadline=None)
+    @given(st.tuples(*[st.one_of(st.just(24), st.integers(1, 30))] * 4))
+    def test_solvability_matches_brute_force(self, numbers):
+        instance = Game24Instance(numbers)
+        witness = game24_oracle(instance)
+        assert (witness is not None) == brute_force_solvable(numbers)
+        if witness is not None:
+            assert verify_game24(instance, render(witness))
+
     def test_unsolvable_all_ones(self):
         assert game24_oracle(Game24Instance((1, 1, 1, 1))) is None
 
