@@ -9,7 +9,15 @@ import json
 
 from macm.backend import ScriptedBackend
 from macm.demo import algebra_problem, algebra_trace_path
-from macm.domain import AgentCall, RunConfig, StateChange, VerdictEvent, outcome_to_dict
+from macm.domain import (
+    AgentCall,
+    ConditionProposed,
+    Final,
+    RunConfig,
+    SufficiencyVerdict,
+    VerdictEvent,
+    outcome_to_dict,
+)
 from macm.orchestrator import solve
 
 
@@ -24,8 +32,10 @@ def main() -> None:
             print(f"[call]    {event.role}: {event.raw_response.splitlines()[0][:70]}")
         elif isinstance(event, VerdictEvent):
             print(f"[verdict] {event.subject} -> {event.value}")
-        elif isinstance(event, StateChange):
-            print(f"[state]   {event.description}: {event.data.get('text', '')}")
+        elif isinstance(event, SufficiencyVerdict):
+            print(f"[verdict] sufficient after round {event.round} -> {event.value}")
+        elif not isinstance(event, (ConditionProposed, Final)):
+            print(f"[state]   {type(event).__name__}: {getattr(event, 'text', '')}")
     print(f"\noutcome: {json.dumps(outcome_to_dict(outcome))}")
     print(f"queries: {transcript.query_count()}")
 

@@ -8,7 +8,7 @@ CoT uses one request per chain link, SC-CoT uses v chains plus one vote.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .agents import _ANSWER_MARKER, extract_answer, logged_request
 from .backend import ChatMessage, ChatRequest, ROLE_ASSISTANT, ROLE_USER
@@ -86,11 +86,8 @@ def solve_io(problem: Problem, sampling: SamplingParams, backend,
     listing = "\n".join(f"{i}. {extract_answer(c)}"
                         for i, c in enumerate(response.choices, start=1))
     select_prompt = SELECT_PROMPT.format(n=len(response.choices), answers=listing)
-    select_sampling = SamplingParams(n=1, top_k=sampling.top_k,
-                                     temperature=sampling.temperature,
-                                     max_tokens=sampling.max_tokens)
     selected = _request(backend, [ChatMessage(ROLE_USER, select_prompt)],
-                        select_sampling, transcript)
+                        replace(sampling, n=1), transcript)
     return extract_answer(selected.text), 2
 
 
@@ -136,11 +133,8 @@ def solve_sc_cot(problem: Problem, l: int, v: int, sampling: SamplingParams, bac
 
     listing = "\n".join(f"{i}. {a}" for i, a in enumerate(finals, start=1))
     vote_prompt = VOTE_PROMPT.format(v=v, answers=listing)
-    vote_sampling = SamplingParams(n=1, top_k=sampling.top_k,
-                                   temperature=sampling.temperature,
-                                   max_tokens=sampling.max_tokens)
     response = _request(backend, [ChatMessage(ROLE_USER, vote_prompt)],
-                        vote_sampling, transcript)
+                        replace(sampling, n=1), transcript)
     queries += 1
     voted = response.text.strip()
     for answer in finals:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import time
 import unicodedata
 import uuid
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 def normalize_condition_text(text: str) -> str:
@@ -105,9 +105,6 @@ class ConditionList:
 
     def accepted_texts(self) -> list[str]:
         return [c.text for c in self.accepted()]
-
-    def __len__(self) -> int:
-        return len(self.conditions)
 
 
 @dataclass(frozen=True)
@@ -230,9 +227,37 @@ class VerdictEvent:
 
 
 @dataclass(frozen=True)
-class StateChange:
-    description: str
-    data: dict = field(default_factory=dict)
+class ObjectiveSet:
+    text: str
+
+
+@dataclass(frozen=True)
+class ConditionAccepted:
+    text: str
+    round: int | None = None  # None for a condition of the problem statement
+
+
+@dataclass(frozen=True)
+class ConditionDiscarded:
+    text: str
+    round: int
+
+
+@dataclass(frozen=True)
+class DuplicateDropped:
+    text: str
+    round: int
+
+
+@dataclass(frozen=True)
+class PlanDesigned:
+    steps: tuple[str, ...]
+
+
+@dataclass(frozen=True)
+class SufficiencyVerdict:
+    round: int
+    value: bool
 
 
 @dataclass(frozen=True)
@@ -240,7 +265,62 @@ class Final:
     outcome: Outcome
 
 
-Event = AgentCall | ConditionProposed | VerdictEvent | StateChange | Final
+Event = (AgentCall | ConditionProposed | VerdictEvent | ObjectiveSet | ConditionAccepted
+         | ConditionDiscarded | DuplicateDropped | PlanDesigned | SufficiencyVerdict | Final)
+
+
+# The transcript codec: one JSON object per event. AgentCall,
+# ConditionProposed and VerdictEvent are written as their fields; the other
+# condition-list events as a "state_change" with their fields under "data".
+# The on-disk names, the "initial" provenance and the sufficiency subject
+# appear nowhere else.
+_KINDS = {AgentCall: "agent_call", ConditionProposed: "condition_proposed",
+          VerdictEvent: "verdict"}
+_STATE_CHANGES = {ObjectiveSet: "objective set", ConditionAccepted: "condition accepted",
+                  ConditionDiscarded: "condition discarded",
+                  DuplicateDropped: "duplicate condition dropped",
+                  PlanDesigned: "plan designed"}
+_CLASSES = {name: cls for cls, name in (_KINDS | _STATE_CHANGES).items()}
+_SUFFICIENCY_SUBJECT = "sufficiency round "
+
+
+def event_to_dict(event: Event) -> dict:
+    kind = type(event)
+    if kind in _KINDS:
+        return {"event": _KINDS[kind], **event.__dict__}
+    if kind in _STATE_CHANGES:
+        data = dict(event.__dict__)
+        if kind is ObjectiveSet:
+            data = {"objective": event.text}
+        elif kind is ConditionAccepted and event.round is None:
+            data = {"text": event.text, "provenance": "initial"}
+        return {"event": "state_change", "description": _STATE_CHANGES[kind], "data": data}
+    if kind is SufficiencyVerdict:
+        return {"event": "verdict", "subject": f"{_SUFFICIENCY_SUBJECT}{event.round}",
+                "value": event.value}
+    if kind is Final:
+        return {"event": "final", "outcome": outcome_to_dict(event.outcome)}
+    raise ValueError(f"not a transcript event: {event!r}")
+
+
+def event_from_dict(data: dict) -> Event:
+    kind = data["event"]
+    if kind == "final":
+        return Final(outcome_from_dict(data["outcome"]))
+    if kind == "state_change":
+        cls, fields = _CLASSES[data["description"]], data["data"]
+        if cls is ObjectiveSet:
+            return ObjectiveSet(fields["objective"])
+        if cls is ConditionAccepted:
+            return ConditionAccepted(fields["text"], fields.get("round"))
+        if cls is PlanDesigned:
+            return PlanDesigned(tuple(fields["steps"]))
+        return cls(**fields)
+    fields = {k: v for k, v in data.items() if k != "event"}
+    if kind == "verdict" and fields["subject"].startswith(_SUFFICIENCY_SUBJECT):
+        return SufficiencyVerdict(int(fields["subject"][len(_SUFFICIENCY_SUBJECT):]),
+                                  fields["value"])
+    return _CLASSES[kind](**fields)
 
 
 class Transcript:

@@ -33,17 +33,14 @@ from .baselines import (
     solve_sc_cot,
 )
 from .domain import (
-    AgentCall,
-    ConditionProposed,
     Event,
     Final,
     Problem,
     SamplingParams,
     Solved,
-    StateChange,
     Transcript,
-    VerdictEvent,
-    outcome_from_dict,
+    event_from_dict,
+    event_to_dict,
     outcome_to_dict,
 )
 from .errors import BackendFailure, EmptyDataset, SchemaError
@@ -206,41 +203,6 @@ def grade(task: str, problem: Problem, answer: str) -> bool:
 # Transcript persistence
 # ---------------------------------------------------------------------------
 
-def _event_to_dict(event: Event) -> dict:
-    if isinstance(event, AgentCall):
-        return {"event": "agent_call", "role": event.role, "prompt": event.prompt,
-                "raw_response": event.raw_response, "tokens_in": event.tokens_in,
-                "tokens_out": event.tokens_out, "timestamp": event.timestamp,
-                "n_choices": event.n_choices}
-    if isinstance(event, ConditionProposed):
-        return {"event": "condition_proposed", "text": event.text, "round": event.round}
-    if isinstance(event, VerdictEvent):
-        return {"event": "verdict", "subject": event.subject, "value": event.value}
-    if isinstance(event, StateChange):
-        return {"event": "state_change", "description": event.description, "data": event.data}
-    if isinstance(event, Final):
-        return {"event": "final", "outcome": outcome_to_dict(event.outcome)}
-    raise TypeError(f"unknown event type {type(event)!r}")
-
-
-def _event_from_dict(data: dict) -> Event:
-    kind = data["event"]
-    if kind == "agent_call":
-        return AgentCall(role=data["role"], prompt=data["prompt"],
-                         raw_response=data["raw_response"], tokens_in=data["tokens_in"],
-                         tokens_out=data["tokens_out"], timestamp=data["timestamp"],
-                         n_choices=data.get("n_choices", 1))
-    if kind == "condition_proposed":
-        return ConditionProposed(text=data["text"], round=data["round"])
-    if kind == "verdict":
-        return VerdictEvent(subject=data["subject"], value=data["value"])
-    if kind == "state_change":
-        return StateChange(description=data["description"], data=data.get("data", {}))
-    if kind == "final":
-        return Final(outcome_from_dict(data["outcome"]))
-    raise ValueError(f"unknown event kind {kind!r}")
-
-
 def _atomic_write(path: Path, content: str) -> None:
     tmp = path.with_name(path.name + ".tmp")
     tmp.write_text(content, encoding="utf-8")
@@ -251,7 +213,7 @@ def write_transcript(transcript: Transcript, path: str | Path) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     lines = [JSON_ENCODER.encode({"event": "meta", "run_id": transcript.run_id})]
-    lines += [JSON_ENCODER.encode(_event_to_dict(e)) for e in transcript.events]
+    lines += [JSON_ENCODER.encode(event_to_dict(e)) for e in transcript.events]
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
@@ -266,7 +228,7 @@ def read_transcript(path: str | Path) -> Transcript:
             if data.get("event") == "meta":
                 run_id = data.get("run_id")
                 continue
-            events.append(_event_from_dict(data))
+            events.append(event_from_dict(data))
     transcript = Transcript(run_id)
     transcript.events = events
     return transcript

@@ -3,24 +3,34 @@
 One run is: initialize the condition list and objective, then up to
 ``max_iterations`` rounds of (mine candidates, judge each one, check
 sufficiency), then design steps and execute. Every agent interaction and
-state change is logged to the transcript before the next begins.
+state change is logged to the transcript before the next begins, and the
+run's state is the fold of its transcript events through ``RunState.apply``:
+a fresh run and a resumed one share that one transition function.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 from .agents import AgentClient, CandidateCondition, StepPlan
 from .domain import (
     Condition,
+    ConditionAccepted,
+    ConditionDiscarded,
     ConditionList,
     ConditionProposed,
+    DuplicateDropped,
+    Event,
     Final,
     Objective,
+    ObjectiveSet,
     Outcome,
+    PlanDesigned,
     Problem,
     RunConfig,
     RunError,
     Solved,
-    StateChange,
+    SufficiencyVerdict,
     Transcript,
     Unsolvable,
     VerdictEvent,
@@ -31,16 +41,36 @@ from .prompts import PromptCatalog
 # The errors that end one run as a RunError outcome instead of propagating.
 SOLVE_ERRORS = (ParseFailure, BudgetExceeded, BackendFailure)
 
-OBJECTIVE_SET = "objective set"
-CONDITION_ACCEPTED = "condition accepted"
-CONDITION_DISCARDED = "condition discarded"
-DUPLICATE_DROPPED = "duplicate condition dropped"
-PLAN_DESIGNED = "plan designed"
 
+@dataclass
+class RunState:
+    """What a run's events say so far. ``known`` is None until the problem is
+    extracted; ``pending`` holds the candidates proposed this round and not
+    yet judged or dropped, None until the round is mined."""
 
-def _finalize(transcript: Transcript, outcome: Outcome) -> tuple[Outcome, Transcript]:
-    transcript.append(Final(outcome))
-    return outcome, transcript
+    known: ConditionList | None = None
+    round: int = 1
+    pending: list[str] | None = None
+    sufficient: bool = False
+    plan: StepPlan | None = None
+
+    def apply(self, event: Event) -> None:
+        kind = type(event)
+        if kind is ConditionProposed:
+            self.pending = (self.pending or []) + [event.text]
+        elif kind is ConditionAccepted or kind is ConditionDiscarded:
+            self.known.add(Condition(event.text, event.round,
+                                     accepted=kind is ConditionAccepted))
+            if event.round is not None:
+                del self.pending[0]
+        elif kind is DuplicateDropped:
+            del self.pending[0]
+        elif kind is SufficiencyVerdict:
+            self.round, self.pending, self.sufficient = event.round + 1, None, event.value
+        elif kind is ObjectiveSet:
+            self.known = ConditionList(Objective(event.text))
+        elif kind is PlanDesigned:
+            self.plan = StepPlan(event.steps)
 
 
 def _error_outcome(exc: Exception) -> RunError:
@@ -64,66 +94,6 @@ def solve(problem: Problem, config: RunConfig, backend,
                                   config=config, prompts=prompts)
 
 
-def _continue(client: AgentClient, known: ConditionList | None, transcript: Transcript,
-              config: RunConfig, *, problem: Problem | None = None, round_start: int = 1,
-              pending: list[CandidateCondition] | None = None,
-              phase: str = "mining",
-              plan: StepPlan | None = None) -> tuple[Outcome, Transcript]:
-    try:
-        if phase == "extracting":
-            known = client.thinker_extract(problem)
-            transcript.append(StateChange(OBJECTIVE_SET, {"objective": known.objective.text}))
-            for cond in known.accepted():
-                transcript.append(StateChange(CONDITION_ACCEPTED,
-                                              {"text": cond.text, "provenance": "initial"}))
-            phase = "mining"
-
-        if phase == "mining":
-            reached_sufficiency = False
-            for r in range(round_start, config.max_iterations + 1):
-                if pending is not None and r == round_start:
-                    candidates = pending
-                    pending = None
-                else:
-                    candidates = client.thinker_mine(known)
-                    for cand in candidates:
-                        transcript.append(ConditionProposed(cand.text, r))
-                for cand in candidates:
-                    if known.is_duplicate(cand.text):
-                        transcript.append(StateChange(
-                            DUPLICATE_DROPPED, {"text": cand.text, "round": r}))
-                        continue
-                    verdict = client.judge_condition(cand, known)
-                    transcript.append(VerdictEvent(f"condition: {cand.text}", verdict.value))
-                    if verdict.value:
-                        known.add(Condition(cand.text, mined_round=r))
-                        transcript.append(StateChange(
-                            CONDITION_ACCEPTED, {"text": cand.text, "round": r}))
-                    else:
-                        known.add(Condition(cand.text, mined_round=r, accepted=False))
-                        transcript.append(StateChange(
-                            CONDITION_DISCARDED, {"text": cand.text, "round": r}))
-                sufficiency = client.judge_sufficiency(known)
-                transcript.append(VerdictEvent(f"sufficiency round {r}", sufficiency.value))
-                if sufficiency.value:
-                    reached_sufficiency = True
-                    break
-            if not reached_sufficiency:
-                return _finalize(transcript, Unsolvable(config.max_iterations))
-            phase = "planning"
-
-        if phase == "planning":
-            plan = client.thinker_design_steps(known)
-            transcript.append(StateChange(PLAN_DESIGNED, {"steps": list(plan.steps)}))
-            phase = "executing"
-
-        assert plan is not None
-        answer = client.executor_compute(known, plan)
-        return _finalize(transcript, Solved(answer))
-    except SOLVE_ERRORS as exc:
-        return _finalize(transcript, _error_outcome(exc))
-
-
 def resume_from_transcript(transcript: Transcript, backend, *,
                            problem: Problem | None = None,
                            config: RunConfig | None = None,
@@ -136,69 +106,45 @@ def resume_from_transcript(transcript: Transcript, backend, *,
     """
     if transcript.is_final:
         raise CorruptTranscript("transcript already carries a Final event")
-    config = config or RunConfig()
-
-    objective: str | None = None
-    accepted: list[Condition] = []
-    discarded: list[Condition] = []
-    proposed_by_round: dict[int, list[str]] = {}
-    processed_by_round: dict[int, int] = {}
-    sufficiency_rounds = 0
-    sufficiency_true = False
-    plan: StepPlan | None = None
-
+    state = RunState()
     for event in transcript.events:
-        if isinstance(event, StateChange):
-            if event.description == OBJECTIVE_SET:
-                objective = event.data["objective"]
-            elif event.description == CONDITION_ACCEPTED:
-                if event.data.get("provenance") == "initial":
-                    accepted.append(Condition(event.data["text"]))
-                else:
-                    r = event.data["round"]
-                    accepted.append(Condition(event.data["text"], mined_round=r))
-                    processed_by_round[r] = processed_by_round.get(r, 0) + 1
-            elif event.description == CONDITION_DISCARDED:
-                r = event.data["round"]
-                discarded.append(Condition(event.data["text"], mined_round=r, accepted=False))
-                processed_by_round[r] = processed_by_round.get(r, 0) + 1
-            elif event.description == DUPLICATE_DROPPED:
-                r = event.data["round"]
-                processed_by_round[r] = processed_by_round.get(r, 0) + 1
-            elif event.description == PLAN_DESIGNED:
-                plan = StepPlan(tuple(event.data["steps"]))
-        elif isinstance(event, ConditionProposed):
-            proposed_by_round.setdefault(event.round, []).append(event.text)
-        elif isinstance(event, VerdictEvent):
-            if event.subject.startswith("sufficiency"):
-                sufficiency_rounds += 1
-                sufficiency_true = sufficiency_true or event.value
-
+        state.apply(event)
+    if state.known is None and problem is None:
+        raise CorruptTranscript("transcript has no objective and no problem was given")
+    config = config or RunConfig()
     client = AgentClient(backend=backend, config=config, transcript=transcript,
                          prompts=prompts or PromptCatalog())
-    if objective is None:
-        if problem is None:
-            raise CorruptTranscript("transcript has no objective and no problem was given")
-        # Extraction never completed: run fresh, appending to the same transcript.
-        return _continue(client, None, transcript, config, problem=problem,
-                         phase="extracting")
 
-    known = ConditionList(Objective(objective), accepted)
-    for cond in discarded:
-        known.add(cond)
+    def log(event: Event) -> None:
+        transcript.append(event)
+        state.apply(event)
 
-    if plan is not None:
-        return _continue(client, known, transcript, config, phase="executing", plan=plan)
-    if sufficiency_true:
-        return _continue(client, known, transcript, config, phase="planning")
-    if sufficiency_rounds >= config.max_iterations:
-        return _finalize(transcript, Unsolvable(config.max_iterations))
-
-    current_round = sufficiency_rounds + 1
-    pending: list[CandidateCondition] | None = None
-    if current_round in proposed_by_round:
-        done = processed_by_round.get(current_round, 0)
-        remaining = proposed_by_round[current_round][done:]
-        pending = [CandidateCondition(text) for text in remaining]
-    return _continue(client, known, transcript, config,
-                     round_start=current_round, pending=pending)
+    try:
+        if state.known is None:
+            extracted = client.thinker_extract(problem)
+            log(ObjectiveSet(extracted.objective.text))
+            for cond in extracted.accepted():
+                log(ConditionAccepted(cond.text))
+        while not state.sufficient and state.round <= config.max_iterations:
+            if state.pending is None:
+                for cand in client.thinker_mine(state.known):
+                    log(ConditionProposed(cand.text, state.round))
+            while state.pending:
+                text = state.pending[0]
+                if state.known.is_duplicate(text):
+                    log(DuplicateDropped(text, state.round))
+                    continue
+                verdict = client.judge_condition(CandidateCondition(text), state.known)
+                log(VerdictEvent(f"condition: {text}", verdict.value))
+                log((ConditionAccepted if verdict.value else ConditionDiscarded)(
+                    text, state.round))
+            log(SufficiencyVerdict(state.round, client.judge_sufficiency(state.known).value))
+        outcome = Unsolvable(config.max_iterations)
+        if state.sufficient:
+            if state.plan is None:
+                log(PlanDesigned(client.thinker_design_steps(state.known).steps))
+            outcome = Solved(client.executor_compute(state.known, state.plan))
+    except SOLVE_ERRORS as exc:
+        outcome = _error_outcome(exc)
+    transcript.append(Final(outcome))
+    return outcome, transcript

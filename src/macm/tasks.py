@@ -356,12 +356,29 @@ def normalize_answer(text: str) -> str:
     return _FRAC.sub(r"\1/\2", s)
 
 
-def _as_rational(text: str) -> Fraction | None:
+def _as_rational(text: str) -> tuple[Fraction, int] | None:
+    """The number the text spells as (mantissa, exponent of ten), leaving
+    the power of ten of scientific notation unexpanded."""
     compact = re.sub(r"\s+", "", text)
+    mantissa, e, exponent = compact.replace("E", "e").partition("e")
     try:
-        return Fraction(compact)
+        if e and "/" not in mantissa:
+            return Fraction(mantissa), int(exponent)
+        return Fraction(compact), 0
     except (ValueError, ZeroDivisionError):
         return None
+
+
+def _same_value(a: tuple[Fraction, int], b: tuple[Fraction, int]) -> bool:
+    """Exact m1 * 10**e1 == m2 * 10**e2. Nonzero, |mb| * 10**shift is at least
+    2**shift / mb.denominator, more than |ma| once shift reaches the bit length
+    of ma.numerator * mb.denominator: no power of ten beyond that is built."""
+    (ma, ea), (mb, eb) = sorted((a, b), key=lambda v: v[1])
+    shift = eb - ea
+    if not ma or not mb:
+        return ma == mb
+    return (shift < (ma.numerator * mb.denominator).bit_length()
+            and ma == mb * 10 ** shift)
 
 
 def equal_answers(candidate: str, gold: str) -> bool:
@@ -372,7 +389,7 @@ def equal_answers(candidate: str, gold: str) -> bool:
     b = normalize_answer(gold)
     ra, rb = _as_rational(a), _as_rational(b)
     if ra is not None and rb is not None:
-        return ra == rb
+        return _same_value(ra, rb)
     return re.sub(r"\s+", "", a) == re.sub(r"\s+", "", b)
 
 

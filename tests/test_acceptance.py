@@ -17,18 +17,20 @@ from macm.baselines import MethodIO, solve_sc_cot
 from macm.demo import algebra_problem, algebra_trace_path
 from macm.domain import (
     AgentCall,
+    ConditionAccepted,
+    ConditionDiscarded,
     Problem,
     RunConfig,
     SamplingParams,
     Solved,
-    StateChange,
+    SufficiencyVerdict,
     Unsolvable,
     Verdict,
     VerdictEvent,
 )
 from macm.errors import ParseFailure
 from macm.harness import make_backend_factory, run_benchmark, sweep_queries
-from macm.orchestrator import CONDITION_ACCEPTED, CONDITION_DISCARDED, solve
+from macm.orchestrator import solve
 from macm.tasks import (
     Game24Instance,
     equal_answers,
@@ -63,13 +65,11 @@ def criterion(capfd, name: str, limit_s: float):
 
 def accepted_mined(transcript):
     return [e for e in transcript.events
-            if isinstance(e, StateChange) and e.description == CONDITION_ACCEPTED
-            and e.data.get("provenance") != "initial"]
+            if isinstance(e, ConditionAccepted) and e.round is not None]
 
 
 def discarded(transcript):
-    return [e for e in transcript.events
-            if isinstance(e, StateChange) and e.description == CONDITION_DISCARDED]
+    return [e for e in transcript.events if isinstance(e, ConditionDiscarded)]
 
 
 def test_algebra_trace_replay(capfd):
@@ -103,9 +103,7 @@ def test_termination_after_five_rounds(capfd):
         mining_rounds = sorted({e.round for e in transcript.events
                                 if type(e).__name__ == "ConditionProposed"})
         assert mining_rounds == [1, 2, 3, 4, 5]
-        sufficiency = [e for e in transcript.events
-                       if isinstance(e, VerdictEvent)
-                       and e.subject.startswith("sufficiency")]
+        sufficiency = [e for e in transcript.events if isinstance(e, SufficiencyVerdict)]
         assert len(sufficiency) == 5
 
 
@@ -126,15 +124,12 @@ def test_gate_soundness_fuzz(capfd):
                 if isinstance(event, VerdictEvent) and event.value \
                         and event.subject.startswith("condition: "):
                     seen_true.add(event.subject[len("condition: "):])
-                if isinstance(event, StateChange) \
-                        and event.description == CONDITION_ACCEPTED \
-                        and event.data.get("provenance") != "initial":
-                    assert event.data["text"] in seen_true
+                if isinstance(event, ConditionAccepted) and event.round is not None:
+                    assert event.text in seen_true
 
-            discard_points = [(i, e.data["text"])
+            discard_points = [(i, e.text)
                               for i, e in enumerate(transcript.events)
-                              if isinstance(e, StateChange)
-                              and e.description == CONDITION_DISCARDED]
+                              if isinstance(e, ConditionDiscarded)]
             for index, text in discard_points:
                 for event in transcript.events[index + 1:]:
                     if isinstance(event, AgentCall):

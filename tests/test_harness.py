@@ -1,13 +1,30 @@
 import json
 import os
 import stat
+import time
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from macm.backend import QueryCounter
 from macm.baselines import MethodCoT, MethodIO, MethodMACM
-from macm.domain import Problem, RunConfig, SamplingParams, Solved, Transcript, Final
+from macm.domain import (
+    AgentCall,
+    ConditionAccepted,
+    ConditionDiscarded,
+    ConditionProposed,
+    Final,
+    ObjectiveSet,
+    PlanDesigned,
+    Problem,
+    RunConfig,
+    SamplingParams,
+    Solved,
+    SufficiencyVerdict,
+    Transcript,
+    VerdictEvent,
+)
 from macm.errors import EmptyDataset, SchemaError
 from macm.harness import (
     Report,
@@ -134,12 +151,19 @@ class TestGrading:
     @given(answer=st.lists(
         st.one_of(st.text("0123456789", min_size=1, max_size=50),
                   st.builds(str.__mul__, st.sampled_from("0123456789"), st.integers(1, 5000)),
-                  st.sampled_from([" ", "+", "-", "*", "/", "(", ")", "x", ",", "٣", "²"])),
+                  st.sampled_from([" ", "+", "-", "*", "/", "(", ")", "x", ",", "٣", "²",
+                                   "e", "E", "."])),
         max_size=6).map("".join))
-    @pytest.mark.parametrize("task, gold", [("game24", "3 3 8 8"), ("sorting", "3 1 2 -7")])
+    @example(answer="1e30000000")
+    @pytest.mark.parametrize("task, gold",
+                             [("game24", "3 3 8 8"), ("sorting", "3 1 2 -7"), ("math", "5")])
     def test_digit_heavy_answers_grade_to_a_bool(self, task, gold, answer):
         problem = Problem(id="p", question="q", gold_answer=gold)
+        start = time.monotonic()
         assert isinstance(grade(task, problem, answer), bool)
+        if task == "math":
+            # Expanding 1e30000000 takes over a minute; comparing it takes microseconds.
+            assert time.monotonic() - start < 1.0
 
 
 def per_problem_factory(scripts: dict, counter: QueryCounter):
@@ -289,6 +313,53 @@ class TestTranscriptFiles:
         loaded = read_transcript(path)
         assert loaded.run_id == transcript.run_id
         assert loaded.events == transcript.events
+
+
+GOLDEN_ALGEBRA = Path(__file__).parent / "data" / "algebra_transcript.jsonl"
+GOLDEN_TIMESTAMP = 1700000000.0
+
+
+class TestGoldenTranscriptFormat:
+    """tests/data/algebra_transcript.jsonl is the bundled algebra trace's
+    transcript (run id "algebra", every timestamp 1700000000.0) as written
+    before state changes were typed events; the format must not move."""
+
+    def test_decodes_to_typed_events(self):
+        events = read_transcript(GOLDEN_ALGEBRA).events
+        steps = [e for e in events if not isinstance(e, AgentCall)]
+        assert [type(e) for e in steps] == [
+            ObjectiveSet, ConditionAccepted, ConditionAccepted,
+            ConditionProposed, VerdictEvent, ConditionDiscarded, SufficiencyVerdict,
+            ConditionProposed, ConditionProposed, VerdictEvent, ConditionAccepted,
+            VerdictEvent, ConditionAccepted, SufficiencyVerdict, PlanDesigned, Final]
+        assert steps[1] == ConditionAccepted(
+            "The function (x^2 + 5x + α)/(x^2 + 7x - 44) must be expressible as a "
+            "quotient of two linear functions.", None)
+        assert steps[5] == ConditionDiscarded("x^2 + 5x + α = k(x + 11)(x - 4)", 1)
+        assert steps[6] == SufficiencyVerdict(1, False)
+        assert steps[12] == ConditionAccepted("(4)^2 + 5×(4) + α₂ = 0", 2)
+        assert steps[13] == SufficiencyVerdict(2, True)
+        assert len(steps[14].steps) == 3
+        assert steps[15] == Final(Solved("-102"))
+
+    def test_rewrites_byte_for_byte(self, tmp_path):
+        path = tmp_path / "algebra.jsonl"
+        write_transcript(read_transcript(GOLDEN_ALGEBRA), path)
+        assert path.read_bytes() == GOLDEN_ALGEBRA.read_bytes()
+
+    def test_fresh_run_writes_the_same_bytes(self, tmp_path, monkeypatch):
+        from macm import agents
+        from macm.backend import ScriptedBackend
+        from macm.demo import algebra_problem, algebra_trace_path
+        from macm.orchestrator import solve
+
+        monkeypatch.setattr(agents, "now", lambda: GOLDEN_TIMESTAMP)
+        _, transcript = solve(algebra_problem(), RunConfig(),
+                              ScriptedBackend.from_file(algebra_trace_path()), run_id="algebra")
+        path = tmp_path / "algebra.jsonl"
+        write_transcript(transcript, path)
+        assert path.read_bytes() == GOLDEN_ALGEBRA.read_bytes()
+        assert transcript.events == read_transcript(GOLDEN_ALGEBRA).events
 
 
 class TestSweep:

@@ -1,16 +1,23 @@
+import dataclasses
+
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from macm.backend import ChatMessage, ChatRequest, ScriptedBackend, ScriptEntry, record, replay
 from macm.baselines import MethodIO
 from macm.demo import algebra_problem, algebra_trace_path
 from macm.domain import (
     AgentCall,
+    ConditionAccepted,
+    ConditionDiscarded,
+    DuplicateDropped,
     Final,
+    Problem,
     RunConfig,
     RunError,
     SamplingParams,
     Solved,
-    StateChange,
+    SufficiencyVerdict,
     Transcript,
     Unsolvable,
     VerdictEvent,
@@ -24,26 +31,23 @@ from macm.errors import (
     ScriptMismatch,
 )
 from macm.harness import solve_one
-from macm.orchestrator import (
-    CONDITION_ACCEPTED,
-    CONDITION_DISCARDED,
-    DUPLICATE_DROPPED,
-    resume_from_transcript,
-    solve,
-)
+from macm.orchestrator import resume_from_transcript, solve
 
 from conftest import extraction_reply, mining_reply, random_script, scripted
 
 
 def accepted_mined(transcript):
     return [e for e in transcript.events
-            if isinstance(e, StateChange) and e.description == CONDITION_ACCEPTED
-            and e.data.get("provenance") != "initial"]
+            if isinstance(e, ConditionAccepted) and e.round is not None]
 
 
 def discarded(transcript):
-    return [e for e in transcript.events
-            if isinstance(e, StateChange) and e.description == CONDITION_DISCARDED]
+    return [e for e in transcript.events if isinstance(e, ConditionDiscarded)]
+
+
+def without_timestamps(events):
+    return [dataclasses.replace(e, timestamp=0.0) if isinstance(e, AgentCall) else e
+            for e in events]
 
 
 class TestAlgebraTraceReplay:
@@ -52,17 +56,16 @@ class TestAlgebraTraceReplay:
         outcome, transcript = solve(algebra_problem(), RunConfig(), backend)
         assert outcome == Solved("-102")
         assert len(discarded(transcript)) == 1
-        assert discarded(transcript)[0].data["text"] == "x^2 + 5x + α = k(x + 11)(x - 4)"
+        assert discarded(transcript)[0].text == "x^2 + 5x + α = k(x + 11)(x - 4)"
         assert len(accepted_mined(transcript)) == 2
-        rounds = [e.data["round"] for e in accepted_mined(transcript)]
+        rounds = [e.round for e in accepted_mined(transcript)]
         assert rounds == [2, 2]
 
     def test_rejected_condition_never_reappears_in_prompts(self):
         backend = ScriptedBackend.from_file(algebra_trace_path())
         _, transcript = solve(algebra_problem(), RunConfig(), backend)
         discard_index = next(i for i, e in enumerate(transcript.events)
-                             if isinstance(e, StateChange)
-                             and e.description == CONDITION_DISCARDED)
+                             if isinstance(e, ConditionDiscarded))
         bad = "x^2 + 5x + α = k(x + 11)(x - 4)"
         for event in transcript.events[discard_index + 1:]:
             if isinstance(event, AgentCall):
@@ -80,8 +83,7 @@ class TestTermination:
         mining_rounds = {e.round for e in transcript.events
                          if type(e).__name__ == "ConditionProposed"}
         assert mining_rounds == {1, 2, 3, 4, 5}
-        sufficiency = [e for e in transcript.events
-                       if isinstance(e, VerdictEvent) and e.subject.startswith("sufficiency")]
+        sufficiency = [e for e in transcript.events if isinstance(e, SufficiencyVerdict)]
         assert len(sufficiency) == 5
         assert not any(v.value for v in sufficiency)
 
@@ -152,21 +154,12 @@ class TestErrorPropagation:
 
 class TestDedupAndRejudge:
     def test_duplicate_accepted_condition_not_judged_again(self, toy_problem, fast_config):
-        backend = scripted(
-            thinker=[extraction_reply(["c0"], "obj"),
-                     mining_reply(["x = 1"]),
-                     mining_reply(["x = 1", "y = 2"]),
-                     "1. combine\n2. finish"],
-            judge=["True", "False",  # round 1: accept x=1, insufficient
-                   "True", "True"],  # round 2: only y=2 judged, then sufficient
-            executor=["Answer: done"])
-        outcome, transcript = solve(toy_problem, fast_config, backend)
+        outcome, transcript = solve(toy_problem, fast_config, duplicate_script())
         assert outcome == Solved("done")
-        dups = [e for e in transcript.events
-                if isinstance(e, StateChange) and e.description == DUPLICATE_DROPPED]
-        assert len(dups) == 1 and dups[0].data["text"] == "x = 1"
+        dups = [e for e in transcript.events if isinstance(e, DuplicateDropped)]
+        assert len(dups) == 1 and dups[0].text == "x = 1"
         # x = 1 accepted exactly once
-        texts = [e.data["text"] for e in accepted_mined(transcript)]
+        texts = [e.text for e in accepted_mined(transcript)]
         assert texts == ["x = 1", "y = 2"]
 
     def test_discarded_condition_is_rejudged_on_reproposal(self, toy_problem, fast_config):
@@ -196,7 +189,7 @@ class TestOrderInsensitivity:
                 executor=["Answer: fin"])
             outcome, transcript = solve(toy_problem, fast_config, backend)
             assert outcome == Solved("fin")
-            return {e.data["text"] for e in accepted_mined(transcript)}
+            return {e.text for e in accepted_mined(transcript)}
 
         a = run(["good-1", "bad-1", "good-2"])
         b = run(["good-2", "good-1", "bad-1"])
@@ -219,14 +212,12 @@ class TestGateSoundnessFuzz:
             if isinstance(event, VerdictEvent) and event.value \
                     and event.subject.startswith("condition: "):
                 seen_true.add(event.subject[len("condition: "):])
-            if isinstance(event, StateChange) and event.description == CONDITION_ACCEPTED \
-                    and event.data.get("provenance") != "initial":
-                assert event.data["text"] in seen_true
+            if isinstance(event, ConditionAccepted) and event.round is not None:
+                assert event.text in seen_true
 
         # Discarded texts never appear in later prompts.
-        discard_points = [(i, e.data["text"]) for i, e in enumerate(transcript.events)
-                          if isinstance(e, StateChange)
-                          and e.description == CONDITION_DISCARDED]
+        discard_points = [(i, e.text) for i, e in enumerate(transcript.events)
+                          if isinstance(e, ConditionDiscarded)]
         for index, text in discard_points:
             for event in transcript.events[index + 1:]:
                 if isinstance(event, AgentCall):
@@ -236,6 +227,17 @@ class TestGateSoundnessFuzz:
         cap = fast_config.candidate_cap
         budget = 1 + expected["rounds"] * (cap + 2) + 2
         assert transcript.query_count() <= budget
+
+
+def duplicate_script():
+    return scripted(
+        thinker=[extraction_reply(["c0"], "obj"),
+                 mining_reply(["x = 1"]),
+                 mining_reply(["x = 1", "y = 2"]),
+                 "1. combine\n2. finish"],
+        judge=["True", "False",  # round 1: accept x=1, insufficient
+               "True", "True"],  # round 2: only y=2 judged, then sufficient
+        executor=["Answer: done"])
 
 
 def two_round_script(counter=None):
@@ -260,7 +262,7 @@ class TestResume:
     def test_resume_after_round_one_sufficiency(self, tmp_path, toy_problem, fast_config):
         cassette, full = self._record_full_run(tmp_path, toy_problem, fast_config)
         cut = next(i for i, e in enumerate(full.events)
-                   if isinstance(e, VerdictEvent) and e.subject == "sufficiency round 1")
+                   if isinstance(e, SufficiencyVerdict) and e.round == 1)
         partial = Transcript(full.run_id)
         partial.events = list(full.events[: cut + 1])
         calls_done = partial.query_count()
@@ -282,6 +284,42 @@ class TestResume:
             partial, replay(cassette, skip_calls=partial.query_count()),
             config=fast_config)
         assert outcome == full.outcome
+
+    @settings(max_examples=30, deadline=None)
+    @given(run=st.one_of(st.integers(0, 499),
+                         st.sampled_from(["two-round", "duplicate", "algebra"])))
+    @example(run="two-round")
+    @example(run="duplicate")
+    @example(run="algebra")
+    def test_resume_from_every_cut_matches_uninterrupted_run(self, run, tmp_path_factory):
+        """Cut a recorded run after every state event that the next agent call
+        (or Final) follows; resuming the prefix replays to the same run."""
+        if run == "algebra":
+            problem, config = algebra_problem(), RunConfig()
+            backend = ScriptedBackend.from_file(algebra_trace_path())
+        else:
+            problem, config = Problem(id="toy-1", question="Compute 1+1."), \
+                RunConfig(format_retries=0)
+            if run == "two-round":
+                backend = two_round_script()
+            elif run == "duplicate":
+                backend = duplicate_script()
+            else:
+                backend, _ = random_script(run)
+        cassette = tmp_path_factory.mktemp("resume") / "run.jsonl"
+        outcome, full = solve(problem, config, record(backend, cassette))
+        cuts = [i + 1 for i in range(len(full.events) - 1)
+                if not isinstance(full.events[i], AgentCall)
+                and isinstance(full.events[i + 1], (AgentCall, Final))]
+        assert cuts
+        for cut in cuts:
+            partial = Transcript(full.run_id)
+            partial.events = full.events[:cut]
+            resumed_outcome, resumed = resume_from_transcript(
+                partial, replay(cassette, skip_calls=partial.query_count()), config=config)
+            assert resumed_outcome == outcome
+            assert resumed.query_count() == full.query_count()
+            assert without_timestamps(resumed.events) == without_timestamps(full.events)
 
     def test_resume_finalized_transcript_is_corrupt(self, toy_problem, fast_config):
         transcript = Transcript("done")
@@ -313,12 +351,6 @@ class TestTranscriptShape:
     def test_determinism_modulo_timestamps(self, toy_problem, fast_config):
         def run():
             _, t = solve(toy_problem, fast_config, two_round_script(), run_id="fixed")
-            return [
-                (type(e).__name__,
-                 getattr(e, "prompt", None), getattr(e, "raw_response", None),
-                 getattr(e, "text", None), getattr(e, "description", None),
-                 getattr(e, "subject", None), getattr(e, "value", None))
-                for e in t.events
-            ]
+            return without_timestamps(t.events)
 
         assert run() == run()

@@ -294,6 +294,28 @@ class TestEqualAnswers:
     def test_negative_numbers(self):
         assert equal_answers("-102", "-102.0")
 
+    def test_scientific_notation(self):
+        assert equal_answers("1e3", "1000")
+        assert equal_answers("25e-2", "1/4")
+        assert equal_answers("1e400", "1" + "0" * 400)
+        assert not equal_answers("1e400", "1" + "0" * 399)
+        assert equal_answers("0e99999999", "0")
+        assert not equal_answers("1e3e3", "1000000")
+
+    def test_huge_exponent_is_not_expanded(self):
+        # Expanding 1e30000000 to an integer took about 80 s.
+        assert not equal_answers("1e30000000", "5")
+        assert not equal_answers("-2.5E-30000000", "0")
+        assert equal_answers("1e30000000", "10e29999999")
+
+    @given(st.from_regex(r"-?\d{1,6}(\.\d{0,4})?", fullmatch=True), st.integers(-40, 40),
+           st.from_regex(r"-?\d{1,6}(\.\d{0,4})?", fullmatch=True), st.integers(-40, 40),
+           st.integers(-10**6, 10**6), st.integers(0, 12))
+    def test_scientific_notation_is_exact(self, m1, e1, m2, e2, k, shift):
+        a, b = f"{m1}e{e1}", f"{m2}E{e2}"
+        assert equal_answers(a, b) == (Fraction(a) == Fraction(b))
+        assert equal_answers(f"{k}e{e1}", f"{k * 10 ** shift}e{e1 - shift}")
+
     @given(st.text(max_size=40))
     def test_reflexive(self, s):
         assert equal_answers(s, s)
