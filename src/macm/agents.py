@@ -15,9 +15,7 @@ from dataclasses import dataclass, field
 from .backend import ChatMessage, ChatRequest, ChatResponse, ROLE_ASSISTANT, ROLE_SYSTEM, ROLE_USER
 from .domain import (
     AgentCall,
-    Condition,
     ConditionList,
-    Objective,
     Problem,
     RunConfig,
     Transcript,
@@ -36,7 +34,6 @@ EXECUTOR = "executor"
 @dataclass(frozen=True)
 class CandidateCondition:
     text: str
-    cited_basis: tuple[str, ...] = ()
 
     def __post_init__(self):
         if not self.text.strip():
@@ -75,7 +72,6 @@ def render_verdict(verdict: Verdict) -> str:
 
 
 _MINE_LINE = re.compile(r"based on\s+(.*?)[,，]?\s*we can get\s*[::]\s*(.*)", re.IGNORECASE)
-_BASIS_SPLIT = re.compile(r"\s*(?:,|;|\band\b)\s*", re.IGNORECASE)
 
 
 def parse_candidates(reply: str, cap: int = 8) -> list[CandidateCondition]:
@@ -92,8 +88,7 @@ def parse_candidates(reply: str, cap: int = 8) -> list[CandidateCondition]:
         text = match.group(2).strip()
         if not normalize_condition_text(text):
             continue
-        basis = tuple(b for b in _BASIS_SPLIT.split(match.group(1).strip()) if b)
-        candidates.append(CandidateCondition(text=text, cited_basis=basis))
+        candidates.append(CandidateCondition(text))
         if len(candidates) >= cap:
             break
     if not candidates:
@@ -177,20 +172,19 @@ def render_conditions(texts: list[str]) -> str:
 
 
 def logged_request(backend, role: str, request: ChatRequest,
-                   transcript: Transcript | None) -> ChatResponse:
-    """Send one request and, when a transcript is given, log it there as an
-    AgentCall (one event per backend request)."""
+                   transcript: Transcript) -> ChatResponse:
+    """Send one request and log it to the transcript as an AgentCall (one
+    event per backend request)."""
     response = backend.complete(request, role)
-    if transcript is not None:
-        transcript.append(AgentCall(
-            role=role,
-            prompt=request.prompt_text(),
-            raw_response=response.text,
-            tokens_in=response.tokens_in,
-            tokens_out=response.tokens_out,
-            timestamp=now(),
-            n_choices=len(response.choices),
-        ))
+    transcript.append(AgentCall(
+        role=role,
+        prompt=request.prompt_text(),
+        raw_response=response.text,
+        tokens_in=response.tokens_in,
+        tokens_out=response.tokens_out,
+        timestamp=now(),
+        n_choices=len(response.choices),
+    ))
     return response
 
 
@@ -239,11 +233,10 @@ class AgentClient:
 
     # -- Thinker ------------------------------------------------------------
 
-    def thinker_extract(self, problem: Problem) -> ConditionList:
-        """Initialize the condition list and the objective from the problem."""
+    def thinker_extract(self, problem: Problem) -> tuple[list[str], str]:
+        """Extract the problem's (condition texts, objective text)."""
         prompt = self.prompts.extract.format(question=problem.question)
-        texts, objective = self._call_parsed(THINKER, prompt, parse_extraction)
-        return ConditionList(Objective(objective), [Condition(t) for t in texts])
+        return self._call_parsed(THINKER, prompt, parse_extraction)
 
     def thinker_mine(self, known: ConditionList) -> list[CandidateCondition]:
         """Propose new conditions derived from the current known conditions."""

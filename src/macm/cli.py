@@ -49,6 +49,17 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", help="output directory")
 
 
+def _add_dataset_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--dataset", required=True)
+    parser.add_argument("--task", choices=list(harness.TASKS), default="math")
+    parser.add_argument("--sample", type=float, help="sample fraction (0, 1]")
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--lenient", action="store_true",
+                        help="skip malformed dataset lines instead of aborting")
+    parser.add_argument("--filter-wrong-from",
+                        help="report.json whose incorrect rows select the problem subset")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="macm")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -60,29 +71,17 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_flags(p_solve)
 
     p_bench = sub.add_parser("bench", help="run a benchmark over a dataset")
-    p_bench.add_argument("--dataset", required=True)
-    p_bench.add_argument("--task", choices=list(harness.TASKS), default="math")
+    _add_dataset_flags(p_bench)
     p_bench.add_argument("--parallelism", type=int, default=1)
-    p_bench.add_argument("--sample", type=float, help="sample fraction (0, 1]")
-    p_bench.add_argument("--seed", type=int, default=0)
     p_bench.add_argument("--count-choices", action="store_true",
                          help="count responses instead of requests")
-    p_bench.add_argument("--lenient", action="store_true",
-                         help="skip malformed dataset lines instead of aborting")
-    p_bench.add_argument("--filter-wrong-from",
-                         help="report.json whose incorrect rows select the problem subset")
     _add_common_flags(p_bench)
 
-    p_sweep = sub.add_parser("sweep", help="sweep knob settings over a dataset")
-    p_sweep.add_argument("--dataset", required=True)
-    p_sweep.add_argument("--task", choices=list(harness.TASKS), default="math")
+    p_sweep = sub.add_parser("sweep", help="sweep knob settings over a dataset "
+                                           "(counts responses, not requests)")
+    _add_dataset_flags(p_sweep)
     p_sweep.add_argument("--grid", required=True,
                          help="JSON knob grid, e.g. '{\"n\": [1, 3]}', or @file")
-    p_sweep.add_argument("--count-choices", action="store_true", default=True)
-    p_sweep.add_argument("--filter-wrong-from")
-    p_sweep.add_argument("--sample", type=float)
-    p_sweep.add_argument("--seed", type=int, default=0)
-    p_sweep.add_argument("--lenient", action="store_true")
     _add_common_flags(p_sweep)
 
     return parser
@@ -103,12 +102,13 @@ def _run_config(args) -> RunConfig:
 
 
 def _method(args):
+    sampling = SamplingParams(n=args.n, temperature=args.temperature)
     if args.method == "io":
-        return MethodIO(n=args.n)
+        return MethodIO(sampling)
     if args.method == "cot":
-        return MethodCoT(chain_length_l=args.l)
+        return MethodCoT(args.l, sampling)
     if args.method == "sc-cot":
-        return MethodSCCoT(chain_length_l=args.l, voters_v=args.v)
+        return MethodSCCoT(args.l, args.v, sampling)
     return MethodMACM(config=_run_config(args), prompts=PromptCatalog.load(args.prompts_dir))
 
 
@@ -118,10 +118,10 @@ def _load_dataset(args) -> list[Problem]:
     elif args.task == "sorting":
         problems = harness.load_sorting_file(args.dataset)
     else:
-        problems = harness.load_problems(args.dataset, lenient=getattr(args, "lenient", False))
-    if getattr(args, "filter_wrong_from", None):
+        problems = harness.load_problems(args.dataset, lenient=args.lenient)
+    if args.filter_wrong_from:
         problems = harness.filter_wrong(problems, harness.load_report(args.filter_wrong_from))
-    if getattr(args, "sample", None):
+    if args.sample:
         problems = harness.sample_problems(problems, args.sample, args.seed)
     return problems
 
@@ -136,8 +136,7 @@ def cmd_solve(args) -> int:
             raise EmptyDataset(f"no problems in {args.problem_file}")
         problem = problems[0]
 
-    transcript = harness.solve_one(problem, _method(args), factory(problem.id),
-                                   SamplingParams(n=args.n, temperature=args.temperature))
+    transcript = harness.solve_one(problem, _method(args), factory(problem.id))
     outcome = transcript.outcome
     print(json.dumps({"outcome": outcome_to_dict(outcome),
                       "queries": transcript.query_count(),
@@ -158,8 +157,7 @@ def cmd_bench(args) -> int:
     out_dir = Path(args.out or "bench_out")
     report = harness.run_benchmark(
         problems, _method(args), factory, out_dir, task=args.task,
-        parallelism=args.parallelism, count_choices=args.count_choices,
-        sampling=SamplingParams(n=args.n, temperature=args.temperature))
+        parallelism=args.parallelism, count_choices=args.count_choices)
     harness.write_report(report, out_dir)
     agg = report.aggregates
     print(f"accuracy {agg['accuracy'] * 100:.2f}% "
@@ -177,10 +175,8 @@ def cmd_sweep(args) -> int:
     counter = QueryCounter()
     factory = harness.make_backend_factory(args.backend, counter, record_dir=args.record)
     out_dir = Path(args.out or "sweep_out")
-    points = harness.sweep_queries(
-        problems, _method(args), grid, factory, out_dir, task=args.task,
-        count_choices=args.count_choices,
-        sampling=SamplingParams(n=args.n, temperature=args.temperature))
+    points = harness.sweep_queries(problems, _method(args), grid, factory, out_dir,
+                                   task=args.task)
     for point in points:
         print(f"{point.settings} -> mean_queries={point.mean_queries:.2f} "
               f"corrected={point.corrected_fraction:.3f}")

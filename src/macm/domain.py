@@ -66,10 +66,6 @@ class Condition:
         if self.mined_round is not None and self.mined_round < 1:
             raise ValueError("mined_round must be positive")
 
-    @property
-    def is_initial(self) -> bool:
-        return self.mined_round is None
-
 
 class ConditionList:
     """The evolving problem state: an append-only ledger of conditions plus

@@ -36,7 +36,8 @@ class CassetteExhausted(BackendFailure):
 
 
 class CorruptTranscript(MacmError):
-    """A transcript cannot be resumed (already finalized or inconsistent)."""
+    """A transcript cannot be read (a line is not an event) or resumed
+    (already finalized or inconsistent)."""
 
 
 class SchemaError(MacmError):

@@ -36,14 +36,13 @@ from .domain import (
     Event,
     Final,
     Problem,
-    SamplingParams,
     Solved,
     Transcript,
     event_from_dict,
     event_to_dict,
     outcome_to_dict,
 )
-from .errors import BackendFailure, EmptyDataset, SchemaError
+from .errors import BackendFailure, CorruptTranscript, EmptyDataset, SchemaError
 from .tasks import (
     Game24Instance,
     bounded_int,
@@ -218,17 +217,25 @@ def write_transcript(transcript: Transcript, path: str | Path) -> None:
 
 
 def read_transcript(path: str | Path) -> Transcript:
+    """Read a transcript file. A line that is not JSON or not an event (a
+    torn write, say) raises CorruptTranscript naming the file and line."""
     run_id = None
     events: list[Event] = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
+    # Binary lines, so a write torn inside a UTF-8 sequence fails in json.loads.
+    with open(path, "rb") as fh:
+        for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
-            data = json.loads(line)
-            if data.get("event") == "meta":
-                run_id = data.get("run_id")
-                continue
-            events.append(event_from_dict(data))
+            try:
+                data = json.loads(line)
+                if data["event"] == "meta":
+                    run_id = data.get("run_id")
+                else:
+                    events.append(event_from_dict(data))
+            # JSONDecodeError and UnicodeDecodeError are ValueErrors.
+            except (KeyError, TypeError, ValueError) as exc:
+                raise CorruptTranscript(
+                    f"{path}, line {lineno}: not a transcript event ({exc!r})") from exc
     transcript = Transcript(run_id)
     transcript.events = events
     return transcript
@@ -284,18 +291,10 @@ def compute_aggregates(rows: list[ReportRow]) -> dict:
     }
 
 
-def method_label(method: Method) -> str:
-    if isinstance(method, MethodIO):
-        return "io"
-    if isinstance(method, MethodCoT):
-        return "cot"
-    if isinstance(method, MethodSCCoT):
-        return "sc-cot"
-    return "macm"
+_METHOD_LABELS = {MethodIO: "io", MethodCoT: "cot", MethodSCCoT: "sc-cot", MethodMACM: "macm"}
 
 
-def solve_one(problem: Problem, method: Method, backend,
-              sampling: SamplingParams) -> Transcript:
+def solve_one(problem: Problem, method: Method, backend) -> Transcript:
     """Run one problem with the chosen method; always returns a finalized
     transcript."""
     if isinstance(method, MethodMACM):
@@ -306,14 +305,13 @@ def solve_one(problem: Problem, method: Method, backend,
     transcript = Transcript(run_id=problem.id)
     try:
         if isinstance(method, MethodIO):
-            answer, _ = solve_io(problem, sampling, backend, transcript)
+            answer = solve_io(problem, method.sampling, backend, transcript)
         elif isinstance(method, MethodCoT):
-            answer, _ = solve_cot(problem, method.chain_length_l, sampling,
-                                  backend, transcript)
+            answer = solve_cot(problem, method.chain_length_l, method.sampling,
+                               backend, transcript)
         else:
-            answer, _ = solve_sc_cot(problem, method.chain_length_l, method.voters_v,
-                                     sampling, backend, transcript,
-                                     majority=method.majority)
+            answer = solve_sc_cot(problem, method.chain_length_l, method.voters_v,
+                                  method.sampling, backend, transcript)
         transcript.append(Final(Solved(answer)))
     except orchestrator.SOLVE_ERRORS as exc:
         transcript.append(Final(orchestrator._error_outcome(exc)))
@@ -322,8 +320,7 @@ def solve_one(problem: Problem, method: Method, backend,
 
 def run_benchmark(problems: list[Problem], method: Method, backend_factory,
                   out_dir: str | Path, task: str = "math", parallelism: int = 1,
-                  count_choices: bool = False,
-                  sampling: SamplingParams | None = None) -> Report:
+                  count_choices: bool = False) -> Report:
     """Solve every problem, grade it, and write one transcript file each.
 
     ``backend_factory(problem_id)`` must return a backend for that problem
@@ -337,8 +334,7 @@ def run_benchmark(problems: list[Problem], method: Method, backend_factory,
     out_dir = Path(out_dir)
     transcripts_dir = out_dir / "transcripts"
     transcripts_dir.mkdir(parents=True, exist_ok=True)
-    sampling = sampling or SamplingParams()
-    label = method_label(method)
+    label = _METHOD_LABELS[type(method)]
 
     def run_one(problem: Problem) -> ReportRow:
         start = time.monotonic()
@@ -348,7 +344,7 @@ def run_benchmark(problems: list[Problem], method: Method, backend_factory,
             transcript = Transcript(run_id=problem.id)
             transcript.append(Final(orchestrator._error_outcome(exc)))
         else:
-            transcript = solve_one(problem, method, backend, sampling)
+            transcript = solve_one(problem, method, backend)
         wall_ms = int((time.monotonic() - start) * 1000)
         outcome = transcript.outcome
         correct = False
@@ -491,14 +487,11 @@ class SweepPoint:
 KNOBS = ("n", "l", "v", "max_iterations")
 
 
-def _method_for_point(method: Method, settings: dict,
-                      sampling: SamplingParams) -> tuple[Method, SamplingParams]:
-    """The base method and sampling with one grid point's knobs applied;
-    a knob the method has no use for leaves it unchanged."""
-    if "n" in settings:
-        sampling = replace(sampling, n=settings["n"])
-    if isinstance(method, MethodIO):
-        method = replace(method, n=sampling.n)
+def _method_for_point(method: Method, settings: dict) -> Method:
+    """The base method with one grid point's knobs applied; a knob the
+    method has no use for leaves it unchanged."""
+    if not isinstance(method, MethodMACM) and "n" in settings:
+        method = replace(method, sampling=replace(method.sampling, n=settings["n"]))
     if isinstance(method, (MethodCoT, MethodSCCoT)) and "l" in settings:
         method = replace(method, chain_length_l=settings["l"])
     if isinstance(method, MethodSCCoT) and "v" in settings:
@@ -506,16 +499,15 @@ def _method_for_point(method: Method, settings: dict,
     if isinstance(method, MethodMACM) and "max_iterations" in settings:
         method = replace(method, config=replace(
             method.config, max_iterations=settings["max_iterations"]))
-    return method, sampling
+    return method
 
 
 def sweep_queries(problems: list[Problem], method: Method, knob_grid: dict,
-                  backend_factory, out_dir: str | Path, task: str = "math",
-                  count_choices: bool = True,
-                  sampling: SamplingParams | None = None) -> list[SweepPoint]:
-    """Run one benchmark per knob setting of the grid, applied to ``method``
-    and ``sampling``, and record (mean query count, fraction corrected).
-    Writes sweep.csv under out_dir. A factory from make_backend_factory
+                  backend_factory, out_dir: str | Path,
+                  task: str = "math") -> list[SweepPoint]:
+    """Run one benchmark per knob setting of the grid, applied to ``method``,
+    and record (mean choice count, fraction corrected): a request for n
+    responses counts n. Writes sweep.csv under out_dir. A factory from make_backend_factory
     records and replays each point's cassettes under the point's directory
     name (<dir>/point_n3/<id>.jsonl); any other factory is used as is."""
     if not problems:
@@ -527,19 +519,17 @@ def sweep_queries(problems: list[Problem], method: Method, knob_grid: dict,
             raise ValueError(f"unknown knob {knob!r}")
 
     out_dir = Path(out_dir)
-    sampling = sampling or SamplingParams()
     keys = sorted(knob_grid)
     points: list[SweepPoint] = []
     for values in itertools.product(*(knob_grid[k] for k in keys)):
         settings = dict(zip(keys, values))
-        point_method, point_sampling = _method_for_point(method, settings, sampling)
+        point_method = _method_for_point(method, settings)
         point_dir = out_dir / ("point_" + "_".join(f"{k}{v}" for k, v in settings.items()))
         point_factory = backend_factory
         if isinstance(backend_factory, BackendFactory):
             point_factory = replace(backend_factory, subdir=point_dir.name)
         report = run_benchmark(problems, point_method, point_factory, point_dir,
-                               task=task, count_choices=count_choices,
-                               sampling=point_sampling)
+                               task=task, count_choices=True)
         points.append(SweepPoint(
             settings=settings,
             mean_queries=report.aggregates["mean_queries"],

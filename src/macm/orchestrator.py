@@ -121,10 +121,11 @@ def resume_from_transcript(transcript: Transcript, backend, *,
 
     try:
         if state.known is None:
-            extracted = client.thinker_extract(problem)
-            log(ObjectiveSet(extracted.objective.text))
-            for cond in extracted.accepted():
-                log(ConditionAccepted(cond.text))
+            texts, objective = client.thinker_extract(problem)
+            log(ObjectiveSet(objective))
+            for text in texts:
+                if not state.known.is_duplicate(text):
+                    log(ConditionAccepted(text))
         while not state.sufficient and state.round <= config.max_iterations:
             if state.pending is None:
                 for cand in client.thinker_mine(state.known):

@@ -24,6 +24,7 @@ from macm.domain import (
     SamplingParams,
     Solved,
     SufficiencyVerdict,
+    Transcript,
     Unsolvable,
     Verdict,
     VerdictEvent,
@@ -198,8 +199,9 @@ def test_query_accounting(capfd):
         # SC-CoT, l=5 / v=5, each chain resolving in 2 steps: v*steps + 1 vote.
         counter = QueryCounter()
         backend = scripted(solver=["step", "Answer: 4"] * 5 + ["4"], counter=counter)
-        _, queries = solve_sc_cot(problem, 5, 5, SamplingParams(), backend)
-        assert queries == 5 * 2 + 1
+        transcript = Transcript("sc-cot")
+        solve_sc_cot(problem, 5, 5, SamplingParams(), backend, transcript)
+        assert transcript.query_count() == 5 * 2 + 1
         assert counter.requests == 5 * 2 + 1
 
         # MACM: reported query count equals the transcript's AgentCall count.

@@ -52,7 +52,6 @@ class TestParseCandidates:
     def test_single_clause(self):
         got = parse_candidates("Based on known condition 2, we can get: f(9) = f(3) + 2")
         assert [c.text for c in got] == ["f(9) = f(3) + 2"]
-        assert got[0].cited_basis == ("known condition 2",)
 
     def test_prime_clause(self):
         got = parse_candidates("Based on known condition 1, we can get: Both primes are odd")
@@ -160,19 +159,18 @@ class TestAgentOps:
                  "3. ABCD is a square with side 13\n"
                  "Objective: distance from E to side AD")
         client = make_client(scripted(thinker=[reply]))
-        known = client.thinker_extract(toy_problem)
-        assert "AE = 5 units" in known.accepted_texts()
-        assert "BE = 12 units" in known.accepted_texts()
-        assert known.objective.text == "distance from E to side AD"
-        assert all(c.is_initial and c.accepted for c in known.conditions)
+        texts, objective = client.thinker_extract(toy_problem)
+        assert "AE = 5 units" in texts
+        assert "BE = 12 units" in texts
+        assert objective == "distance from E to side AD"
 
     def test_extract_retry_then_success(self, toy_problem):
         client = AgentClient(
             backend=scripted(thinker=["no structure here",
                                       "1. one plus one\nObjective: compute 1+1"]),
             config=RunConfig(format_retries=1), transcript=Transcript("t"))
-        known = client.thinker_extract(toy_problem)
-        assert known.objective.text == "compute 1+1"
+        _, objective = client.thinker_extract(toy_problem)
+        assert objective == "compute 1+1"
         assert client.transcript.query_count() == 2
 
     def test_extract_retry_exhaustion(self, toy_problem):
@@ -206,7 +204,7 @@ class TestAgentOps:
         client = make_client(scripted(judge=["True"]))
         known = known_with(["a = 1", "b = 2"])
         verdict = client.judge_condition(
-            CandidateCondition("c = 3", cited_basis=("a", "b")), known)
+            CandidateCondition("c = 3"), known)
         assert verdict.value
         prompt = client.transcript.agent_calls()[0].prompt
         assert "c = 3" in prompt
@@ -238,7 +236,7 @@ class TestPromptDiscipline:
             judge=["True", "True"],
             executor=["Answer: 7"])
         client = make_client(backend)
-        known = client.thinker_extract(toy_problem)
+        known = known_with(*client.thinker_extract(toy_problem))
         cands = client.thinker_mine(known)
         client.judge_condition(cands[0], known)
         client.judge_sufficiency(known)
@@ -267,7 +265,7 @@ class TestPromptDiscipline:
         backend = Spy(scripted(
             thinker=["1. c1\nObjective: obj"], judge=["True"], executor=["Answer: 1"]))
         client = make_client(backend)
-        known = client.thinker_extract(toy_problem)
+        known = known_with(*client.thinker_extract(toy_problem))
         client.judge_sufficiency(known)
         client.executor_compute(known, StepPlan(("s",)))
 

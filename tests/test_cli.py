@@ -112,6 +112,27 @@ def test_prompts_dir_overrides_macm_prompts(command, tmp_path, capsys):
         assert (out / "sweep.csv").read_text().splitlines()[1] == "5,6.0,1.0"
 
 
+@pytest.mark.parametrize("method", ["io", "cot", "sc-cot"])
+@pytest.mark.parametrize("command", ["solve", "bench", "sweep"])
+def test_sampling_flags_reach_baseline_requests(command, method, tmp_path, capsys):
+    # io: n choices, then a select request; cot: one link; sc-cot: 2 chains + vote.
+    script = tmp_path / "s.json"
+    solver_script(script, ["Answer: 7", "Answer: 7", "7"])
+    dataset = tmp_path / "d.jsonl"
+    write_jsonl(dataset, [{"id": "p0", "question": "q", "answer": "7"}])
+    source = {"solve": ["--problem-file", str(dataset)],
+              "bench": ["--dataset", str(dataset)],
+              "sweep": ["--dataset", str(dataset), "--grid", '{"l": [2]}']}
+    record = tmp_path / "cassettes"
+    assert main([command, *source[command], "--method", method, "--v", "2",
+                 "--n", "2", "--temperature", "0.3", "--record", str(record),
+                 "--backend", f"scripted:{script}", "--out", str(tmp_path / "out")]) == 0
+    (cassette,) = record.rglob("*.jsonl")
+    requests = [json.loads(line)["sampling"] for line in cassette.read_text().splitlines()]
+    assert all(r["temperature"] == 0.3 for r in requests)
+    assert requests[0]["n"] == 2
+
+
 class TestBench:
     def _dataset(self, tmp_path):
         dataset = tmp_path / "d.jsonl"

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import stat
 import time
 from pathlib import Path
@@ -25,7 +26,7 @@ from macm.domain import (
     Transcript,
     VerdictEvent,
 )
-from macm.errors import EmptyDataset, SchemaError
+from macm.errors import CorruptTranscript, EmptyDataset, SchemaError
 from macm.harness import (
     Report,
     _method_for_point,
@@ -342,6 +343,21 @@ class TestGoldenTranscriptFormat:
         assert len(steps[14].steps) == 3
         assert steps[15] == Final(Solved("-102"))
 
+    @pytest.mark.parametrize("mangle, line, cause", [
+        (lambda data: data[:-20], 27, json.JSONDecodeError),
+        (lambda data: data[:data.index("α".encode()) + 1], 2, UnicodeDecodeError),
+        (lambda data: data.replace(b'"agent_call"', b'"bogus"', 1), 2, KeyError),
+        (lambda data: data.replace(b'"agent_call",', b'"agent_call", "extra": 1,', 1), 2,
+         TypeError),
+    ], ids=["torn", "torn-inside-a-character", "unknown-kind", "extra-key"])
+    def test_bad_line_raises_corrupt_transcript(self, tmp_path, mangle, line, cause):
+        path = tmp_path / "algebra.jsonl"
+        path.write_bytes(mangle(GOLDEN_ALGEBRA.read_bytes()))
+        where = rf"{re.escape(str(path))}, line {line}:"
+        with pytest.raises(CorruptTranscript, match=where) as info:
+            read_transcript(path)
+        assert isinstance(info.value.__cause__, cause)
+
     def test_rewrites_byte_for_byte(self, tmp_path):
         path = tmp_path / "algebra.jsonl"
         write_transcript(read_transcript(GOLDEN_ALGEBRA), path)
@@ -393,13 +409,13 @@ class TestSweep:
 
     def test_grid_applies_to_the_base_method_and_sampling(self):
         base = MethodMACM(config=RunConfig(format_retries=0, query_budget=9))
-        method, sampling = _method_for_point(
-            base, {"max_iterations": 2, "n": 3}, SamplingParams(temperature=0.0))
+        method = _method_for_point(base, {"max_iterations": 2, "n": 3})
         assert method.config == RunConfig(max_iterations=2, format_retries=0, query_budget=9)
         assert method.prompts is base.prompts
-        assert sampling == SamplingParams(n=3, temperature=0.0)
-        method, _ = _method_for_point(MethodCoT(chain_length_l=2), {"n": 3}, sampling)
-        assert method == MethodCoT(chain_length_l=2)
+        cot = MethodCoT(chain_length_l=2, sampling=SamplingParams(temperature=0.0))
+        assert _method_for_point(cot, {"n": 3, "max_iterations": 2}) == MethodCoT(
+            chain_length_l=2, sampling=SamplingParams(n=3, temperature=0.0))
+        assert _method_for_point(cot, {"v": 4}) == cot
 
     def test_unknown_knob_rejected(self, tmp_path, toy_problem):
         with pytest.raises(ValueError):

@@ -137,7 +137,7 @@ class TestErrorPropagation:
         assert transcript.is_final
 
         transcript = solve_one(toy_problem, MethodIO(),
-                               failing_backend(error, "solver", tmp_path / "c"), SamplingParams())
+                               failing_backend(error, "solver", tmp_path / "c"))
         assert isinstance(transcript.outcome, RunError)
         assert transcript.outcome.kind == "BackendFailure"
 
