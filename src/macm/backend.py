@@ -13,6 +13,7 @@ counts as ``n`` on the choice counter.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import threading
@@ -405,6 +406,25 @@ class HttpBackend:
 JSON_ENCODER = json.JSONEncoder(ensure_ascii=False)
 
 
+def open_fresh(path: str | Path) -> int:
+    """A descriptor for a new, empty file at ``path``, opened for appending.
+
+    A file already there is removed first, never truncated or renamed over:
+    replacing a file that holds data makes some file systems (ext4's
+    auto_da_alloc) write the new data back on the writer's time.
+    """
+    with contextlib.suppress(FileNotFoundError):
+        os.unlink(path)
+    return os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL | os.O_APPEND, 0o666)
+
+
+def write_all(fd: int, data: bytes) -> None:
+    """Write all of ``data`` to ``fd``; os.write may write only part of it."""
+    data = memoryview(data)
+    while data:
+        data = data[os.write(fd, data):]
+
+
 def _cassette_line(seq: int, role: str, request: ChatRequest, response: ChatResponse) -> dict:
     return {
         "seq": seq,
@@ -432,7 +452,7 @@ class RecordingBackend:
         self._seq = 0
         self._lock = threading.Lock()
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        self.path.write_text("", encoding="utf-8")
+        os.close(open_fresh(self.path))
 
     @property
     def counter(self) -> QueryCounter:
@@ -443,13 +463,12 @@ class RecordingBackend:
         with self._lock:
             line = _cassette_line(self._seq, role, request, response)
             self._seq += 1
-            data = memoryview((JSON_ENCODER.encode(line) + "\n").encode("utf-8"))
+            data = (JSON_ENCODER.encode(line) + "\n").encode("utf-8")
             # The whole line is written before complete() returns, and no
             # handle outlives the call.
             fd = os.open(self.path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
             try:
-                while data:
-                    data = data[os.write(fd, data):]
+                write_all(fd, data)
             finally:
                 os.close(fd)
         return response

@@ -150,12 +150,12 @@ class Verdict:
 # Outcomes
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Solved:
     answer: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Unsolvable:
     rounds_used: int
 
@@ -163,7 +163,7 @@ class Unsolvable:
 ERROR_KINDS = ("ParseFailure", "BackendFailure", "BudgetExceeded")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RunError:
     kind: str
     detail: str
@@ -299,7 +299,7 @@ def event_to_dict(event: Event) -> dict:
     raise ValueError(f"not a transcript event: {event!r}")
 
 
-def event_from_dict(data: dict) -> Event:
+def _decode(data: dict) -> Event:
     kind = data["event"]
     if kind == "final":
         return Final(outcome_from_dict(data["outcome"]))
@@ -317,6 +317,28 @@ def event_from_dict(data: dict) -> Event:
         return SufficiencyVerdict(int(fields["subject"][len(_SUFFICIENCY_SUBJECT):]),
                                   fields["value"])
     return _CLASSES[kind](**fields)
+
+
+def _check_keys(data: dict, encoded: dict) -> None:
+    """Raise TypeError if ``data`` holds a key, at any depth, that the codec
+    would not write for the event it decodes to."""
+    extra = data.keys() - encoded.keys()
+    if extra:
+        raise TypeError(f"unexpected keys {sorted(extra)}")
+    for key, value in data.items():
+        if isinstance(value, dict):
+            if not isinstance(encoded[key], dict):
+                raise TypeError(f"{key!r} is an object where the codec writes none")
+            _check_keys(value, encoded[key])
+
+
+def event_from_dict(data: dict) -> Event:
+    """Decode one transcript line. A key may be missing where its field has a
+    default, but every key present must be one the codec writes: its event's
+    fields or the codec's own ("event", "description", "data", ...)."""
+    event = _decode(data)
+    _check_keys(data, event_to_dict(event))
+    return event
 
 
 class Transcript:

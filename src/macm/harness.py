@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import itertools
@@ -10,7 +11,7 @@ import os
 import random
 import re
 import time
-from collections.abc import Callable
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -21,6 +22,8 @@ from .backend import (
     RecordingBackend,
     ReplayBackend,
     ScriptedBackend,
+    open_fresh,
+    write_all,
 )
 from .baselines import (
     Method,
@@ -35,6 +38,7 @@ from .baselines import (
 from .domain import (
     Event,
     Final,
+    Outcome,
     Problem,
     Solved,
     Transcript,
@@ -203,9 +207,16 @@ def grade(task: str, problem: Problem, answer: str) -> bool:
 # ---------------------------------------------------------------------------
 
 def _atomic_write(path: Path, content: str) -> None:
+    """Write ``content`` to a temp file and rename it over ``path``; on any
+    failure the temp file is removed and the error re-raised."""
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(content, encoding="utf-8")
-    os.replace(tmp, path)
+    try:
+        tmp.write_text(content, encoding="utf-8")
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            tmp.unlink()
+        raise
 
 
 def write_transcript(transcript: Transcript, path: str | Path) -> None:
@@ -213,7 +224,13 @@ def write_transcript(transcript: Transcript, path: str | Path) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     lines = [JSON_ENCODER.encode({"event": "meta", "run_id": transcript.run_id})]
     lines += [JSON_ENCODER.encode(event_to_dict(e)) for e in transcript.events]
-    _atomic_write(path, "\n".join(lines) + "\n")
+    # Not _atomic_write: renaming over a file that holds data is slow (see
+    # open_fresh), and a run writes one transcript per problem.
+    fd = open_fresh(path)
+    try:
+        write_all(fd, ("\n".join(lines) + "\n").encode("utf-8"))
+    finally:
+        os.close(fd)
 
 
 def read_transcript(path: str | Path) -> Transcript:
@@ -245,13 +262,36 @@ def read_transcript(path: str | Path) -> Transcript:
 # Reports
 # ---------------------------------------------------------------------------
 
+class OutcomeView(Mapping):
+    """A row's outcome, read as ``outcome_to_dict`` gives it. A long
+    benchmark keeps every row in memory until its report is written, and the
+    typed outcome takes about 100 bytes less per row than its dict."""
+
+    __slots__ = ("outcome",)
+
+    def __init__(self, outcome: Outcome):
+        self.outcome = outcome
+
+    def __getitem__(self, key):
+        return outcome_to_dict(self.outcome)[key]
+
+    def __iter__(self):
+        return iter(outcome_to_dict(self.outcome))
+
+    def __len__(self):
+        return len(outcome_to_dict(self.outcome))
+
+    def __repr__(self):
+        return repr(outcome_to_dict(self.outcome))
+
+
 # slots: a long benchmark keeps every row in memory until its report is
 # written.
 @dataclass(frozen=True, slots=True)
 class ReportRow:
     id: str
     method: str
-    outcome: dict
+    outcome: Mapping  # an OutcomeView from run_benchmark, a dict from report.json
     correct: bool
     queries: int
     wall_ms: int
@@ -362,7 +402,7 @@ def run_benchmark(problems: list[Problem], method: Method, backend_factory,
         return ReportRow(
             id=problem.id,
             method=label,
-            outcome=outcome_to_dict(outcome),
+            outcome=OutcomeView(outcome),
             correct=correct,
             queries=queries,
             wall_ms=wall_ms,
@@ -396,7 +436,7 @@ _CSV_FIELDS = ["id", "method", "outcome_kind", "correct", "queries",
 def report_to_dict(report: Report) -> dict:
     return {
         "rows": [{
-            "id": r.id, "method": r.method, "outcome": r.outcome,
+            "id": r.id, "method": r.method, "outcome": dict(r.outcome),
             "correct": r.correct, "queries": r.queries, "wall_ms": r.wall_ms,
             "transcript_path": r.transcript_path, "category": r.category,
             "refusal": r.refusal, "needs_review": r.needs_review,

@@ -1,3 +1,5 @@
+import dataclasses
+import errno
 import json
 import os
 import re
@@ -270,6 +272,9 @@ class TestReportPersistence:
         assert (out / "summary.md").exists()
         reloaded = load_report(out / "report.json")
         assert report_to_dict(reloaded) == report_to_dict(report)
+        assert reloaded.rows == report.rows
+        assert json.loads((out / "report.json").read_text())["rows"][0]["outcome"] \
+            == {"kind": "solved", "answer": "7"}
 
     def test_aggregates_self_consistent(self, tmp_path):
         report = self._report(tmp_path)
@@ -284,6 +289,14 @@ class TestReportPersistence:
         locked.chmod(stat.S_IRUSR | stat.S_IXUSR)
         with pytest.raises(OSError):
             write_report(report, locked / "sub")
+
+    def test_failed_write_leaves_no_temp_file(self, tmp_path):
+        report = self._report(tmp_path)
+        out = tmp_path / "out"
+        (out / "report.csv").mkdir(parents=True)
+        with pytest.raises(IsADirectoryError):
+            write_report(report, out)
+        assert sorted(p.name for p in out.iterdir()) == ["report.csv", "report.json"]
 
     def test_summary_mirrors_category_table(self, tmp_path):
         report = self._report(tmp_path)
@@ -314,6 +327,43 @@ class TestTranscriptFiles:
         loaded = read_transcript(path)
         assert loaded.run_id == transcript.run_id
         assert loaded.events == transcript.events
+
+    def test_failed_write_closes_the_file(self, tmp_path, monkeypatch):
+        from macm import harness
+
+        def no_space(fd, data):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(harness, "write_all", no_space)
+        transcript = Transcript("r1")
+        transcript.append(Final(Solved("7")))
+        before = len(os.listdir("/proc/self/fd"))
+        with pytest.raises(OSError):
+            write_transcript(transcript, tmp_path / "t.jsonl")
+        assert len(os.listdir("/proc/self/fd")) == before
+
+    def test_rerun_over_a_longer_run_leaves_only_the_new_bytes(
+            self, tmp_path, monkeypatch, toy_problem):
+        from macm import agents
+        monkeypatch.setattr(agents, "now", lambda: GOLDEN_TIMESTAMP)
+        short = MethodMACM(config=RunConfig(query_budget=2))
+
+        def run(method, out):
+            script = scripted(thinker=[extraction_reply(["c"], "obj"), mining_reply(["m"]),
+                                       "1. s"], judge=["True", "True"], executor=["Answer: 2"])
+            report = run_benchmark([toy_problem], method, lambda pid: script, out)
+            write_report(report, out)
+
+        reused = tmp_path / "reused"
+        run(MethodMACM(), reused)
+        run(short, reused)
+        fresh = tmp_path / "fresh"
+        run(short, fresh)
+        name = f"transcripts/{toy_problem.id}.jsonl"
+        assert (reused / name).read_bytes() == (fresh / name).read_bytes()
+        assert read_transcript(reused / name).outcome.kind == "BudgetExceeded"
+        assert (reused / "report.csv").read_bytes() == (fresh / "report.csv").read_bytes()
+        assert not list(reused.rglob("*.tmp"))
 
 
 GOLDEN_ALGEBRA = Path(__file__).parent / "data" / "algebra_transcript.jsonl"
@@ -349,7 +399,18 @@ class TestGoldenTranscriptFormat:
         (lambda data: data.replace(b'"agent_call"', b'"bogus"', 1), 2, KeyError),
         (lambda data: data.replace(b'"agent_call",', b'"agent_call", "extra": 1,', 1), 2,
          TypeError),
-    ], ids=["torn", "torn-inside-a-character", "unknown-kind", "extra-key"])
+        (lambda data: data.replace(b'"final",', b'"final", "extra": 1,'), 27, TypeError),
+        (lambda data: data.replace(b'"sufficiency round 1",', b'"sufficiency round 1", "extra": 1,'),
+         12, TypeError),
+        (lambda data: data.replace(b'"objective set",', b'"objective set", "extra": 1,'), 3,
+         TypeError),
+        (lambda data: data.replace(b'"data": {"objective":', b'"data": {"extra": 1, "objective":'),
+         3, TypeError),
+        (lambda data: re.sub(rb'"steps": \[[^]]*\]', b'"steps": {"x": 1}', data), 25,
+         TypeError),
+    ], ids=["torn", "torn-inside-a-character", "unknown-kind", "extra-key", "final-extra-key",
+            "sufficiency-extra-key", "state-change-extra-key", "state-change-data-extra-key",
+            "plan-steps-object"])
     def test_bad_line_raises_corrupt_transcript(self, tmp_path, mangle, line, cause):
         path = tmp_path / "algebra.jsonl"
         path.write_bytes(mangle(GOLDEN_ALGEBRA.read_bytes()))
@@ -376,6 +437,19 @@ class TestGoldenTranscriptFormat:
         write_transcript(transcript, path)
         assert path.read_bytes() == GOLDEN_ALGEBRA.read_bytes()
         assert transcript.events == read_transcript(GOLDEN_ALGEBRA).events
+
+    def test_golden_run_writes_the_golden_bytes(self, tmp_path, monkeypatch):
+        from macm import agents
+        from macm.backend import ScriptedBackend
+        from macm.demo import algebra_problem, algebra_trace_path
+
+        monkeypatch.setattr(agents, "now", lambda: GOLDEN_TIMESTAMP)
+        problem = dataclasses.replace(algebra_problem(), id="algebra")
+        report = run_benchmark([problem], MethodMACM(), lambda pid: ScriptedBackend.from_file(
+            algebra_trace_path()), tmp_path)
+        assert report.rows[0].correct
+        assert (tmp_path / "transcripts" / "algebra.jsonl").read_bytes() \
+            == GOLDEN_ALGEBRA.read_bytes()
 
 
 class TestSweep:
