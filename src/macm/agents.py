@@ -67,18 +67,15 @@ def parse_verdict(reply: str) -> Verdict:
     raise ParseFailure(f"judge reply is not a bare True/False: {reply!r}")
 
 
-def render_verdict(verdict: Verdict) -> str:
-    return "True" if verdict.value else "False"
-
-
 _MINE_LINE = re.compile(r"based on\s+(.*?)[,，]?\s*we can get\s*[::]\s*(.*)", re.IGNORECASE)
+MAX_CANDIDATES = 8
 
 
-def parse_candidates(reply: str, cap: int = 8) -> list[CandidateCondition]:
+def parse_candidates(reply: str) -> list[CandidateCondition]:
     """Extract every "Based on ..., we can get: ..." clause, in line order.
 
     The candidate text is the segment after the colon that closes the
-    "we can get" clause. At most ``cap`` candidates are returned.
+    "we can get" clause. At most ``MAX_CANDIDATES`` candidates are returned.
     """
     candidates: list[CandidateCondition] = []
     for line in reply.splitlines():
@@ -89,7 +86,7 @@ def parse_candidates(reply: str, cap: int = 8) -> list[CandidateCondition]:
         if not normalize_condition_text(text):
             continue
         candidates.append(CandidateCondition(text))
-        if len(candidates) >= cap:
+        if len(candidates) >= MAX_CANDIDATES:
             break
     if not candidates:
         raise ParseFailure(f"no 'we can get:' clause found in reply: {reply!r}")
@@ -245,8 +242,7 @@ class AgentClient:
         prompt = self.prompts.mine.format(
             conditions=render_conditions(known.accepted_texts()),
             objective=known.objective.text)
-        return self._call_parsed(
-            THINKER, prompt, lambda r: parse_candidates(r, cap=self.config.candidate_cap))
+        return self._call_parsed(THINKER, prompt, parse_candidates)
 
     def thinker_design_steps(self, known: ConditionList) -> StepPlan:
         """Design ordered solution steps from the accepted conditions."""

@@ -18,7 +18,6 @@ import json
 import os
 import threading
 import time
-import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from urllib.parse import unquote, urlsplit
@@ -256,7 +255,6 @@ class HttpBackend:
         self.model = model or os.environ.get("MACM_MODEL") or ""
         self.timeout = timeout
         self.counter = counter or QueryCounter()
-        self._warned_top_k = False
         if not self.base_url:
             raise BackendFailure("no base URL configured (set MACM_BASE_URL)")
         if not self.api_key:
@@ -329,12 +327,6 @@ class HttpBackend:
 
     def complete(self, request: ChatRequest, role: str) -> ChatResponse:
         import http.client
-
-        if request.sampling.top_k != 1 and not self._warned_top_k:
-            # The chat-completions wire protocol has no top_k field; the value
-            # is kept in local records but never transmitted.
-            warnings.warn("top_k is not transmitted over the chat-completions protocol")
-            self._warned_top_k = True
 
         body = json.dumps({
             "model": self.model,
@@ -432,7 +424,6 @@ def _cassette_line(seq: int, role: str, request: ChatRequest, response: ChatResp
         "request_messages": [{"role": m.role, "content": m.content} for m in request.messages],
         "sampling": {
             "n": request.sampling.n,
-            "top_k": request.sampling.top_k,
             "temperature": request.sampling.temperature,
             "max_tokens": request.sampling.max_tokens,
         },
@@ -454,10 +445,6 @@ class RecordingBackend:
         self.path.parent.mkdir(parents=True, exist_ok=True)
         os.close(open_fresh(self.path))
 
-    @property
-    def counter(self) -> QueryCounter:
-        return self.inner.counter
-
     def complete(self, request: ChatRequest, role: str) -> ChatResponse:
         response = self.inner.complete(request, role)
         with self._lock:
@@ -474,16 +461,40 @@ class RecordingBackend:
         return response
 
 
+def _replay_entry(line: bytes) -> tuple:
+    """(seq, role, n, prompt text, response) of one cassette line. Any key
+    that replay reads and the line lacks, or holds with the wrong type, raises
+    KeyError, TypeError or ValueError; any other key is ignored."""
+    # Decoded here, not by json.loads: bytes make it detect the encoding first.
+    entry = json.loads(line.decode("utf-8"))
+    return (entry["seq"], entry["role"], entry["sampling"]["n"],
+            "\n".join(m["content"] for m in entry["request_messages"]),
+            ChatResponse(choices=tuple(entry["choices"]), tokens_in=entry.get("tokens_in", 0),
+                         tokens_out=entry.get("tokens_out", 0)))
+
+
 class ReplayBackend:
     """Serves recorded responses back in order, asserting that each request's
     prompt matches the recorded one after whitespace normalization, and that
-    its role and number of choices ``n`` match the recording."""
+    its role and number of choices ``n`` match the recording. A cassette line
+    that is not an entry (a torn write, say) raises BackendFailure naming the
+    file and the line."""
 
     def __init__(self, cassette_path: str | Path, counter: QueryCounter | None = None,
                  skip_calls: int = 0):
         self.path = Path(cassette_path)
-        with open(self.path, encoding="utf-8") as fh:
-            self._entries = [json.loads(line) for line in fh if line.strip()]
+        self._entries = []
+        # Binary lines, so a write torn inside a UTF-8 sequence fails on its own line.
+        with open(self.path, "rb") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                if not line.strip():
+                    continue
+                try:
+                    self._entries.append(_replay_entry(line))
+                # JSONDecodeError and UnicodeDecodeError are ValueErrors.
+                except (KeyError, TypeError, ValueError) as exc:
+                    raise BackendFailure(f"cassette {self.path}, line {lineno}: "
+                                         f"not a cassette entry ({exc!r})") from exc
         self._pos = skip_calls
         self.counter = counter or QueryCounter()
 
@@ -491,31 +502,18 @@ class ReplayBackend:
         if self._pos >= len(self._entries):
             raise CassetteExhausted(
                 f"cassette {self.path} has {len(self._entries)} entries, call {self._pos} requested")
-        entry = self._entries[self._pos]
-        recorded = "\n".join(m["content"] for m in entry["request_messages"])
+        seq, recorded_role, n, recorded, response = self._entries[self._pos]
         got = request.prompt_text()
         # Equal strings normalise equal; normalise only when they differ.
         if recorded != got and normalize_condition_text(recorded) != normalize_condition_text(got):
             raise CassetteMismatch(
-                f"cassette {self.path} entry {entry['seq']}: prompt differs from recording")
-        if entry["role"] != role:
+                f"cassette {self.path} entry {seq}: prompt differs from recording")
+        if recorded_role != role:
             raise CassetteMismatch(
-                f"cassette {self.path} entry {entry['seq']}: role {role!r} != recorded {entry['role']!r}")
-        if entry["sampling"]["n"] != request.sampling.n:
+                f"cassette {self.path} entry {seq}: role {role!r} != recorded {recorded_role!r}")
+        if n != request.sampling.n:
             raise CassetteMismatch(
-                f"cassette {self.path} entry {entry['seq']}: n={request.sampling.n} "
-                f"!= recorded n={entry['sampling']['n']}")
+                f"cassette {self.path} entry {seq}: n={request.sampling.n} != recorded n={n}")
         self._pos += 1
-        choices = tuple(entry["choices"])
-        self.counter.record(len(choices))
-        return ChatResponse(choices=choices,
-                            tokens_in=entry.get("tokens_in", 0),
-                            tokens_out=entry.get("tokens_out", 0))
-
-
-def record(inner, cassette_path: str | Path) -> RecordingBackend:
-    return RecordingBackend(inner, cassette_path)
-
-
-def replay(cassette_path: str | Path, skip_calls: int = 0) -> ReplayBackend:
-    return ReplayBackend(cassette_path, skip_calls=skip_calls)
+        self.counter.record(len(response.choices))
+        return response

@@ -20,14 +20,14 @@ from .domain import (
     EXECUTOR_MAX_TOKENS,
     outcome_to_dict,
 )
-from .errors import BackendFailure, BudgetExceeded, EmptyDataset, SchemaError
+from .errors import BackendFailure, EmptyDataset, SchemaError
 from .prompts import PromptCatalog
 
 EXIT_OK = 0
-EXIT_FAIL = 1
 EXIT_CONFIG = 2
 EXIT_BACKEND = 3
-EXIT_BUDGET = 4
+# The exit code of a solve whose run ended in a RunError, by its kind.
+EXIT_FOR_ERROR = {"ParseFailure": 1, "BackendFailure": EXIT_BACKEND, "BudgetExceeded": 4}
 
 
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
@@ -120,8 +120,8 @@ def _load_dataset(args) -> list[Problem]:
     else:
         problems = harness.load_problems(args.dataset, lenient=args.lenient)
     if args.filter_wrong_from:
-        problems = harness.filter_wrong(problems, harness.load_report(args.filter_wrong_from))
-    if args.sample:
+        problems = harness.filter_wrong(problems, args.filter_wrong_from)
+    if args.sample is not None:
         problems = harness.sample_problems(problems, args.sample, args.seed)
     return problems
 
@@ -145,8 +145,7 @@ def cmd_solve(args) -> int:
         harness.write_transcript(transcript, Path(args.out) / f"{problem.id}.jsonl")
 
     if isinstance(outcome, RunError):
-        return {"BackendFailure": EXIT_BACKEND,
-                "BudgetExceeded": EXIT_BUDGET}.get(outcome.kind, EXIT_FAIL)
+        return EXIT_FOR_ERROR[outcome.kind]
     return EXIT_OK
 
 
@@ -194,9 +193,6 @@ def main(argv: list[str] | None = None) -> int:
     except (SchemaError, EmptyDataset, ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except BudgetExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
     except BackendFailure as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BACKEND

@@ -7,6 +7,8 @@ import unicodedata
 import uuid
 from dataclasses import dataclass
 
+from .errors import SOLVE_ERRORS
+
 
 def normalize_condition_text(text: str) -> str:
     """Canonical form used for condition identity.
@@ -106,13 +108,12 @@ class ConditionList:
 @dataclass(frozen=True)
 class SamplingParams:
     n: int = 1
-    top_k: int = 1
     temperature: float = 0.7
     max_tokens: int = 512
 
     def __post_init__(self):
-        if self.n < 1 or self.top_k < 1 or self.max_tokens < 1:
-            raise ValueError("n, top_k, max_tokens must be positive")
+        if self.n < 1 or self.max_tokens < 1:
+            raise ValueError("n, max_tokens must be positive")
         if self.temperature < 0:
             raise ValueError("temperature must be >= 0")
 
@@ -130,15 +131,12 @@ class RunConfig:
     judge_sampling: SamplingParams = SamplingParams(max_tokens=JUDGE_MAX_TOKENS)
     executor_sampling: SamplingParams = SamplingParams(max_tokens=EXECUTOR_MAX_TOKENS)
     query_budget: int | None = None
-    candidate_cap: int = 8
 
     def __post_init__(self):
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
         if self.format_retries < 0:
             raise ValueError("format_retries must be >= 0")
-        if self.candidate_cap < 1:
-            raise ValueError("candidate_cap must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -160,7 +158,7 @@ class Unsolvable:
     rounds_used: int
 
 
-ERROR_KINDS = ("ParseFailure", "BackendFailure", "BudgetExceeded")
+ERROR_KINDS = tuple(cls.__name__ for cls in SOLVE_ERRORS)
 
 
 @dataclass(frozen=True, slots=True)
@@ -171,6 +169,14 @@ class RunError:
     def __post_init__(self):
         if self.kind not in ERROR_KINDS:
             raise ValueError(f"unknown error kind {self.kind!r}")
+
+    @classmethod
+    def of(cls, exc: Exception) -> RunError:
+        """The outcome of a run ended by ``exc``: the kind is the SOLVE_ERRORS
+        class it is an instance of, and anything else (an OSError from a
+        backend factory, say) is a BackendFailure."""
+        kind = next((c.__name__ for c in SOLVE_ERRORS if isinstance(exc, c)), "BackendFailure")
+        return cls(kind, str(exc))
 
 
 Outcome = Solved | Unsolvable | RunError

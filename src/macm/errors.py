@@ -35,6 +35,11 @@ class CassetteExhausted(BackendFailure):
     """More calls were replayed than the cassette holds."""
 
 
+# The errors that end one run with a RunError outcome, whose kind is the
+# class's name, instead of propagating.
+SOLVE_ERRORS = (ParseFailure, BackendFailure, BudgetExceeded)
+
+
 class CorruptTranscript(MacmError):
     """A transcript cannot be read (a line is not an event) or resumed
     (already finalized or inconsistent)."""

@@ -40,13 +40,14 @@ from .domain import (
     Final,
     Outcome,
     Problem,
+    RunError,
     Solved,
     Transcript,
     event_from_dict,
     event_to_dict,
     outcome_to_dict,
 )
-from .errors import BackendFailure, CorruptTranscript, EmptyDataset, SchemaError
+from .errors import SOLVE_ERRORS, BackendFailure, CorruptTranscript, EmptyDataset, SchemaError
 from .tasks import (
     Game24Instance,
     bounded_int,
@@ -291,7 +292,7 @@ class OutcomeView(Mapping):
 class ReportRow:
     id: str
     method: str
-    outcome: Mapping  # an OutcomeView from run_benchmark, a dict from report.json
+    outcome: Mapping  # outcome_to_dict's keys; an OutcomeView from run_benchmark
     correct: bool
     queries: int
     wall_ms: int
@@ -304,11 +305,10 @@ class ReportRow:
 @dataclass
 class Report:
     rows: list[ReportRow]
-    aggregates: dict = field(default_factory=dict)
+    aggregates: dict = field(init=False)
 
     def __post_init__(self):
-        if not self.aggregates:
-            self.aggregates = compute_aggregates(self.rows)
+        self.aggregates = compute_aggregates(self.rows)
 
 
 def compute_aggregates(rows: list[ReportRow]) -> dict:
@@ -353,8 +353,8 @@ def solve_one(problem: Problem, method: Method, backend) -> Transcript:
             answer = solve_sc_cot(problem, method.chain_length_l, method.voters_v,
                                   method.sampling, backend, transcript)
         transcript.append(Final(Solved(answer)))
-    except orchestrator.SOLVE_ERRORS as exc:
-        transcript.append(Final(orchestrator._error_outcome(exc)))
+    except SOLVE_ERRORS as exc:
+        transcript.append(Final(RunError.of(exc)))
     return transcript
 
 
@@ -371,6 +371,8 @@ def run_benchmark(problems: list[Problem], method: Method, backend_factory,
     """
     if task not in TASKS:
         raise ValueError(f"unknown task {task!r}")
+    if parallelism < 1:
+        raise ValueError("parallelism must be >= 1")
     out_dir = Path(out_dir)
     transcripts_dir = out_dir / "transcripts"
     transcripts_dir.mkdir(parents=True, exist_ok=True)
@@ -382,7 +384,7 @@ def run_benchmark(problems: list[Problem], method: Method, backend_factory,
             backend = backend_factory(problem.id)
         except (OSError, BackendFailure) as exc:
             transcript = Transcript(run_id=problem.id)
-            transcript.append(Final(orchestrator._error_outcome(exc)))
+            transcript.append(Final(RunError.of(exc)))
         else:
             transcript = solve_one(problem, method, backend)
         wall_ms = int((time.monotonic() - start) * 1000)
@@ -445,21 +447,6 @@ def report_to_dict(report: Report) -> dict:
     }
 
 
-def report_from_dict(data: dict) -> Report:
-    rows = [ReportRow(
-        id=r["id"], method=r["method"], outcome=r["outcome"], correct=r["correct"],
-        queries=r["queries"], wall_ms=r["wall_ms"], transcript_path=r["transcript_path"],
-        category=r.get("category"), refusal=r.get("refusal", False),
-        needs_review=r.get("needs_review", False),
-    ) for r in data["rows"]]
-    return Report(rows=rows, aggregates=data["aggregates"])
-
-
-def load_report(path: str | Path) -> Report:
-    with open(path, encoding="utf-8") as fh:
-        return report_from_dict(json.load(fh))
-
-
 def _report_csv_text(report: Report) -> str:
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=_CSV_FIELDS, lineterminator="\n")
@@ -503,9 +490,17 @@ def write_report(report: Report, out_dir: str | Path) -> None:
     _atomic_write(out_dir / "summary.md", _summary_md_text(report))
 
 
-def filter_wrong(problems: list[Problem], baseline_report: Report) -> list[Problem]:
-    """Subset of problems the baseline report graded incorrect."""
-    wrong_ids = {r.id for r in baseline_report.rows if not r.correct}
+def filter_wrong(problems: list[Problem], report_path: str | Path) -> list[Problem]:
+    """Subset of problems that the report.json at ``report_path`` graded
+    incorrect. A file whose rows do not each carry an id and a correct flag
+    raises SchemaError."""
+    try:
+        with open(report_path, encoding="utf-8") as fh:
+            rows = json.load(fh)["rows"]
+        wrong_ids = {r["id"] for r in rows if not r["correct"]}
+    # JSONDecodeError and UnicodeDecodeError are ValueErrors.
+    except (KeyError, TypeError, ValueError) as exc:
+        raise SchemaError(f"{report_path}: not a report.json ({exc!r})") from exc
     return [p for p in problems if p.id in wrong_ids]
 
 

@@ -35,11 +35,8 @@ from .domain import (
     Unsolvable,
     VerdictEvent,
 )
-from .errors import BackendFailure, BudgetExceeded, CorruptTranscript, ParseFailure
+from .errors import SOLVE_ERRORS, CorruptTranscript
 from .prompts import PromptCatalog
-
-# The errors that end one run as a RunError outcome instead of propagating.
-SOLVE_ERRORS = (ParseFailure, BudgetExceeded, BackendFailure)
 
 
 @dataclass
@@ -71,14 +68,6 @@ class RunState:
             self.known = ConditionList(Objective(event.text))
         elif kind is PlanDesigned:
             self.plan = StepPlan(event.steps)
-
-
-def _error_outcome(exc: Exception) -> RunError:
-    if isinstance(exc, ParseFailure):
-        return RunError("ParseFailure", str(exc))
-    if isinstance(exc, BudgetExceeded):
-        return RunError("BudgetExceeded", str(exc))
-    return RunError("BackendFailure", str(exc))
 
 
 def solve(problem: Problem, config: RunConfig, backend,
@@ -146,6 +135,6 @@ def resume_from_transcript(transcript: Transcript, backend, *,
                 log(PlanDesigned(client.thinker_design_steps(state.known).steps))
             outcome = Solved(client.executor_compute(state.known, state.plan))
     except SOLVE_ERRORS as exc:
-        outcome = _error_outcome(exc)
+        outcome = RunError.of(exc)
     transcript.append(Final(outcome))
     return outcome, transcript

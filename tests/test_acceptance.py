@@ -11,7 +11,7 @@ from contextlib import contextmanager
 
 import pytest
 
-from macm.agents import extract_answer, parse_candidates, parse_verdict
+from macm.agents import MAX_CANDIDATES, extract_answer, parse_candidates, parse_verdict
 from macm.backend import QueryCounter, ScriptedBackend
 from macm.baselines import MethodIO, solve_sc_cot
 from macm.demo import algebra_problem, algebra_trace_path
@@ -136,7 +136,7 @@ def test_gate_soundness_fuzz(capfd):
                     if isinstance(event, AgentCall):
                         assert text not in event.prompt
 
-            cap = config.candidate_cap
+            cap = MAX_CANDIDATES
             budget = 1 + expected["rounds"] * (cap + 2) + 2
             assert transcript.query_count() <= budget
 

@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from macm.agents import (
     AgentClient,
+    MAX_CANDIDATES,
     CandidateCondition,
     StepPlan,
     extract_answer,
@@ -12,7 +13,6 @@ from macm.agents import (
     parse_extraction,
     parse_steps,
     parse_verdict,
-    render_verdict,
 )
 from macm.domain import Condition, ConditionList, Objective, RunConfig, Transcript, Verdict
 from macm.errors import ParseFailure
@@ -45,7 +45,7 @@ class TestParseVerdict:
 
     @given(st.booleans())
     def test_render_parse_round_trip(self, value):
-        assert parse_verdict(render_verdict(Verdict(value))) == Verdict(value)
+        assert parse_verdict(str(value)) == Verdict(value)
 
 
 class TestParseCandidates:
@@ -65,7 +65,7 @@ class TestParseCandidates:
 
     def test_cap(self):
         reply = "\n".join(f"Based on condition 1, we can get: c{i}" for i in range(12))
-        assert len(parse_candidates(reply, cap=8)) == 8
+        assert len(parse_candidates(reply)) == MAX_CANDIDATES == 8
 
     def test_no_clause_raises(self):
         with pytest.raises(ParseFailure):
@@ -273,7 +273,7 @@ class TestPromptDiscipline:
         assert by_role["thinker"].max_tokens == 512
         assert by_role["judge"].max_tokens == 4
         assert by_role["executor"].max_tokens == 256
-        assert all(s.temperature == 0.7 and s.n == 1 and s.top_k == 1
+        assert all(s.temperature == 0.7 and s.n == 1
                    for _, s in captured)
 
 

@@ -21,8 +21,6 @@ from macm.backend import (
     RecordingBackend,
     ScriptedBackend,
     ScriptEntry,
-    record,
-    replay,
 )
 from macm.domain import SamplingParams
 from macm.errors import (
@@ -100,34 +98,44 @@ class TestRecordReplay:
     def test_round_trip(self, tmp_path):
         cassette = tmp_path / "run.jsonl"
         inner = ScriptedBackend({"judge": [ScriptEntry("True"), ScriptEntry("False")]})
-        recorder = record(inner, cassette)
+        recorder = RecordingBackend(inner, cassette)
         first = recorder.complete(request("q1"), "judge")
         second = recorder.complete(request("q2"), "judge")
 
-        player = replay(cassette)
+        player = ReplayBackend(cassette)
+        assert player.complete(request("q1"), "judge").choices == first.choices
+        assert player.complete(request("q2"), "judge").choices == second.choices
+
+        # Cassettes once carried sampling.top_k; a line that still does replays.
+        legacy = tmp_path / "legacy.jsonl"
+        entries = [json.loads(line) for line in cassette.read_text().splitlines()]
+        legacy.write_text("".join(
+            json.dumps({**e, "sampling": {**e["sampling"], "top_k": 1}}) + "\n"
+            for e in entries))
+        player = ReplayBackend(legacy)
         assert player.complete(request("q1"), "judge").choices == first.choices
         assert player.complete(request("q2"), "judge").choices == second.choices
 
     def test_prompt_mismatch(self, tmp_path):
         cassette = tmp_path / "run.jsonl"
         inner = ScriptedBackend({"judge": [ScriptEntry("True")]})
-        record(inner, cassette).complete(request("original"), "judge")
+        RecordingBackend(inner, cassette).complete(request("original"), "judge")
         with pytest.raises(CassetteMismatch):
-            replay(cassette).complete(request("altered"), "judge")
+            ReplayBackend(cassette).complete(request("altered"), "judge")
 
     def test_whitespace_insensitive_match(self, tmp_path):
         cassette = tmp_path / "run.jsonl"
         inner = ScriptedBackend({"judge": [ScriptEntry("True")]})
-        record(inner, cassette).complete(request("a  b"), "judge")
-        assert replay(cassette).complete(request("a b"), "judge").text == "True"
+        RecordingBackend(inner, cassette).complete(request("a  b"), "judge")
+        assert ReplayBackend(cassette).complete(request("a b"), "judge").text == "True"
 
     def test_exhaustion(self, tmp_path):
         cassette = tmp_path / "run.jsonl"
         inner = ScriptedBackend({"judge": [ScriptEntry("True"), ScriptEntry("False")]})
-        recorder = record(inner, cassette)
+        recorder = RecordingBackend(inner, cassette)
         recorder.complete(request("q1"), "judge")
         recorder.complete(request("q2"), "judge")
-        player = replay(cassette)
+        player = ReplayBackend(cassette)
         player.complete(request("q1"), "judge")
         player.complete(request("q2"), "judge")
         with pytest.raises(CassetteExhausted):
@@ -135,59 +143,59 @@ class TestRecordReplay:
 
     def test_role_mismatch(self, tmp_path):
         cassette = tmp_path / "run.jsonl"
-        record(ScriptedBackend({"judge": [ScriptEntry("True")]}),
-               cassette).complete(request("q"), "judge")
+        RecordingBackend(ScriptedBackend({"judge": [ScriptEntry("True")]}),
+                         cassette).complete(request("q"), "judge")
         with pytest.raises(CassetteMismatch):
-            replay(cassette).complete(request("q"), "thinker")
+            ReplayBackend(cassette).complete(request("q"), "thinker")
 
     def test_skip_calls_resumes_midway(self, tmp_path):
         cassette = tmp_path / "run.jsonl"
         inner = ScriptedBackend({"judge": [ScriptEntry("one"), ScriptEntry("two")]})
-        recorder = record(inner, cassette)
+        recorder = RecordingBackend(inner, cassette)
         recorder.complete(request("q1"), "judge")
         recorder.complete(request("q2"), "judge")
-        player = replay(cassette, skip_calls=1)
+        player = ReplayBackend(cassette, skip_calls=1)
         assert player.complete(request("q2"), "judge").text == "two"
 
     @pytest.mark.parametrize("replayed", ["a  b\tc", "a b c", " a\u3000b\n\nc\u2028"])
     def test_exact_or_whitespace_equal_prompt_accepted(self, tmp_path, replayed):
         cassette = tmp_path / "run.jsonl"
-        record(ScriptedBackend({"judge": [ScriptEntry("True")]}),
-               cassette).complete(request("a  b\tc"), "judge")
-        assert replay(cassette).complete(request(replayed), "judge").text == "True"
+        RecordingBackend(ScriptedBackend({"judge": [ScriptEntry("True")]}),
+                         cassette).complete(request("a  b\tc"), "judge")
+        assert ReplayBackend(cassette).complete(request(replayed), "judge").text == "True"
 
     def test_identical_prompt_is_not_normalised(self, tmp_path, monkeypatch):
         cassette = tmp_path / "run.jsonl"
-        record(ScriptedBackend({"judge": [ScriptEntry("True")]}),
-               cassette).complete(request("a  b"), "judge")
+        RecordingBackend(ScriptedBackend({"judge": [ScriptEntry("True")]}),
+                         cassette).complete(request("a  b"), "judge")
 
         def fail(text):
             raise AssertionError("normalised an identical prompt")
 
         monkeypatch.setattr(macm.backend, "normalize_condition_text", fail)
-        assert replay(cassette).complete(request("a  b"), "judge").text == "True"
+        assert ReplayBackend(cassette).complete(request("a  b"), "judge").text == "True"
 
     def test_non_whitespace_difference_message(self, tmp_path):
         cassette = tmp_path / "run.jsonl"
-        record(ScriptedBackend({"judge": [ScriptEntry("True")]}),
-               cassette).complete(request("a  b"), "judge")
+        RecordingBackend(ScriptedBackend({"judge": [ScriptEntry("True")]}),
+                         cassette).complete(request("a  b"), "judge")
         with pytest.raises(CassetteMismatch) as info:
-            replay(cassette).complete(request("a  c"), "judge")
+            ReplayBackend(cassette).complete(request("a  c"), "judge")
         assert str(info.value) == f"cassette {cassette} entry 0: prompt differs from recording"
 
     def test_choice_count_mismatch(self, tmp_path):
         cassette = tmp_path / "run.jsonl"
-        record(ScriptedBackend({"solver": [ScriptEntry("ok")]}),
-               cassette).complete(request("q", n=3), "solver")
+        RecordingBackend(ScriptedBackend({"solver": [ScriptEntry("ok")]}),
+                         cassette).complete(request("q", n=3), "solver")
         with pytest.raises(CassetteMismatch) as info:
-            replay(cassette).complete(request("q", n=1), "solver")
+            ReplayBackend(cassette).complete(request("q", n=1), "solver")
         assert str(info.value) == f"cassette {cassette} entry 0: n=1 != recorded n=3"
-        assert replay(cassette).complete(request("q", n=3), "solver").choices == ("ok",) * 3
+        assert ReplayBackend(cassette).complete(request("q", n=3), "solver").choices == ("ok",) * 3
 
     def test_cassette_lines_are_json_dumps_bytes(self, tmp_path):
         cassette = tmp_path / "run.jsonl"
         inner = ScriptedBackend({"judge": [ScriptEntry("Vrai ✓"), ScriptEntry("False")]})
-        recorder = record(inner, cassette)
+        recorder = RecordingBackend(inner, cassette)
         calls = [(request("ça fait π ≈ 3.14 — 数学", system="sys"), "judge"),
                  (request("q2", n=2), "judge")]
         expected = b""
@@ -199,9 +207,9 @@ class TestRecordReplay:
 
     def test_new_recorder_starts_the_cassette_empty(self, tmp_path):
         cassette = tmp_path / "run.jsonl"
-        first = record(ScriptedBackend({"judge": [ScriptEntry("True")]}), cassette)
+        first = RecordingBackend(ScriptedBackend({"judge": [ScriptEntry("True")]}), cassette)
         first.complete(request("q1"), "judge")
-        second = record(ScriptedBackend({"judge": [ScriptEntry("False")]}), cassette)
+        second = RecordingBackend(ScriptedBackend({"judge": [ScriptEntry("False")]}), cassette)
         assert cassette.read_bytes() == b""
         second.complete(request("q2"), "judge")
         entries = [json.loads(line) for line in cassette.read_text().splitlines()]
@@ -209,14 +217,15 @@ class TestRecordReplay:
 
     def test_cassette_schema(self, tmp_path):
         cassette = tmp_path / "run.jsonl"
-        record(ScriptedBackend({"judge": [ScriptEntry("True")]}),
-               cassette).complete(request("q", system="sys"), "judge")
+        RecordingBackend(ScriptedBackend({"judge": [ScriptEntry("True")]}),
+                         cassette).complete(request("q", system="sys"), "judge")
         entry = json.loads(cassette.read_text().strip())
         assert set(entry) == {"seq", "role", "request_messages", "sampling",
                               "choices", "tokens_in", "tokens_out"}
         assert entry["seq"] == 0
         assert entry["role"] == "judge"
         assert entry["request_messages"][0] == {"role": "system", "content": "sys"}
+        assert set(entry["sampling"]) == {"n", "temperature", "max_tokens"}
 
 
 # ---------------------------------------------------------------------------
@@ -385,18 +394,6 @@ class TestHttpBackend:
         with pytest.raises(BackendFailure):
             backend.complete(request(), "thinker")
         assert len(_StubHandler.seen) == 4
-
-    def test_top_k_warning_once(self, stub_server):
-        _StubHandler.script = [(200, None), (200, None)]
-        backend = _backend(stub_server)
-        req = ChatRequest(messages=(ChatMessage("user", "x"),),
-                          sampling=SamplingParams(top_k=2))
-        with pytest.warns(UserWarning):
-            backend.complete(req, "thinker")
-        import warnings
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            backend.complete(req, "thinker")
 
     def test_missing_configuration(self, monkeypatch):
         for var in ("MACM_BASE_URL", "MACM_API_KEY", "MACM_MODEL"):

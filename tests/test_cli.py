@@ -2,8 +2,9 @@ import json
 
 import pytest
 
-from macm.cli import main
+from macm.cli import EXIT_FOR_ERROR, main
 from macm.demo import ALGEBRA_QUESTION, algebra_trace_path
+from macm.domain import ERROR_KINDS
 
 from conftest import extraction_reply, mining_reply
 
@@ -56,6 +57,7 @@ class TestSolve:
         code = main(["solve", "--question", "q", "--method", "io",
                      "--backend", f"scripted:{script}"])
         assert code == 1
+        assert EXIT_FOR_ERROR.keys() == set(ERROR_KINDS)
 
     def test_unknown_backend_selector(self, capsys):
         code = main(["solve", "--question", "q", "--backend", "bogus"])
@@ -160,6 +162,17 @@ class TestBench:
                      "--backend", "http"])
         assert code == 2
 
+    @pytest.mark.parametrize("flag", [["--sample", "0"], ["--sample", "-1"],
+                                      ["--sample", "1.5"], ["--parallelism", "0"]])
+    def test_out_of_range_flag_exit_code(self, flag, tmp_path, capsys):
+        script = tmp_path / "s.json"
+        solver_script(script, ["Answer: 7"])
+        code = main(["bench", "--dataset", str(self._dataset(tmp_path)), "--method", "io",
+                     "--backend", f"scripted:{script}", "--out", str(tmp_path / "out"), *flag])
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_malformed_dataset_exit_code(self, tmp_path, capsys):
         dataset = tmp_path / "d.jsonl"
         dataset.write_text("not json\n")
@@ -200,6 +213,15 @@ class TestBench:
         report = json.loads((second / "report.json").read_text())
         assert [r["id"] for r in report["rows"]] == ["p1"]
         assert report["rows"][0]["correct"]
+
+        malformed = tmp_path / "malformed.json"
+        for text in ("not json", "{}", '{"rows": [{"id": "p1"}]}', '{"rows": 3}'):
+            malformed.write_text(text)
+            assert main(["bench", "--dataset", str(dataset), "--method", "io",
+                         "--backend", f"scripted:{retry_script}",
+                         "--filter-wrong-from", str(malformed),
+                         "--out", str(tmp_path / "third")]) == 2
+            assert f"{malformed}: not a report.json" in capsys.readouterr().err
 
 
 class TestSweep:

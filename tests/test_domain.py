@@ -120,7 +120,7 @@ class TestConditionList:
 class TestConfigs:
     def test_sampling_defaults(self):
         params = SamplingParams()
-        assert (params.n, params.top_k, params.temperature) == (1, 1, 0.7)
+        assert (params.n, params.temperature) == (1, 0.7)
 
     def test_role_max_tokens_defaults(self):
         config = RunConfig()

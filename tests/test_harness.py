@@ -37,7 +37,6 @@ from macm.harness import (
     grade,
     load_game24_file,
     load_problems,
-    load_report,
     load_sorting_file,
     make_backend_factory,
     read_transcript,
@@ -270,11 +269,9 @@ class TestReportPersistence:
         assert (out / "report.json").exists()
         assert (out / "report.csv").exists()
         assert (out / "summary.md").exists()
-        reloaded = load_report(out / "report.json")
-        assert report_to_dict(reloaded) == report_to_dict(report)
-        assert reloaded.rows == report.rows
-        assert json.loads((out / "report.json").read_text())["rows"][0]["outcome"] \
-            == {"kind": "solved", "answer": "7"}
+        reloaded = json.loads((out / "report.json").read_text())
+        assert reloaded == report_to_dict(report)
+        assert reloaded["rows"][0]["outcome"] == {"kind": "solved", "answer": "7"}
 
     def test_aggregates_self_consistent(self, tmp_path):
         report = self._report(tmp_path)
@@ -504,8 +501,8 @@ class TestFilterWrong:
             "p0": {"solver": ["Answer: 7"]},
             "p1": {"solver": ["Answer: 8"]},
         }, counter)
-        report = run_benchmark(problems, MethodIO(), factory, tmp_path)
-        wrong = filter_wrong(problems, report)
+        write_report(run_benchmark(problems, MethodIO(), factory, tmp_path), tmp_path)
+        wrong = filter_wrong(problems, tmp_path / "report.json")
         assert [p.id for p in wrong] == ["p1"]
 
 
@@ -553,5 +550,37 @@ class TestRecordReplayBenchmark:
         assert not error.correct and error.queries == 0
         transcript = read_transcript(out / error.transcript_path)
         assert len(transcript.events) == 1 and transcript.is_final
+        assert [(r.outcome, r.correct, r.queries) for r in (replayed.rows[0], replayed.rows[2])] \
+            == [(r.outcome, r.correct, r.queries) for r in (recorded.rows[0], recorded.rows[2])]
+
+    @pytest.mark.parametrize("corrupt, line", [
+        (lambda lines: [lines[0], lines[1][:len(lines[1]) // 2]], 2),
+        (lambda lines: [json.dumps({k: v for k, v in json.loads(lines[0]).items()
+                                    if k != "request_messages"}), lines[1]], 1),
+    ], ids=["torn-last-line", "no-request-messages"])
+    def test_corrupt_cassette_becomes_error_row(self, tmp_path, corrupt, line):
+        problems = [Problem(id=f"p{i}", question=f"q{i}", gold_answer="0") for i in range(3)]
+        script_path = tmp_path / "script.json"
+        script_path.write_text(json.dumps({"roles": {"solver": ["Answer: 0", "Answer: 0"]}}))
+        method = MethodIO(SamplingParams(n=2))  # two requests: n choices, then a select
+        cassettes = tmp_path / "cassettes"
+        recorded = run_benchmark(
+            problems, method,
+            make_backend_factory(f"scripted:{script_path}", QueryCounter(), record_dir=cassettes),
+            tmp_path / "rec")
+        cassette = cassettes / "p1.jsonl"
+        lines = cassette.read_text().splitlines()
+        assert len(lines) == 2
+        cassette.write_text("\n".join(corrupt(lines)))
+
+        replayed = run_benchmark(problems, method,
+                                 make_backend_factory(f"replay:{cassettes}", QueryCounter()),
+                                 tmp_path / "rep")
+
+        assert [r.id for r in replayed.rows] == ["p0", "p1", "p2"]
+        error = replayed.rows[1]
+        assert error.outcome["error_kind"] == "BackendFailure"
+        assert error.outcome["detail"].startswith(f"cassette {cassette}, line {line}: ")
+        assert not error.correct and error.queries == 0
         assert [(r.outcome, r.correct, r.queries) for r in (replayed.rows[0], replayed.rows[2])] \
             == [(r.outcome, r.correct, r.queries) for r in (recorded.rows[0], recorded.rows[2])]

@@ -3,10 +3,19 @@ import dataclasses
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from macm.backend import ChatMessage, ChatRequest, ScriptedBackend, ScriptEntry, record, replay
+from macm.agents import MAX_CANDIDATES
+from macm.backend import (
+    ChatMessage,
+    ChatRequest,
+    RecordingBackend,
+    ReplayBackend,
+    ScriptedBackend,
+    ScriptEntry,
+)
 from macm.baselines import MethodIO
 from macm.demo import algebra_problem, algebra_trace_path
 from macm.domain import (
+    ERROR_KINDS,
     AgentCall,
     ConditionAccepted,
     ConditionDiscarded,
@@ -23,10 +32,13 @@ from macm.domain import (
     VerdictEvent,
 )
 from macm.errors import (
+    SOLVE_ERRORS,
     BackendFailure,
+    BudgetExceeded,
     CassetteExhausted,
     CassetteMismatch,
     CorruptTranscript,
+    ParseFailure,
     ScriptExhausted,
     ScriptMismatch,
 )
@@ -102,11 +114,11 @@ def failing_backend(error, role, tmp_path):
     if error is ScriptMismatch:
         return scripted(**{role: [ScriptEntry("x", expect_substring="absent")]})
     cassette = tmp_path / "cassette.jsonl"
-    recording = record(scripted(**{role: ["x"]}), cassette)
+    recording = RecordingBackend(scripted(**{role: ["x"]}), cassette)
     if error is CassetteMismatch:
         recording.complete(ChatRequest((ChatMessage("user", "another prompt"),),
                                        SamplingParams()), role)
-    return replay(cassette)
+    return ReplayBackend(cassette)
 
 
 class TestErrorPropagation:
@@ -140,6 +152,14 @@ class TestErrorPropagation:
                                failing_backend(error, "solver", tmp_path / "c"))
         assert isinstance(transcript.outcome, RunError)
         assert transcript.outcome.kind == "BackendFailure"
+
+    @pytest.mark.parametrize("error, kind", [
+        (ParseFailure, "ParseFailure"), (BackendFailure, "BackendFailure"),
+        (BudgetExceeded, "BudgetExceeded"), (CassetteMismatch, "BackendFailure"),
+        (OSError, "BackendFailure")], ids=lambda v: getattr(v, "__name__", v))
+    def test_run_error_of_names_the_error_kind(self, error, kind):
+        assert [cls.__name__ for cls in SOLVE_ERRORS] == list(ERROR_KINDS)
+        assert RunError.of(error("detail")) == RunError(kind, "detail")
 
     def test_query_budget(self, toy_problem):
         config = RunConfig(format_retries=0, query_budget=2)
@@ -224,7 +244,7 @@ class TestGateSoundnessFuzz:
                     assert text not in event.prompt
 
         # Call budget: extract + per round (mine + judgments + sufficiency) + plan + execute.
-        cap = fast_config.candidate_cap
+        cap = MAX_CANDIDATES
         budget = 1 + expected["rounds"] * (cap + 2) + 2
         assert transcript.query_count() <= budget
 
@@ -254,7 +274,7 @@ def two_round_script(counter=None):
 class TestResume:
     def _record_full_run(self, tmp_path, problem, config):
         cassette = tmp_path / "run.jsonl"
-        backend = record(two_round_script(), cassette)
+        backend = RecordingBackend(two_round_script(), cassette)
         outcome, transcript = solve(problem, config, backend)
         assert outcome == Solved("99")
         return cassette, transcript
@@ -268,7 +288,7 @@ class TestResume:
         calls_done = partial.query_count()
 
         outcome, resumed = resume_from_transcript(
-            partial, replay(cassette, skip_calls=calls_done), config=fast_config)
+            partial, ReplayBackend(cassette, skip_calls=calls_done), config=fast_config)
         assert outcome == full.outcome
         assert resumed.query_count() == full.query_count()
         assert accepted_mined(resumed) == accepted_mined(full)
@@ -281,7 +301,7 @@ class TestResume:
         partial = Transcript(full.run_id)
         partial.events = list(full.events[: cut + 1])
         outcome, resumed = resume_from_transcript(
-            partial, replay(cassette, skip_calls=partial.query_count()),
+            partial, ReplayBackend(cassette, skip_calls=partial.query_count()),
             config=fast_config)
         assert outcome == full.outcome
 
@@ -307,7 +327,7 @@ class TestResume:
             else:
                 backend, _ = random_script(run)
         cassette = tmp_path_factory.mktemp("resume") / "run.jsonl"
-        outcome, full = solve(problem, config, record(backend, cassette))
+        outcome, full = solve(problem, config, RecordingBackend(backend, cassette))
         cuts = [i + 1 for i in range(len(full.events) - 1)
                 if not isinstance(full.events[i], AgentCall)
                 and isinstance(full.events[i + 1], (AgentCall, Final))]
@@ -316,7 +336,7 @@ class TestResume:
             partial = Transcript(full.run_id)
             partial.events = full.events[:cut]
             resumed_outcome, resumed = resume_from_transcript(
-                partial, replay(cassette, skip_calls=partial.query_count()), config=config)
+                partial, ReplayBackend(cassette, skip_calls=partial.query_count()), config=config)
             assert resumed_outcome == outcome
             assert resumed.query_count() == full.query_count()
             assert without_timestamps(resumed.events) == without_timestamps(full.events)
