@@ -6,9 +6,7 @@ SC-CoT baselines, verifiable task graders, and a benchmark harness.
 """
 
 from .domain import (
-    Condition,
     ConditionList,
-    Objective,
     Outcome,
     Problem,
     RunConfig,
@@ -23,9 +21,7 @@ from .domain import (
 from .orchestrator import resume_from_transcript, solve
 
 __all__ = [
-    "Condition",
     "ConditionList",
-    "Objective",
     "Outcome",
     "Problem",
     "RunConfig",

@@ -31,24 +31,6 @@ JUDGE = "judge"
 EXECUTOR = "executor"
 
 
-@dataclass(frozen=True)
-class CandidateCondition:
-    text: str
-
-    def __post_init__(self):
-        if not self.text.strip():
-            raise ValueError("candidate text must be nonempty")
-
-
-@dataclass(frozen=True)
-class StepPlan:
-    steps: tuple[str, ...]
-
-    def __post_init__(self):
-        if not self.steps or any(not s.strip() for s in self.steps):
-            raise ValueError("plan needs at least one nonempty step")
-
-
 # ---------------------------------------------------------------------------
 # Reply parsers
 # ---------------------------------------------------------------------------
@@ -71,13 +53,13 @@ _MINE_LINE = re.compile(r"based on\s+(.*?)[,，]?\s*we can get\s*[::]\s*(.*)", r
 MAX_CANDIDATES = 8
 
 
-def parse_candidates(reply: str) -> list[CandidateCondition]:
+def parse_candidates(reply: str) -> list[str]:
     """Extract every "Based on ..., we can get: ..." clause, in line order.
 
     The candidate text is the segment after the colon that closes the
     "we can get" clause. At most ``MAX_CANDIDATES`` candidates are returned.
     """
-    candidates: list[CandidateCondition] = []
+    candidates: list[str] = []
     for line in reply.splitlines():
         match = _MINE_LINE.search(line)
         if not match:
@@ -85,7 +67,7 @@ def parse_candidates(reply: str) -> list[CandidateCondition]:
         text = match.group(2).strip()
         if not normalize_condition_text(text):
             continue
-        candidates.append(CandidateCondition(text))
+        candidates.append(text)
         if len(candidates) >= MAX_CANDIDATES:
             break
     if not candidates:
@@ -130,16 +112,16 @@ def parse_extraction(reply: str) -> tuple[list[str], str]:
 _STEP_LINE = re.compile(r"^\s*(?:\d+\s*[.)::]|[-*•])\s*(.+)$")
 
 
-def parse_steps(reply: str) -> StepPlan:
+def parse_steps(reply: str) -> tuple[str, ...]:
     """Parse numbered or bulleted lines into an ordered plan; an unstructured
     nonempty reply becomes a single step."""
     steps = [m.group(1).strip() for m in map(_STEP_LINE.match, reply.splitlines()) if m]
     steps = [s for s in steps if s]
     if steps:
-        return StepPlan(tuple(steps))
+        return tuple(steps)
     whole = reply.strip()
     if whole:
-        return StepPlan((whole,))
+        return (whole,)
     raise ParseFailure("empty step-design reply")
 
 
@@ -235,45 +217,40 @@ class AgentClient:
         prompt = self.prompts.extract.format(question=problem.question)
         return self._call_parsed(THINKER, prompt, parse_extraction)
 
-    def thinker_mine(self, known: ConditionList) -> list[CandidateCondition]:
+    def thinker_mine(self, known: ConditionList) -> list[str]:
         """Propose new conditions derived from the current known conditions."""
-        if not known.accepted():
+        if not known.texts:
             raise ValueError("mining requires at least one accepted condition")
         prompt = self.prompts.mine.format(
-            conditions=render_conditions(known.accepted_texts()),
-            objective=known.objective.text)
+            conditions=render_conditions(known.texts), objective=known.objective)
         return self._call_parsed(THINKER, prompt, parse_candidates)
 
-    def thinker_design_steps(self, known: ConditionList) -> StepPlan:
+    def thinker_design_steps(self, known: ConditionList) -> tuple[str, ...]:
         """Design ordered solution steps from the accepted conditions."""
         prompt = self.prompts.design_steps.format(
-            conditions=render_conditions(known.accepted_texts()),
-            objective=known.objective.text)
+            conditions=render_conditions(known.texts), objective=known.objective)
         return self._call_parsed(THINKER, prompt, parse_steps)
 
     # -- Judge --------------------------------------------------------------
 
-    def judge_condition(self, candidate: CandidateCondition, known: ConditionList) -> Verdict:
+    def judge_condition(self, candidate: str, known: ConditionList) -> Verdict:
         """Gate one candidate: the Judge sees the accepted conditions and the
         bare candidate text, in a fresh conversation."""
         prompt = self.prompts.judge_condition.format(
-            conditions=render_conditions(known.accepted_texts()),
-            candidate=candidate.text)
+            conditions=render_conditions(known.texts), candidate=candidate)
         return self._call_parsed(JUDGE, prompt, parse_verdict)
 
     def judge_sufficiency(self, known: ConditionList) -> Verdict:
         """Ask whether the accepted conditions suffice to reach the objective."""
         prompt = self.prompts.sufficiency.format(
-            objective=known.objective.text,
-            conditions=render_conditions(known.accepted_texts()))
+            objective=known.objective, conditions=render_conditions(known.texts))
         return self._call_parsed(JUDGE, prompt, parse_verdict)
 
     # -- Executor -------------------------------------------------------------
 
-    def executor_compute(self, known: ConditionList, plan: StepPlan) -> str:
-        """Carry out the plan and return the final-answer string."""
+    def executor_compute(self, known: ConditionList, steps: tuple[str, ...]) -> str:
+        """Carry out the plan's steps and return the final-answer string."""
         prompt = self.prompts.execute.format(
-            conditions=render_conditions(known.accepted_texts()),
-            objective=known.objective.text,
-            steps="\n".join(f"{i}. {s}" for i, s in enumerate(plan.steps, start=1)))
+            conditions=render_conditions(known.texts), objective=known.objective,
+            steps="\n".join(f"{i}. {s}" for i, s in enumerate(steps, start=1)))
         return self._call_parsed(EXECUTOR, prompt, extract_answer)

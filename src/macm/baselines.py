@@ -69,11 +69,6 @@ class MethodMACM:
 Method = MethodIO | MethodCoT | MethodSCCoT | MethodMACM
 
 
-def _request(backend, messages: list[ChatMessage], sampling: SamplingParams,
-             transcript: Transcript):
-    return logged_request(backend, SOLVER, ChatRequest(tuple(messages), sampling), transcript)
-
-
 def solve_io(problem: Problem, sampling: SamplingParams, backend,
              transcript: Transcript) -> str:
     """Direct question-answer prompting.
@@ -82,14 +77,15 @@ def solve_io(problem: Problem, sampling: SamplingParams, backend,
     selects the best one.
     """
     prompt = IO_PROMPT.format(question=problem.question)
-    response = _request(backend, [ChatMessage(ROLE_USER, prompt)], sampling, transcript)
+    response = logged_request(backend, SOLVER, ChatRequest(
+        (ChatMessage(ROLE_USER, prompt),), sampling), transcript)
     if sampling.n == 1:
         return extract_answer(response.text)
     listing = "\n".join(f"{i}. {extract_answer(c)}"
                         for i, c in enumerate(response.choices, start=1))
     select_prompt = SELECT_PROMPT.format(n=len(response.choices), answers=listing)
-    selected = _request(backend, [ChatMessage(ROLE_USER, select_prompt)],
-                        replace(sampling, n=1), transcript)
+    selected = logged_request(backend, SOLVER, ChatRequest(
+        (ChatMessage(ROLE_USER, select_prompt),), replace(sampling, n=1)), transcript)
     return extract_answer(selected.text)
 
 
@@ -99,13 +95,13 @@ def solve_cot(problem: Problem, l: int, sampling: SamplingParams, backend,
     stopping early when the reply carries the Answer marker."""
     if l < 1:
         raise ValueError("chain length must be >= 1")
-    messages = [ChatMessage(ROLE_USER, COT_START.format(question=problem.question))]
+    messages = (ChatMessage(ROLE_USER, COT_START.format(question=problem.question)),)
     for _ in range(l):
-        response = _request(backend, messages, sampling, transcript)
+        response = logged_request(backend, SOLVER, ChatRequest(messages, sampling), transcript)
         if _ANSWER_MARKER.search(response.text):
             return extract_answer(response.text)
-        messages = messages + [ChatMessage(ROLE_ASSISTANT, response.text),
-                               ChatMessage(ROLE_USER, COT_CONTINUE)]
+        messages = messages + (ChatMessage(ROLE_ASSISTANT, response.text),
+                               ChatMessage(ROLE_USER, COT_CONTINUE))
     raise ParseFailure(f"no Answer marker within {l} chain links")
 
 
@@ -118,8 +114,8 @@ def solve_sc_cot(problem: Problem, l: int, v: int, sampling: SamplingParams, bac
     finals = [solve_cot(problem, l, sampling, backend, transcript) for _ in range(v)]
     listing = "\n".join(f"{i}. {a}" for i, a in enumerate(finals, start=1))
     vote_prompt = VOTE_PROMPT.format(v=v, answers=listing)
-    response = _request(backend, [ChatMessage(ROLE_USER, vote_prompt)],
-                        replace(sampling, n=1), transcript)
+    response = logged_request(backend, SOLVER, ChatRequest(
+        (ChatMessage(ROLE_USER, vote_prompt),), replace(sampling, n=1)), transcript)
     voted = response.text.strip()
     for answer in finals:
         if voted == answer.strip():

@@ -8,7 +8,6 @@ import sys
 from pathlib import Path
 
 from . import harness
-from .backend import QueryCounter
 from .baselines import MethodCoT, MethodIO, MethodMACM, MethodSCCoT
 from .domain import (
     Problem,
@@ -127,7 +126,7 @@ def _load_dataset(args) -> list[Problem]:
 
 
 def cmd_solve(args) -> int:
-    factory = harness.make_backend_factory(args.backend, QueryCounter(), record_dir=args.record)
+    factory = harness.make_backend_factory(args.backend, record_dir=args.record)
     if args.question:
         problem = Problem(id="cli", question=args.question)
     else:
@@ -136,7 +135,7 @@ def cmd_solve(args) -> int:
             raise EmptyDataset(f"no problems in {args.problem_file}")
         problem = problems[0]
 
-    transcript = harness.solve_one(problem, _method(args), factory(problem.id))
+    transcript = harness.solve_one(problem, _method(args), factory)
     outcome = transcript.outcome
     print(json.dumps({"outcome": outcome_to_dict(outcome),
                       "queries": transcript.query_count(),
@@ -151,8 +150,7 @@ def cmd_solve(args) -> int:
 
 def cmd_bench(args) -> int:
     problems = _load_dataset(args)
-    counter = QueryCounter()
-    factory = harness.make_backend_factory(args.backend, counter, record_dir=args.record)
+    factory = harness.make_backend_factory(args.backend, record_dir=args.record)
     out_dir = Path(args.out or "bench_out")
     report = harness.run_benchmark(
         problems, _method(args), factory, out_dir, task=args.task,
@@ -171,8 +169,7 @@ def cmd_sweep(args) -> int:
     if grid_text.startswith("@"):
         grid_text = Path(grid_text[1:]).read_text(encoding="utf-8")
     grid = json.loads(grid_text)
-    counter = QueryCounter()
-    factory = harness.make_backend_factory(args.backend, counter, record_dir=args.record)
+    factory = harness.make_backend_factory(args.backend, record_dir=args.record)
     out_dir = Path(args.out or "sweep_out")
     points = harness.sweep_queries(problems, _method(args), grid, factory, out_dir,
                                    task=args.task)

@@ -39,70 +39,34 @@ class Problem:
             raise ValueError(f"level must be 1..5, got {self.level}")
 
 
-@dataclass(frozen=True)
-class Objective:
-    text: str
-
-    def __post_init__(self):
-        if not self.text.strip():
-            raise ValueError("objective must be nonempty")
-
-
-@dataclass(frozen=True)
-class Condition:
-    """One statement in the mining ledger.
-
-    ``mined_round`` is None for conditions extracted from the original
-    problem statement, otherwise the 1-based round it was mined in.
-    """
-
-    text: str
-    mined_round: int | None = None
-    accepted: bool = True
-
-    def __post_init__(self):
-        if not self.text.strip():
-            raise ValueError("condition text must be nonempty")
-        if self.mined_round is None and not self.accepted:
-            raise ValueError("initial conditions are always accepted")
-        if self.mined_round is not None and self.mined_round < 1:
-            raise ValueError("mined_round must be positive")
-
-
 class ConditionList:
-    """The evolving problem state: an append-only ledger of conditions plus
-    the fixed objective.
+    """The evolving problem state: the fixed objective and the accepted
+    conditions, in the order they were accepted.
 
-    Accepted conditions are never edited or removed, and no two accepted
-    conditions share the same normalized text.
+    Accepted conditions are never edited or removed, and no two share the
+    same normalized text. Rejected candidates are recorded only in the
+    transcript's ConditionDiscarded events.
     """
 
-    def __init__(self, objective: Objective, conditions: list[Condition] | None = None):
+    def __init__(self, objective: str, texts=()):
         self.objective = objective
-        self.conditions: list[Condition] = []
-        self._accepted_keys: set[str] = set()
-        for cond in conditions or []:
-            self.add(cond)
+        self.texts: list[str] = []
+        self._keys: set[str] = set()
+        for text in texts:
+            self.add(text)
 
-    def add(self, condition: Condition) -> bool:
-        """Append a condition. Returns False (and drops it) if an accepted
+    def add(self, text: str) -> bool:
+        """Accept a condition. Returns False (and drops it) if an accepted
         condition with the same normalized text already exists."""
-        key = normalize_condition_text(condition.text)
-        if condition.accepted:
-            if key in self._accepted_keys:
-                return False
-            self._accepted_keys.add(key)
-        self.conditions.append(condition)
+        key = normalize_condition_text(text)
+        if key in self._keys:
+            return False
+        self._keys.add(key)
+        self.texts.append(text)
         return True
 
     def is_duplicate(self, text: str) -> bool:
-        return normalize_condition_text(text) in self._accepted_keys
-
-    def accepted(self) -> list[Condition]:
-        return [c for c in self.conditions if c.accepted]
-
-    def accepted_texts(self) -> list[str]:
-        return [c.text for c in self.accepted()]
+        return normalize_condition_text(text) in self._keys
 
 
 @dataclass(frozen=True)
@@ -205,6 +169,19 @@ def outcome_from_dict(data: dict) -> Outcome:
 # Transcript events
 # ---------------------------------------------------------------------------
 
+# The checks below are what a resumed run relies on: a transcript line that
+# breaks one fails in read_transcript as a CorruptTranscript.
+
+def _check_text(text, what: str) -> None:
+    if not isinstance(text, str) or not text.strip():
+        raise ValueError(f"{what} must be nonempty text, got {text!r}")
+
+
+def _check_round(value) -> None:
+    if value is None or value < 1:
+        raise ValueError(f"round must be positive, got {value!r}")
+
+
 @dataclass(frozen=True)
 class AgentCall:
     role: str
@@ -221,6 +198,9 @@ class ConditionProposed:
     text: str
     round: int
 
+    def __post_init__(self):
+        _check_text(self.text, "a proposed condition")
+
 
 @dataclass(frozen=True)
 class VerdictEvent:
@@ -232,17 +212,29 @@ class VerdictEvent:
 class ObjectiveSet:
     text: str
 
+    def __post_init__(self):
+        _check_text(self.text, "the objective")
+
 
 @dataclass(frozen=True)
 class ConditionAccepted:
     text: str
     round: int | None = None  # None for a condition of the problem statement
 
+    def __post_init__(self):
+        _check_text(self.text, "an accepted condition")
+        if self.round is not None:
+            _check_round(self.round)
+
 
 @dataclass(frozen=True)
 class ConditionDiscarded:
     text: str
     round: int
+
+    def __post_init__(self):
+        _check_text(self.text, "a discarded condition")
+        _check_round(self.round)
 
 
 @dataclass(frozen=True)
@@ -254,6 +246,12 @@ class DuplicateDropped:
 @dataclass(frozen=True)
 class PlanDesigned:
     steps: tuple[str, ...]
+
+    def __post_init__(self):
+        if not self.steps:
+            raise ValueError("a plan needs at least one step")
+        for step in self.steps:
+            _check_text(step, "a plan step")
 
 
 @dataclass(frozen=True)

@@ -334,9 +334,16 @@ def compute_aggregates(rows: list[ReportRow]) -> dict:
 _METHOD_LABELS = {MethodIO: "io", MethodCoT: "cot", MethodSCCoT: "sc-cot", MethodMACM: "macm"}
 
 
-def solve_one(problem: Problem, method: Method, backend) -> Transcript:
-    """Run one problem with the chosen method; always returns a finalized
-    transcript."""
+def solve_one(problem: Problem, method: Method, backend_factory) -> Transcript:
+    """Run one problem with the chosen method on ``backend_factory(problem.id)``;
+    always returns a finalized transcript. A backend that cannot be built
+    (say, a missing cassette) ends the run as a BackendFailure."""
+    try:
+        backend = backend_factory(problem.id)
+    except (OSError, BackendFailure) as exc:
+        transcript = Transcript(run_id=problem.id)
+        transcript.append(Final(RunError.of(exc)))
+        return transcript
     if isinstance(method, MethodMACM):
         _, transcript = orchestrator.solve(problem, method.config, backend,
                                            prompts=method.prompts, run_id=problem.id)
@@ -380,13 +387,7 @@ def run_benchmark(problems: list[Problem], method: Method, backend_factory,
 
     def run_one(problem: Problem) -> ReportRow:
         start = time.monotonic()
-        try:
-            backend = backend_factory(problem.id)
-        except (OSError, BackendFailure) as exc:
-            transcript = Transcript(run_id=problem.id)
-            transcript.append(Final(RunError.of(exc)))
-        else:
-            transcript = solve_one(problem, method, backend)
+        transcript = solve_one(problem, method, backend_factory)
         wall_ms = int((time.monotonic() - start) * 1000)
         outcome = transcript.outcome
         correct = False
@@ -606,7 +607,7 @@ class BackendFactory:
         return backend
 
 
-def make_backend_factory(selector: str, counter: QueryCounter,
+def make_backend_factory(selector: str, counter: QueryCounter | None = None,
                          record_dir: str | Path | None = None) -> BackendFactory:
     """Build a per-problem backend factory from a CLI selector:
     "http", "scripted:<file>", or "replay:<dir-or-file>". With ``record_dir``

@@ -12,9 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .agents import AgentClient, CandidateCondition, StepPlan
+from .agents import AgentClient
 from .domain import (
-    Condition,
     ConditionAccepted,
     ConditionDiscarded,
     ConditionList,
@@ -22,7 +21,6 @@ from .domain import (
     DuplicateDropped,
     Event,
     Final,
-    Objective,
     ObjectiveSet,
     Outcome,
     PlanDesigned,
@@ -49,25 +47,24 @@ class RunState:
     round: int = 1
     pending: list[str] | None = None
     sufficient: bool = False
-    plan: StepPlan | None = None
+    plan: tuple[str, ...] | None = None
 
     def apply(self, event: Event) -> None:
         kind = type(event)
         if kind is ConditionProposed:
             self.pending = (self.pending or []) + [event.text]
-        elif kind is ConditionAccepted or kind is ConditionDiscarded:
-            self.known.add(Condition(event.text, event.round,
-                                     accepted=kind is ConditionAccepted))
+        elif kind is ConditionAccepted:
+            self.known.add(event.text)
             if event.round is not None:
                 del self.pending[0]
-        elif kind is DuplicateDropped:
+        elif kind is ConditionDiscarded or kind is DuplicateDropped:
             del self.pending[0]
         elif kind is SufficiencyVerdict:
             self.round, self.pending, self.sufficient = event.round + 1, None, event.value
         elif kind is ObjectiveSet:
-            self.known = ConditionList(Objective(event.text))
+            self.known = ConditionList(event.text)
         elif kind is PlanDesigned:
-            self.plan = StepPlan(event.steps)
+            self.plan = event.steps
 
 
 def solve(problem: Problem, config: RunConfig, backend,
@@ -117,14 +114,14 @@ def resume_from_transcript(transcript: Transcript, backend, *,
                     log(ConditionAccepted(text))
         while not state.sufficient and state.round <= config.max_iterations:
             if state.pending is None:
-                for cand in client.thinker_mine(state.known):
-                    log(ConditionProposed(cand.text, state.round))
+                for text in client.thinker_mine(state.known):
+                    log(ConditionProposed(text, state.round))
             while state.pending:
                 text = state.pending[0]
                 if state.known.is_duplicate(text):
                     log(DuplicateDropped(text, state.round))
                     continue
-                verdict = client.judge_condition(CandidateCondition(text), state.known)
+                verdict = client.judge_condition(text, state.known)
                 log(VerdictEvent(f"condition: {text}", verdict.value))
                 log((ConditionAccepted if verdict.value else ConditionDiscarded)(
                     text, state.round))
@@ -132,7 +129,7 @@ def resume_from_transcript(transcript: Transcript, backend, *,
         outcome = Unsolvable(config.max_iterations)
         if state.sufficient:
             if state.plan is None:
-                log(PlanDesigned(client.thinker_design_steps(state.known).steps))
+                log(PlanDesigned(client.thinker_design_steps(state.known)))
             outcome = Solved(client.executor_compute(state.known, state.plan))
     except SOLVE_ERRORS as exc:
         outcome = RunError.of(exc)

@@ -261,9 +261,9 @@ def test_parser_contracts(capfd):
 
         line_a = "Based on known condition 2, we can get: f(9) = f(3) + 2"
         line_b = "Based on known condition 1, we can get: Both primes are odd"
-        assert [c.text for c in parse_candidates(line_a)] == ["f(9) = f(3) + 2"]
-        assert [c.text for c in parse_candidates(line_b)] == ["Both primes are odd"]
-        assert [c.text for c in parse_candidates(line_a + "\n" + line_b)] == \
+        assert parse_candidates(line_a) == ["f(9) = f(3) + 2"]
+        assert parse_candidates(line_b) == ["Both primes are odd"]
+        assert parse_candidates(line_a + "\n" + line_b) == \
             ["f(9) = f(3) + 2", "Both primes are odd"]
 
         assert extract_answer("Computing... Answer: -102") == "-102"

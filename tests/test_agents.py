@@ -6,15 +6,13 @@ from hypothesis import given, strategies as st
 from macm.agents import (
     AgentClient,
     MAX_CANDIDATES,
-    CandidateCondition,
-    StepPlan,
     extract_answer,
     parse_candidates,
     parse_extraction,
     parse_steps,
     parse_verdict,
 )
-from macm.domain import Condition, ConditionList, Objective, RunConfig, Transcript, Verdict
+from macm.domain import ConditionList, RunConfig, Transcript, Verdict
 from macm.errors import ParseFailure
 from macm.prompts import EXECUTOR_SYSTEM, JUDGE_SYSTEM, THINKER_SYSTEM, PromptCatalog
 
@@ -51,17 +49,17 @@ class TestParseVerdict:
 class TestParseCandidates:
     def test_single_clause(self):
         got = parse_candidates("Based on known condition 2, we can get: f(9) = f(3) + 2")
-        assert [c.text for c in got] == ["f(9) = f(3) + 2"]
+        assert got == ["f(9) = f(3) + 2"]
 
     def test_prime_clause(self):
         got = parse_candidates("Based on known condition 1, we can get: Both primes are odd")
-        assert [c.text for c in got] == ["Both primes are odd"]
+        assert got == ["Both primes are odd"]
 
     def test_two_clauses_in_line_order(self):
         reply = ("Based on known condition 2, we can get: f(9) = f(3) + 2\n"
                  "Based on known condition 1, we can get: Both primes are odd")
         got = parse_candidates(reply)
-        assert [c.text for c in got] == ["f(9) = f(3) + 2", "Both primes are odd"]
+        assert got == ["f(9) = f(3) + 2", "Both primes are odd"]
 
     def test_cap(self):
         reply = "\n".join(f"Based on condition 1, we can get: c{i}" for i in range(12))
@@ -74,7 +72,7 @@ class TestParseCandidates:
     def test_empty_candidate_skipped(self):
         reply = ("Based on condition 1, we can get:   \n"
                  "Based on condition 1, we can get: real content")
-        assert [c.text for c in parse_candidates(reply)] == ["real content"]
+        assert parse_candidates(reply) == ["real content"]
 
     @given(st.text())
     def test_never_returns_empty_text(self, reply):
@@ -83,7 +81,7 @@ class TestParseCandidates:
         except ParseFailure:
             return
         from macm.domain import normalize_condition_text
-        assert all(normalize_condition_text(c.text) for c in candidates)
+        assert all(normalize_condition_text(c) for c in candidates)
 
 
 class TestParseExtraction:
@@ -110,16 +108,16 @@ class TestParseExtraction:
 
 class TestParseSteps:
     def test_numbered_list(self):
-        plan = parse_steps("1. Solve for alpha1.\n2. Solve for alpha2.\n3. Sum them.")
-        assert plan.steps == ("Solve for alpha1.", "Solve for alpha2.", "Sum them.")
+        steps = parse_steps("1. Solve for alpha1.\n2. Solve for alpha2.\n3. Sum them.")
+        assert steps == ("Solve for alpha1.", "Solve for alpha2.", "Sum them.")
 
     def test_bullets(self):
-        plan = parse_steps("- first\n- second")
-        assert plan.steps == ("first", "second")
+        steps = parse_steps("- first\n- second")
+        assert steps == ("first", "second")
 
     def test_paragraph_fallback_is_one_step(self):
-        plan = parse_steps("Just compute the thing directly using the formula.")
-        assert len(plan.steps) == 1
+        steps = parse_steps("Just compute the thing directly using the formula.")
+        assert len(steps) == 1
 
     def test_empty_raises(self):
         with pytest.raises(ParseFailure):
@@ -150,7 +148,7 @@ def make_client(backend, config=None):
 
 
 def known_with(texts, objective="the goal"):
-    return ConditionList(Objective(objective), [Condition(t) for t in texts])
+    return ConditionList(objective, texts)
 
 
 class TestAgentOps:
@@ -198,13 +196,12 @@ class TestAgentOps:
     def test_mine_requires_accepted_condition(self):
         client = make_client(scripted(thinker=["x"]))
         with pytest.raises(ValueError):
-            client.thinker_mine(ConditionList(Objective("goal")))
+            client.thinker_mine(ConditionList("goal"))
 
     def test_judge_condition_fresh_conversation_with_bare_text(self):
         client = make_client(scripted(judge=["True"]))
         known = known_with(["a = 1", "b = 2"])
-        verdict = client.judge_condition(
-            CandidateCondition("c = 3"), known)
+        verdict = client.judge_condition("c = 3", known)
         assert verdict.value
         prompt = client.transcript.agent_calls()[0].prompt
         assert "c = 3" in prompt
@@ -223,8 +220,7 @@ class TestAgentOps:
     def test_executor_answer_extraction(self):
         client = make_client(scripted(executor=["work...\nAnswer: -102"]))
         known = known_with(["a"])
-        plan = StepPlan(("do it",))
-        assert client.executor_compute(known, plan) == "-102"
+        assert client.executor_compute(known, ("do it",)) == "-102"
 
 
 class TestPromptDiscipline:
@@ -240,8 +236,8 @@ class TestPromptDiscipline:
         cands = client.thinker_mine(known)
         client.judge_condition(cands[0], known)
         client.judge_sufficiency(known)
-        plan = client.thinker_design_steps(known)
-        client.executor_compute(known, plan)
+        steps = client.thinker_design_steps(known)
+        client.executor_compute(known, steps)
 
         systems = {"thinker": THINKER_SYSTEM, "judge": JUDGE_SYSTEM,
                    "executor": EXECUTOR_SYSTEM}
@@ -267,7 +263,7 @@ class TestPromptDiscipline:
         client = make_client(backend)
         known = known_with(*client.thinker_extract(toy_problem))
         client.judge_sufficiency(known)
-        client.executor_compute(known, StepPlan(("s",)))
+        client.executor_compute(known, ("s",))
 
         by_role = dict(captured)
         assert by_role["thinker"].max_tokens == 512

@@ -4,7 +4,8 @@ import pytest
 
 from macm.cli import EXIT_FOR_ERROR, main
 from macm.demo import ALGEBRA_QUESTION, algebra_trace_path
-from macm.domain import ERROR_KINDS
+from macm.domain import ERROR_KINDS, RunError
+from macm.harness import read_transcript
 
 from conftest import extraction_reply, mining_reply
 
@@ -58,6 +59,25 @@ class TestSolve:
                      "--backend", f"scripted:{script}"])
         assert code == 1
         assert EXIT_FOR_ERROR.keys() == set(ERROR_KINDS)
+
+    @pytest.mark.parametrize("cassettes", ["missing-dir", "torn-line"])
+    def test_unbuildable_backend_is_an_error_outcome(self, cassettes, tmp_path, capsys):
+        target = tmp_path / "cassettes"
+        if cassettes == "torn-line":
+            target.mkdir()
+            (target / "cli.jsonl").write_text('{"seq": 0, "role": "thin')
+        out = tmp_path / "out"
+        code = main(["solve", "--question", "q", "--backend", f"replay:{target}",
+                     "--out", str(out)])
+        assert code == 3
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["outcome"]["kind"] == "error"
+        assert payload["outcome"]["error_kind"] == "BackendFailure"
+        assert payload["queries"] == 0
+        outcome = read_transcript(out / "cli.jsonl").outcome
+        assert isinstance(outcome, RunError) and outcome.kind == "BackendFailure"
+        if cassettes == "torn-line":
+            assert f"cassette {target / 'cli.jsonl'}, line 1" in outcome.detail
 
     def test_unknown_backend_selector(self, capsys):
         code = main(["solve", "--question", "q", "--backend", "bogus"])
@@ -194,6 +214,40 @@ class TestBench:
         rec = (tmp_path / "rec" / "report.csv").read_bytes()
         rep = (tmp_path / "rep" / "report.csv").read_bytes()
         assert rec == rep
+
+    def test_count_choices(self, tmp_path, capsys):
+        # I-O with n = 3: one request for three choices, then one select request.
+        dataset = tmp_path / "d.jsonl"
+        write_jsonl(dataset, [{"id": "p0", "question": "q", "answer": "7"}])
+        script = tmp_path / "s.json"
+        solver_script(script, ["Answer: 7", "Answer: 7"])
+        for flags, queries in (([], 2), (["--count-choices"], 4)):
+            out = tmp_path / f"out{queries}"
+            assert main(["bench", "--dataset", str(dataset), "--method", "io", "--n", "3",
+                         "--backend", f"scripted:{script}", "--out", str(out), *flags]) == 0
+            rows = json.loads((out / "report.json").read_text())["rows"]
+            assert [r["queries"] for r in rows] == [queries]
+
+    def test_empty_selection_is_an_empty_report(self, tmp_path, capsys):
+        # No incorrect rows to retry: bench succeeds with an empty report,
+        # while sweep refuses the empty selection.
+        dataset = self._dataset(tmp_path)
+        script = tmp_path / "s.json"
+        solver_script(script, ["Answer: 7"])
+        all_correct = tmp_path / "all_correct.json"
+        all_correct.write_text(json.dumps({"rows": [{"id": "p0", "correct": True},
+                                                    {"id": "p1", "correct": True}]}))
+        selection = ["--dataset", str(dataset), "--method", "io",
+                     "--backend", f"scripted:{script}", "--filter-wrong-from", str(all_correct)]
+        out = tmp_path / "out"
+        assert main(["bench", *selection, "--out", str(out)]) == 0
+        assert "accuracy 0.00% (0/0)" in capsys.readouterr().out
+        assert (out / "report.csv").read_text().splitlines() == [
+            "id,method,outcome_kind,correct,queries,transcript_path,category,refusal,"
+            "needs_review"]
+        assert main(["sweep", *selection, "--grid", '{"n": [1]}',
+                     "--out", str(tmp_path / "sweep")]) == 2
+        assert "sweep requires at least one problem" in capsys.readouterr().err
 
     def test_filter_wrong_from(self, tmp_path, capsys):
         dataset = self._dataset(tmp_path)

@@ -7,18 +7,23 @@ from hypothesis import given, strategies as st
 
 from macm.domain import (
     AgentCall,
-    Condition,
+    ConditionAccepted,
+    ConditionDiscarded,
     ConditionList,
+    ConditionProposed,
     Final,
-    Objective,
+    ObjectiveSet,
+    PlanDesigned,
     Problem,
     RunConfig,
     SamplingParams,
     Solved,
+    SufficiencyVerdict,
     Transcript,
     Unsolvable,
     normalize_condition_text,
 )
+from macm.orchestrator import RunState
 
 
 class TestNormalizeConditionText:
@@ -70,49 +75,69 @@ class TestNormalizeMatchesRegexOracle:
 
 
 class TestConditionInvariants:
+    """The checks a transcript's condition events make on their fields."""
+
     def test_initial_cannot_be_discarded(self):
         with pytest.raises(ValueError):
-            Condition("x", mined_round=None, accepted=False)
+            ConditionDiscarded("x", None)
 
     def test_empty_text_rejected(self):
+        for make in (ObjectiveSet, lambda t: ConditionProposed(t, 1), ConditionAccepted,
+                     lambda t: ConditionDiscarded(t, 1), lambda t: PlanDesigned(("a", t))):
+            for text in ("", "   ", "\n\t"):
+                with pytest.raises(ValueError):
+                    make(text)
         with pytest.raises(ValueError):
-            Condition("   ")
+            PlanDesigned(())
 
     def test_round_must_be_positive(self):
-        with pytest.raises(ValueError):
-            Condition("x", mined_round=0)
+        for make in (ConditionAccepted, ConditionDiscarded):
+            for bad in (0, -1):
+                with pytest.raises(ValueError):
+                    make("x", bad)
+
+
+def fold(*events) -> RunState:
+    state = RunState()
+    for event in events:
+        state.apply(event)
+    return state
 
 
 class TestConditionList:
     def test_dedup_by_normalized_text(self):
-        known = ConditionList(Objective("goal"), [Condition("a  =  b")])
-        assert not known.add(Condition("a = b", mined_round=1))
-        assert len(known.accepted()) == 1
+        known = ConditionList("goal", ["a  =  b"])
+        assert not known.add("a = b")
+        assert known.texts == ["a  =  b"]
 
     def test_insertion_order_preserved(self):
-        known = ConditionList(Objective("goal"))
+        known = ConditionList("goal")
         for text in ["c1", "c2", "c3"]:
-            known.add(Condition(text))
-        assert known.accepted_texts() == ["c1", "c2", "c3"]
+            known.add(text)
+        assert known.texts == ["c1", "c2", "c3"]
 
     def test_discarded_not_in_accepted(self):
-        known = ConditionList(Objective("goal"), [Condition("keep")])
-        known.add(Condition("drop", mined_round=1, accepted=False))
-        assert known.accepted_texts() == ["keep"]
+        state = fold(ObjectiveSet("goal"), ConditionAccepted("keep"),
+                     ConditionProposed("drop", 1), ConditionDiscarded("drop", 1))
+        assert state.known.texts == ["keep"]
+        assert state.pending == []
 
     def test_discarded_text_can_be_reaccepted(self):
-        known = ConditionList(Objective("goal"))
-        known.add(Condition("x = 1", mined_round=1, accepted=False))
-        assert not known.is_duplicate("x = 1")
-        assert known.add(Condition("x = 1", mined_round=2))
+        state = fold(ObjectiveSet("goal"), ConditionAccepted("y = 2"),
+                     ConditionProposed("x = 1", 1), ConditionDiscarded("x = 1", 1),
+                     SufficiencyVerdict(1, False))
+        assert not state.known.is_duplicate("x = 1")
+        state.apply(ConditionProposed("x = 1", 2))
+        state.apply(ConditionAccepted("x = 1", 2))
+        assert state.known.texts == ["y = 2", "x = 1"]
 
     @given(st.lists(st.text(min_size=1).filter(lambda s: s.strip()), max_size=20))
     def test_accepted_set_is_monotone(self, texts):
-        known = ConditionList(Objective("goal"))
+        known = ConditionList("goal")
         snapshots = []
-        for i, text in enumerate(texts):
-            known.add(Condition(text, mined_round=i + 1))
-            snapshots.append(list(known.accepted_texts()))
+        for text in texts:
+            known.add(text)
+            snapshots.append(list(known.texts))
         for earlier, later in zip(snapshots, snapshots[1:]):
             assert later[: len(earlier)] == earlier
 

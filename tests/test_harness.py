@@ -405,9 +405,23 @@ class TestGoldenTranscriptFormat:
          3, TypeError),
         (lambda data: re.sub(rb'"steps": \[[^]]*\]', b'"steps": {"x": 1}', data), 25,
          TypeError),
+        (lambda data: re.sub(rb'("objective": )"[^"]*"', rb'\1" "', data, count=1), 3,
+         ValueError),
+        (lambda data: re.sub(rb'("condition_proposed", "text": )"[^"]*"', rb'\1""', data,
+                             count=1), 7, ValueError),
+        (lambda data: re.sub(rb'("condition accepted", "data": {"text": )"[^"]*"', rb'\1""',
+                             data, count=1), 4, ValueError),
+        (lambda data: re.sub(rb'("condition discarded", "data": {"text": )"[^"]*"', rb'\1" "',
+                             data, count=1), 10, ValueError),
+        (lambda data: re.sub(rb'("condition accepted", "data": {"text": "[^"]*", "round": )\d+',
+                             rb'\g<1>0', data, count=1), 18, ValueError),
+        (lambda data: re.sub(rb'("condition discarded", "data": {"text": "[^"]*", "round": )\d+',
+                             rb'\g<1>0', data, count=1), 10, ValueError),
+        (lambda data: re.sub(rb'"steps": \[[^]]*\]', b'"steps": []', data), 25, ValueError),
     ], ids=["torn", "torn-inside-a-character", "unknown-kind", "extra-key", "final-extra-key",
             "sufficiency-extra-key", "state-change-extra-key", "state-change-data-extra-key",
-            "plan-steps-object"])
+            "plan-steps-object", "blank-objective", "blank-proposed", "blank-accepted",
+            "blank-discarded", "accepted-round-0", "discarded-round-0", "no-steps"])
     def test_bad_line_raises_corrupt_transcript(self, tmp_path, mangle, line, cause):
         path = tmp_path / "algebra.jsonl"
         path.write_bytes(mangle(GOLDEN_ALGEBRA.read_bytes()))
