@@ -160,16 +160,19 @@ class ScriptedBackend:
 # ---------------------------------------------------------------------------
 
 RETRYABLE_STATUS = {429, 500, 502, 503, 504}
+# json.dumps with a non-default argument builds a new encoder on every call.
+# The request dict is built fresh for each call and holds no cycle.
+_REQUEST_ENCODER = json.JSONEncoder(allow_nan=False, check_circular=False)
 DEFAULT_TIMEOUT_S = 120.0
 MAX_RETRIES = 3
 MAX_RETRY_AFTER_S = 60
 
 
-def _retry_after_s(resp) -> float:
-    """The ``Retry-After`` of a response in seconds, given as an integer or as
-    an HTTP date, floored at 0 and capped at ``MAX_RETRY_AFTER_S``; 0 when
-    absent or unparseable."""
-    value = resp.headers.get("Retry-After", "").strip()
+def _retry_after_s(headers: dict) -> float:
+    """The ``Retry-After`` of a response's lower-cased ``headers`` in seconds,
+    given as an integer or as an HTTP date, floored at 0 and capped at
+    ``MAX_RETRY_AFTER_S``; 0 when absent or unparseable."""
+    value = headers.get("retry-after", "").strip()
     if value.isascii() and value.isdigit():
         return min(int(value), MAX_RETRY_AFTER_S)
     # Imported here: only a retryable response needs the date parser, and
@@ -213,20 +216,154 @@ def _peer_closed(sock) -> bool:
     return bool(select.select([sock], [], [], 0)[0])
 
 
+# http.client's limits on a reply's head.
+MAX_LINE = 65536
+MAX_HEADERS = 100
+
+
+def _read_line(fp, what: str) -> bytes:
+    line = fp.readline(MAX_LINE + 1)
+    if len(line) > MAX_LINE:
+        import http.client
+
+        raise http.client.LineTooLong(what)
+    return line
+
+
+def _read_headers(fp) -> dict:
+    """The header fields up to the blank line, by lower-cased name; a repeated
+    field keeps its last value."""
+    import http.client
+
+    headers = {}
+    for _ in range(MAX_HEADERS + 1):
+        line = _read_line(fp, "header line")
+        if line in (b"\r\n", b"\n", b""):
+            return headers
+        name, colon, value = line.decode("latin-1").partition(":")
+        if not colon:
+            raise http.client.HTTPException(f"malformed header line {line[:80]!r}")
+        headers[name.strip().lower()] = value.strip()
+    raise http.client.HTTPException(f"got more than {MAX_HEADERS} headers")
+
+
+def _read_chunked(fp) -> bytes:
+    import http.client
+
+    parts = []
+    while True:
+        line = _read_line(fp, "chunk size")
+        try:
+            size = int(line.split(b";", 1)[0], 16)  # extensions follow a ";"
+        except ValueError:
+            size = -1
+        if size < 0:
+            raise http.client.IncompleteRead(b"".join(parts))
+        if not size:
+            break
+        chunk = fp.read(size + 2)  # the chunk and its CRLF
+        if len(chunk) < size + 2:
+            raise http.client.IncompleteRead(b"".join(parts) + chunk[:size])
+        parts.append(chunk[:size])
+    while _read_line(fp, "trailer line") not in (b"\r\n", b"\n", b""):
+        pass  # trailers are skipped
+    return b"".join(parts)
+
+
+def _read_response(fp) -> tuple[int, dict, bytes, bool]:
+    """Read one HTTP/1.x reply to a POST from the buffered reader ``fp``:
+    (status, headers by lower-cased name, body, whether the connection can
+    carry the next request).
+
+    Interim 1xx replies are skipped. The body is framed by
+    ``Transfer-Encoding: chunked``, else by ``Content-Length``, else by the
+    connection closing; 204 and 304 replies have none. A reset, a short body
+    or a malformed head raises OSError or http.client.HTTPException.
+    """
+    import http.client
+
+    while True:
+        line = _read_line(fp, "status line")
+        if not line:
+            raise http.client.RemoteDisconnected("remote end closed connection without response")
+        version, code, *_ = line.split(None, 2) + [b"", b""]
+        if version not in (b"HTTP/1.1", b"HTTP/1.0") or len(code) != 3 \
+                or not code.isdigit() or code < b"100":
+            raise http.client.BadStatusLine(line[:80].decode("latin-1"))
+        status = int(code)
+        headers = _read_headers(fp)
+        if not 100 <= status < 200:
+            break
+    connection = headers.get("connection", "").lower()
+    keep_alive = "close" not in connection and (
+        version == b"HTTP/1.1" or "keep-alive" in connection)
+    if status in (204, 304):
+        return status, headers, b"", keep_alive
+    if "chunked" in headers.get("transfer-encoding", "").lower():
+        return status, headers, _read_chunked(fp), keep_alive
+    length = headers.get("content-length")
+    if length is None:
+        return status, headers, fp.read(), False
+    if not (length.isascii() and length.isdigit()):
+        raise http.client.HTTPException(f"malformed Content-Length {length[:80]!r}")
+    body = fp.read(int(length))
+    if len(body) < int(length):
+        raise http.client.IncompleteRead(body, int(length) - len(body))
+    return status, headers, body, keep_alive
+
+
+def _host_header(host: str, port: int, default_port: int) -> str:
+    """The ``Host`` value http.client sends for ``host`` and ``port``."""
+    if not host.isascii():
+        host = host.encode("idna").decode("ascii")
+    if ":" in host:
+        # An IPv6 literal is bracketed; its zone is not sent.
+        host = f"[{host.partition('%')[0]}]"
+    return host if port == default_port else f"{host}:{port}"
+
+
 class _Route:
-    """One thread's connection to the endpoint, with the request target and
-    headers sent on it. The connection object outlives its socket: after
-    ``close()`` its next request connects again."""
+    """One thread's connection to the endpoint, the request target and
+    headers sent on it, and the reader of its replies. ``conn`` (from
+    http.client) only opens the socket, through any proxy tunnel and TLS;
+    after ``close()`` the next call opens it again.
 
-    __slots__ = ("conn", "target", "headers")
+    The request head is built once: http.client's request line, ``Host``,
+    ``Accept-Encoding`` and ``Content-Length`` lines, then ``headers``.
+    """
 
-    def __init__(self, conn, target: str, headers: dict):
-        self.conn, self.target, self.headers = conn, target, headers
+    __slots__ = ("conn", "target", "headers", "fp", "head", "tail")
+
+    def __init__(self, conn, target: str, headers: dict, host: str):
+        # Set first: __del__ closes the connection even if a check below fails.
+        self.conn, self.target, self.headers, self.fp = conn, target, headers, None
+        if not target.isascii() or any(c <= " " or c == "\x7f" for c in target):
+            raise BackendFailure(f"request target {target!r} holds a space or control character")
+        if any("\r" in value or "\n" in value for value in headers.values()):
+            raise BackendFailure("a request header value holds a line break")
+        fields = "".join(f"{name}: {value}\r\n" for name, value in headers.items())
+        try:
+            self.head = (f"POST {target} HTTP/1.1\r\nHost: {host}\r\n"
+                         f"Accept-Encoding: identity\r\nContent-Length: ").encode("latin-1")
+            self.tail = f"\r\n{fields}\r\n".encode("latin-1")
+        except UnicodeEncodeError as exc:
+            raise BackendFailure(f"the request head is not Latin-1: {exc}") from None
+
+    def connect(self) -> None:
+        self.conn.connect()
+        self.fp = self.conn.sock.makefile("rb")
+
+    def close(self) -> None:
+        # The socket's descriptor is freed once both it and its reader close.
+        if self.fp is not None:
+            self.fp.close()
+            self.fp = None
+        self.conn.close()
 
     def __del__(self):
         # Dropped when its thread ends or the backend is freed; closing here
         # leaves no open socket for the garbage collector to find.
-        self.conn.close()
+        self.close()
 
 
 class HttpBackend:
@@ -292,8 +429,10 @@ class HttpBackend:
                 raise BackendFailure(f"cannot load CA bundle {bundle!r}: {exc}") from exc
 
         # Ports are explicit: http.client would read ":1" of "::1" as a port.
-        target_port = parts.port or (443 if https else 80)
+        default_port = 443 if https else 80
+        target_port = parts.port or default_port
         host, port, target, headers = parts.hostname, target_port, parts.path, self._headers
+        host_header = _host_header(parts.hostname, target_port, default_port)
         proxies = getproxies_environment()
         proxy = proxies.get(parts.scheme) or proxies.get("all")
         if proxy and proxy_bypass_environment(parts.netloc, proxies):
@@ -313,30 +452,34 @@ class HttpBackend:
                 proxy_headers["Proxy-Authorization"] = \
                     "Basic " + base64.b64encode(credentials).decode("ascii")
             if not https:
-                # A plain-HTTP proxy takes the absolute URL as the request target.
+                # A plain-HTTP proxy takes the absolute URL as the request
+                # target, and http.client sends its netloc as the Host.
                 target, headers = self._url, {**headers, **proxy_headers}
+                host_header = parts.netloc
 
         if not https:
             return _Route(http.client.HTTPConnection(host, port, timeout=self.timeout),
-                          target, headers)
+                          target, headers, host_header)
         conn = http.client.HTTPSConnection(host, port, timeout=self.timeout, context=context)
         if proxy:
             # CONNECT through the proxy, then TLS to the target host.
             conn.set_tunnel(parts.hostname, target_port, headers=proxy_headers)
-        return _Route(conn, target, headers)
+        return _Route(conn, target, headers, host_header)
 
     def complete(self, request: ChatRequest, role: str) -> ChatResponse:
         import http.client
 
-        body = json.dumps({
+        body = _REQUEST_ENCODER.encode({
             "model": self.model,
             "messages": [{"role": m.role, "content": m.content} for m in request.messages],
             "temperature": request.sampling.temperature,
             "max_tokens": request.sampling.max_tokens,
             "n": request.sampling.n,
-        }, allow_nan=False).encode("utf-8")
+        }).encode("utf-8")
         route = self._route()
         conn = route.conn
+        # The whole request in one send: split writes stall on delayed ACKs.
+        message = b"".join((route.head, b"%d" % len(body), route.tail, body))
 
         # A message, not the exception: a kept exception would hold this
         # frame through its traceback, a cycle only the cyclic GC frees.
@@ -349,21 +492,24 @@ class HttpBackend:
             if conn.sock is not None and _peer_closed(conn.sock):
                 # The server dropped this idle keep-alive connection; the
                 # request below reconnects, without a backoff wait.
-                conn.close()
+                route.close()
             try:
-                conn.request("POST", route.target, body, route.headers)
-                resp = conn.getresponse()
+                if conn.sock is None:
+                    route.connect()
+                conn.sock.sendall(message)
                 # Read to the end, so the connection can carry the next request.
-                data = resp.read()
+                status, headers, data, keep_alive = _read_response(route.fp)
             except (OSError, http.client.HTTPException) as exc:
-                conn.close()
+                route.close()
                 last_error = f"{type(exc).__name__}: {exc}"
                 continue
-            if resp.status != 200:
-                error = f"HTTP {resp.status}: {data.decode('utf-8', 'replace')[:200]}"
-                if resp.status in RETRYABLE_STATUS:
+            if not keep_alive:
+                route.close()
+            if status != 200:
+                error = f"HTTP {status}: {data.decode('utf-8', 'replace')[:200]}"
+                if status in RETRYABLE_STATUS:
                     last_error = error
-                    retry_after = _retry_after_s(resp)
+                    retry_after = _retry_after_s(headers)
                     continue
                 self.counter.record(request.sampling.n)
                 raise BackendFailure(error)
@@ -394,8 +540,9 @@ class HttpBackend:
 
 # Shared by the cassette and transcript writers: json.dumps with a non-default
 # argument builds a new encoder on every call. encode() keeps no state between
-# calls, so one instance serves every thread.
-JSON_ENCODER = json.JSONEncoder(ensure_ascii=False)
+# calls, so one instance serves every thread. Both writers encode dicts built
+# fresh for the call, which hold no cycle to check for.
+JSON_ENCODER = json.JSONEncoder(ensure_ascii=False, check_circular=False)
 
 
 def open_fresh(path: str | Path) -> int:

@@ -50,7 +50,15 @@ class RunState:
     plan: tuple[str, ...] | None = None
 
     def apply(self, event: Event) -> None:
+        """Fold one event into the state. An event filed under a round other
+        than the state's own raises CorruptTranscript."""
         kind = type(event)
+        # Every event that carries a round belongs to the round being mined; an
+        # initial ConditionAccepted carries None.
+        filed = getattr(event, "round", None)
+        if filed is not None and filed != self.round:
+            raise CorruptTranscript(
+                f"{kind.__name__} filed under round {filed} in round {self.round}")
         if kind is ConditionProposed:
             self.pending = (self.pending or []) + [event.text]
         elif kind is ConditionAccepted:

@@ -232,13 +232,27 @@ class TestRecordReplay:
 # Live wire client against a local stub server
 # ---------------------------------------------------------------------------
 
+def _completion(n=1):
+    """The stub's generated reply body: n choices and token usage."""
+    return json.dumps({
+        "choices": [{"message": {"content": f"choice-{i}"}} for i in range(n)],
+        "usage": {"prompt_tokens": 7, "completion_tokens": 3},
+    }).encode()
+
+
+def _raw(head, body=b"", close=False):
+    """A script entry whose reply is ``head`` and ``body`` sent as they are,
+    after which the stub closes the connection if ``close``."""
+    return ("raw", head.encode("latin-1") + body, close)
+
+
 class _StubHandler(BaseHTTPRequestHandler):
     """HTTP/1.1 keep-alive chat-completions stub that counts connections."""
 
     protocol_version = "HTTP/1.1"
     # Class-level script: list of (status, body[, headers]) consumed per
     # request; the body is a dict sent as JSON, raw bytes, or None for a
-    # generated reply.
+    # generated reply. An entry made by _raw() is sent as it is.
     script = []
     seen = []
     opened = []   # one entry per accepted connection
@@ -253,16 +267,18 @@ class _StubHandler(BaseHTTPRequestHandler):
 
     def do_POST(self):
         length = int(self.headers.get("Content-Length", 0))
-        body = json.loads(self.rfile.read(length))
-        type(self).seen.append({"path": self.path, "body": body,
-                                "auth": self.headers.get("Authorization")})
+        raw = self.rfile.read(length)
+        body = json.loads(raw)
+        type(self).seen.append({"path": self.path, "body": body, "raw": raw,
+                                "auth": self.headers.get("Authorization"),
+                                "headers": self.headers.items()})
         status, payload, *extra = type(self).script.pop(0)
+        if status == "raw":
+            self.wfile.write(payload)
+            self.close_connection = extra[0]
+            return
         if payload is None:
-            n = body.get("n", 1)
-            payload = {
-                "choices": [{"message": {"content": f"choice-{i}"}} for i in range(n)],
-                "usage": {"prompt_tokens": 7, "completion_tokens": 3},
-            }
+            payload = _completion(body.get("n", 1))
         data = payload if isinstance(payload, bytes) else json.dumps(payload).encode()
         headers = {"Content-Type": "application/json", "Content-Length": str(len(data)),
                    **(extra[0] if extra else {})}
@@ -351,6 +367,31 @@ class TestHttpBackend:
         assert seen["body"]["temperature"] == 0.7
         assert seen["body"]["max_tokens"] == 512
         assert seen["body"]["n"] == 1
+        # The header lines http.client sends, in its order.
+        host, port = stub_server.server_address
+        assert seen["headers"] == [
+            ("Host", f"{host}:{port}"), ("Accept-Encoding", "identity"),
+            ("Content-Length", str(len(seen["raw"]))), ("Authorization", "Bearer test-key"),
+            ("Content-Type", "application/json")]
+
+    @pytest.mark.parametrize("base_url, proxy, host", [
+        ("http://api.example.com", None, "api.example.com"),
+        ("http://api.example.com:8000", None, "api.example.com:8000"),
+        ("http://[::1]", None, "[::1]"),
+        ("http://[::1]:8080", None, "[::1]:8080"),
+        ("http://API.example.com:80", "http://proxy.example:3128", "API.example.com:80"),
+    ])
+    def test_host_header(self, stub_server, monkeypatch, clean_env, base_url, proxy, host):
+        if proxy:
+            monkeypatch.setenv("HTTP_PROXY", proxy)
+        # Every connection reaches the stub, whatever host and port it names.
+        connect = socket.create_connection
+        monkeypatch.setattr(socket, "create_connection",
+                            lambda _address, *args: connect(stub_server.server_address, *args))
+        _StubHandler.script = [(200, None)]
+        HttpBackend(base_url=base_url, api_key="test-key", model="test-model").complete(
+            request(), "thinker")
+        assert _StubHandler.seen[0]["headers"][0] == ("Host", host)
 
     def test_retries_on_429_then_succeeds(self, stub_server, no_sleep):
         _StubHandler.script = [(429, {"error": "slow down"}), (200, None)]
@@ -432,6 +473,115 @@ class TestHttpBackend:
         _StubHandler.script = [(429, {}, {"Retry-After": "7"}), (503, {}), (200, None)]
         _backend(stub_server).complete(request(), "thinker")
         assert no_sleep == [7, 2]
+
+
+class TestHttpReplyFraming:
+    """Replies framed each way HTTP/1.1 allows, and malformed ones."""
+
+    def test_chunked_reply(self, stub_server, no_sleep):
+        body = _completion()
+        chunks = b"%x;name=value\r\n%s\r\n%x\r\n%s\r\n0\r\nX-Trailer: 1\r\n\r\n" % (
+            10, body[:10], len(body) - 10, body[10:])
+        _StubHandler.script = [_raw("HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n",
+                                    chunks), (200, None)]
+        backend = _backend(stub_server)
+        assert backend.complete(request(), "thinker").choices == ("choice-0",)
+        assert backend.complete(request(), "thinker").choices == ("choice-0",)
+        assert len(_StubHandler.opened) == 1
+        assert no_sleep == []
+
+    def test_close_delimited_reply_then_reconnect(self, stub_server, no_sleep):
+        _StubHandler.script = [_raw("HTTP/1.1 200 OK\r\n\r\n", _completion(), close=True),
+                               (200, None)]
+        counter = QueryCounter()
+        backend = _backend(stub_server, counter=counter)
+        assert backend.complete(request(), "thinker").choices == ("choice-0",)
+        assert backend.complete(request(), "thinker").choices == ("choice-0",)
+        assert len(_StubHandler.opened) == 2
+        assert counter.requests == 2
+        assert no_sleep == []
+
+    @pytest.mark.parametrize("connection, opened", [("", 2), ("Connection: keep-alive\r\n", 1)])
+    def test_http_1_0_reply(self, stub_server, no_sleep, connection, opened):
+        # The stub keeps the connection open; only an HTTP/1.0 reply that
+        # asks for keep-alive may carry the next request.
+        body = _completion()
+        _StubHandler.script = [
+            _raw(f"HTTP/1.0 200 OK\r\n{connection}Content-Length: {len(body)}\r\n\r\n", body),
+            (200, None)]
+        backend = _backend(stub_server)
+        assert backend.complete(request(), "thinker").choices == ("choice-0",)
+        assert backend.complete(request(), "thinker").choices == ("choice-0",)
+        assert len(_StubHandler.opened) == opened
+        assert no_sleep == []
+
+    def test_100_continue_before_the_reply(self, stub_server, no_sleep):
+        body = _completion(2)
+        _StubHandler.script = [
+            _raw(f"HTTP/1.1 100 Continue\r\n\r\nHTTP/1.1 200 OK\r\n"
+                 f"Content-Length: {len(body)}\r\n\r\n", body), (200, None)]
+        # A reader that took the 100 for the reply would wait out the timeout.
+        backend = _backend(stub_server, timeout=5)
+        assert backend.complete(request(n=2), "thinker").choices == ("choice-0", "choice-1")
+        assert backend.complete(request(), "thinker").choices == ("choice-0",)
+        assert len(_StubHandler.opened) == 1
+
+    def test_204_has_no_body(self, stub_server, no_sleep):
+        # No Content-Length and the connection stays open: reading a body
+        # would wait for the timeout.
+        _StubHandler.script = [_raw("HTTP/1.1 204 No Content\r\n\r\n"), (200, None)]
+        counter = QueryCounter()
+        backend = _backend(stub_server, counter=counter, timeout=5)
+        with pytest.raises(BackendFailure) as info:
+            backend.complete(request(), "thinker")
+        assert str(info.value) == "HTTP 204: "
+        assert backend.complete(request(), "thinker").choices == ("choice-0",)
+        assert len(_StubHandler.opened) == 1
+        assert counter.requests == 2
+        assert no_sleep == []
+
+    def test_short_body_then_close_is_retried(self, stub_server, no_sleep):
+        body = _completion()
+        _StubHandler.script = [
+            _raw(f"HTTP/1.1 200 OK\r\nContent-Length: {len(body) + 50}\r\n\r\n", body,
+                 close=True),
+            (200, None)]
+        counter = QueryCounter()
+        backend = _backend(stub_server, counter=counter)
+        assert backend.complete(request(), "thinker").choices == ("choice-0",)
+        assert len(_StubHandler.seen) == 2
+        assert len(_StubHandler.opened) == 2
+        assert counter.requests == 1
+        assert no_sleep == [1]
+
+    def test_header_line_over_the_limit_is_a_retried_transport_error(self, stub_server,
+                                                                       no_sleep):
+        long_header = _raw(f"HTTP/1.1 200 OK\r\nX-Long: {'a' * 65536}\r\n"
+                           f"Content-Length: 2\r\n\r\n", b"{}", close=True)
+        _StubHandler.script = [long_header] * 4
+        counter = QueryCounter()
+        with pytest.raises(BackendFailure) as info:
+            _backend(stub_server, counter=counter).complete(request(), "thinker")
+        assert "LineTooLong" in str(info.value)
+        assert len(_StubHandler.seen) == 4
+        assert counter.requests == 1
+        assert no_sleep == [1, 2, 4]
+
+    def test_connection_close_replies_leave_no_descriptor_open(self, stub_server):
+        def descriptors():
+            return len(os.listdir("/proc/self/fd"))
+
+        before = descriptors()
+        _StubHandler.script = [(200, None, {"Connection": "close"})] * 5 + [(200, None)]
+        backend = _backend(stub_server)
+        for _ in range(5):
+            assert backend.complete(request(), "thinker").choices
+        # The stub, in this process, closes its end once it has replied.
+        _wait_for(lambda: descriptors() == before)
+        assert backend.complete(request(), "thinker").choices  # kept alive
+        del backend
+        _wait_for(lambda: descriptors() == before)
+        assert len(_StubHandler.opened) == 6
 
 
 class TestHttpKeepAlive:
@@ -625,6 +775,18 @@ class TestHttpRoute:
         monkeypatch.setenv("HTTPS_PROXY", proxy)
         with pytest.raises(BackendFailure):
             _route()
+
+    @pytest.mark.parametrize("base_url, api_key", [
+        ("https://api.example.com/a b", "test-key"),
+        ("https://api.example.com/a\x7fb", "test-key"),
+        ("https://api.example.com/é", "test-key"),
+        ("https://api.example.com", "key\rX-Injected: 1"),
+        ("https://api.example.com", "clé ✗"),
+    ])
+    def test_unsendable_request_head_is_a_backend_failure(self, clean_env, base_url, api_key):
+        backend = HttpBackend(base_url=base_url, api_key=api_key, model="test-model")
+        with pytest.raises(BackendFailure):
+            backend._route()
 
     @pytest.mark.parametrize("base_url", ["api.example.com", "ftp://api.example.com",
                                           "https://", "http://api.example.com:port"])

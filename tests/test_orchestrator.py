@@ -1,4 +1,5 @@
 import dataclasses
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -19,6 +20,7 @@ from macm.domain import (
     AgentCall,
     ConditionAccepted,
     ConditionDiscarded,
+    ConditionProposed,
     DuplicateDropped,
     Final,
     Problem,
@@ -42,7 +44,7 @@ from macm.errors import (
     ScriptExhausted,
     ScriptMismatch,
 )
-from macm.harness import solve_one
+from macm.harness import read_transcript, solve_one
 from macm.orchestrator import resume_from_transcript, solve
 
 from conftest import extraction_reply, mining_reply, random_script, scripted
@@ -340,6 +342,30 @@ class TestResume:
             assert resumed_outcome == outcome
             assert resumed.query_count() == full.query_count()
             assert without_timestamps(resumed.events) == without_timestamps(full.events)
+
+    def test_resume_golden_file_with_a_misfiled_round_is_corrupt(self, tmp_path):
+        golden = Path(__file__).parent / "data" / "algebra_transcript.jsonl"
+        path = tmp_path / "misfiled.jsonl"
+        # The first "round": 1} is the first condition_proposed line's.
+        path.write_bytes(golden.read_bytes().replace(b'"round": 1}', b'"round": 3}', 1))
+        transcript = read_transcript(path)
+        assert transcript.events[5] == ConditionProposed("x^2 + 5x + α = k(x + 11)(x - 4)", 3)
+        transcript.events = transcript.events[:-1]  # drop the Final, as a crash would
+        with pytest.raises(CorruptTranscript, match="under round 3 in round 1"):
+            resume_from_transcript(transcript, ScriptedBackend.from_file(algebra_trace_path()))
+
+    @pytest.mark.parametrize("event", [
+        ConditionProposed("m2", 1), DuplicateDropped("m2", 3), ConditionAccepted("m2", 1),
+        ConditionDiscarded("m2", 3), SufficiencyVerdict(1, True)])
+    def test_resume_event_filed_under_another_round_is_corrupt(
+            self, tmp_path, toy_problem, fast_config, event):
+        cassette, full = self._record_full_run(tmp_path, toy_problem, fast_config)
+        cut = next(i for i, e in enumerate(full.events)
+                   if isinstance(e, SufficiencyVerdict) and e.round == 1)
+        partial = Transcript(full.run_id)
+        partial.events = full.events[: cut + 1] + [event]
+        with pytest.raises(CorruptTranscript, match=f"under round {event.round} in round 2"):
+            resume_from_transcript(partial, ReplayBackend(cassette), config=fast_config)
 
     def test_resume_finalized_transcript_is_corrupt(self, toy_problem, fast_config):
         transcript = Transcript("done")
