@@ -18,6 +18,7 @@ from .domain import (
     ConditionList,
     Problem,
     RunConfig,
+    SamplingParams,
     Transcript,
     Verdict,
     normalize_condition_text,
@@ -29,6 +30,9 @@ from .prompts import PromptCatalog
 THINKER = "thinker"
 JUDGE = "judge"
 EXECUTOR = "executor"
+
+# Each role's reply cap, in tokens: the Judge answers a bare True or False.
+MAX_TOKENS = {THINKER: 512, JUDGE: 4, EXECUTOR: 256}
 
 
 # ---------------------------------------------------------------------------
@@ -177,29 +181,30 @@ class AgentClient:
     transcript: Transcript
     prompts: PromptCatalog = field(default_factory=PromptCatalog)
 
-    def _system_for(self, role: str) -> str:
-        return {THINKER: self.prompts.thinker_system,
-                JUDGE: self.prompts.judge_system,
-                EXECUTOR: self.prompts.executor_system}[role]
+    def __post_init__(self):
+        systems = {THINKER: self.prompts.thinker_system,
+                   JUDGE: self.prompts.judge_system,
+                   EXECUTOR: self.prompts.executor_system}
+        # Each role's (system message, sampling): one choice at the run's
+        # temperature, capped at the role's reply length.
+        self._roles = {
+            role: (ChatMessage(ROLE_SYSTEM, systems[role]),
+                   SamplingParams(temperature=self.config.temperature, max_tokens=cap))
+            for role, cap in MAX_TOKENS.items()}
 
-    def _sampling_for(self, role: str):
-        return {THINKER: self.config.thinker_sampling,
-                JUDGE: self.config.judge_sampling,
-                EXECUTOR: self.config.executor_sampling}[role]
-
-    def _call(self, role: str, messages: list[ChatMessage]) -> str:
+    def _call(self, role: str, messages: list[ChatMessage], sampling: SamplingParams) -> str:
         budget = self.config.query_budget
         if budget is not None and self.transcript.query_count() >= budget:
             raise BudgetExceeded(f"query budget of {budget} requests reached")
-        request = ChatRequest(messages=tuple(messages), sampling=self._sampling_for(role))
+        request = ChatRequest(messages=tuple(messages), sampling=sampling)
         return logged_request(self.backend, role, request, self.transcript).text
 
     def _call_parsed(self, role: str, user_prompt: str, parser):
-        messages = [ChatMessage(ROLE_SYSTEM, self._system_for(role)),
-                    ChatMessage(ROLE_USER, user_prompt)]
+        system, sampling = self._roles[role]
+        messages = [system, ChatMessage(ROLE_USER, user_prompt)]
         retries = self.config.format_retries
         for attempt in range(retries + 1):
-            reply = self._call(role, messages)
+            reply = self._call(role, messages, sampling)
             try:
                 return parser(reply)
             except ParseFailure:

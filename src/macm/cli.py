@@ -9,16 +9,7 @@ from pathlib import Path
 
 from . import harness
 from .baselines import MethodCoT, MethodIO, MethodMACM, MethodSCCoT
-from .domain import (
-    Problem,
-    RunConfig,
-    RunError,
-    SamplingParams,
-    THINKER_MAX_TOKENS,
-    JUDGE_MAX_TOKENS,
-    EXECUTOR_MAX_TOKENS,
-    outcome_to_dict,
-)
+from .domain import Problem, RunConfig, RunError, SamplingParams, outcome_to_dict
 from .errors import BackendFailure, EmptyDataset, SchemaError
 from .prompts import PromptCatalog
 
@@ -42,7 +33,8 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--l", type=int, default=5)
     parser.add_argument("--v", type=int, default=5)
     parser.add_argument("--format-retries", type=int, default=2)
-    parser.add_argument("--query-budget", type=int)
+    parser.add_argument("--query-budget", type=int,
+                        help="cap on backend requests per problem (--method macm)")
     parser.add_argument("--prompts-dir",
                         help="directory of prompt override files (--method macm)")
     parser.add_argument("--out", help="output directory")
@@ -86,38 +78,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _run_config(args) -> RunConfig:
-    def sampling(max_tokens: int) -> SamplingParams:
-        return SamplingParams(temperature=args.temperature, max_tokens=max_tokens)
-
-    return RunConfig(
-        max_iterations=args.max_iterations,
-        format_retries=args.format_retries,
-        thinker_sampling=sampling(THINKER_MAX_TOKENS),
-        judge_sampling=sampling(JUDGE_MAX_TOKENS),
-        executor_sampling=sampling(EXECUTOR_MAX_TOKENS),
-        query_budget=args.query_budget,
-    )
-
-
 def _method(args):
+    if args.method == "macm":
+        config = RunConfig(max_iterations=args.max_iterations,
+                           format_retries=args.format_retries,
+                           temperature=args.temperature, query_budget=args.query_budget)
+        return MethodMACM(config, PromptCatalog.load(args.prompts_dir))
+    if args.query_budget is not None or args.prompts_dir is not None:
+        raise ValueError("--query-budget and --prompts-dir apply to --method macm only")
     sampling = SamplingParams(n=args.n, temperature=args.temperature)
     if args.method == "io":
         return MethodIO(sampling)
     if args.method == "cot":
         return MethodCoT(args.l, sampling)
-    if args.method == "sc-cot":
-        return MethodSCCoT(args.l, args.v, sampling)
-    return MethodMACM(config=_run_config(args), prompts=PromptCatalog.load(args.prompts_dir))
+    return MethodSCCoT(args.l, args.v, sampling)
 
 
 def _load_dataset(args) -> list[Problem]:
-    if args.task == "game24":
-        problems = harness.load_game24_file(args.dataset)
-    elif args.task == "sorting":
-        problems = harness.load_sorting_file(args.dataset)
-    else:
-        problems = harness.load_problems(args.dataset, lenient=args.lenient)
+    problems = harness.load_problems(args.dataset, lenient=args.lenient, task=args.task)
     if args.filter_wrong_from:
         problems = harness.filter_wrong(problems, args.filter_wrong_from)
     if args.sample is not None:

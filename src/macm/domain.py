@@ -82,18 +82,14 @@ class SamplingParams:
             raise ValueError("temperature must be >= 0")
 
 
-THINKER_MAX_TOKENS = 512
-JUDGE_MAX_TOKENS = 4
-EXECUTOR_MAX_TOKENS = 256
-
-
 @dataclass(frozen=True)
 class RunConfig:
+    """A MACM run's settings. Every role samples one choice at
+    ``temperature``; each role's reply cap is in ``agents.MAX_TOKENS``."""
+
     max_iterations: int = 5
     format_retries: int = 2
-    thinker_sampling: SamplingParams = SamplingParams(max_tokens=THINKER_MAX_TOKENS)
-    judge_sampling: SamplingParams = SamplingParams(max_tokens=JUDGE_MAX_TOKENS)
-    executor_sampling: SamplingParams = SamplingParams(max_tokens=EXECUTOR_MAX_TOKENS)
+    temperature: float = 0.7
     query_budget: int | None = None
 
     def __post_init__(self):
@@ -101,6 +97,8 @@ class RunConfig:
             raise ValueError("max_iterations must be >= 1")
         if self.format_retries < 0:
             raise ValueError("format_retries must be >= 0")
+        if self.temperature < 0:
+            raise ValueError("temperature must be >= 0")
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ import json
 import os
 import random
 import re
+import sys
 import time
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field, replace
@@ -57,22 +58,25 @@ from .tasks import (
     verify_sorted,
 )
 
-TASKS = ("math", "game24", "sorting")
-
 
 # ---------------------------------------------------------------------------
 # Dataset ingestion
 # ---------------------------------------------------------------------------
 
-def _problem_from_record(record: dict, line: int) -> Problem:
+def _math_problem(line: str, lineno: int) -> Problem:
+    """A JSON record {"id", "question", "answer"?, "category"?, "level"?}."""
+    record = json.loads(line)
     if not isinstance(record, dict):
-        raise SchemaError(f"line {line}: expected a JSON object", line)
+        raise ValueError("expected a JSON object")
     for key in ("id", "question"):
         if not isinstance(record.get(key), str) or not record[key]:
-            raise SchemaError(f"line {line}: missing or empty field {key!r}", line)
+            raise ValueError(f"missing or empty field {key!r}")
+    for key in ("answer", "category"):
+        if not isinstance(record.get(key), (str, type(None))):
+            raise ValueError(f"field {key!r} must be a string")
     level = record.get("level")
-    if level is not None and (not isinstance(level, int) or not 1 <= level <= 5):
-        raise SchemaError(f"line {line}: level must be an integer 1..5", line)
+    if level is not None and (type(level) is not int or not 1 <= level <= 5):
+        raise ValueError("level must be an integer 1..5")
     return Problem(
         id=record["id"],
         question=record["question"],
@@ -82,9 +86,54 @@ def _problem_from_record(record: dict, line: int) -> Problem:
     )
 
 
-def load_problems(path: str | Path, lenient: bool = False) -> list[Problem]:
-    """Read a JSON Lines problem file. Bad lines abort with SchemaError unless
-    ``lenient``, in which case they are reported to stderr and skipped."""
+def _game24_problem(line: str, lineno: int) -> Problem:
+    """4 space-separated integers, kept in gold_answer for the grader."""
+    parts = line.split()
+    if len(parts) != 4:
+        raise ValueError("expected 4 integers")
+    numbers = tuple(int(p) for p in parts)
+    Game24Instance(numbers)
+    return Problem(
+        id=f"game24-{lineno}",
+        question=(f"Use the numbers {numbers[0]}, {numbers[1]}, {numbers[2]}, "
+                  f"{numbers[3]} exactly once each with + - * / and parentheses "
+                  "to make an expression equal to 24."),
+        gold_answer=" ".join(parts),
+        category="game24",
+    )
+
+
+def _sorting_problem(line: str, lineno: int) -> Problem:
+    """A JSON record {"input": [int, ...]}, the input kept in gold_answer for
+    the grader."""
+    record = json.loads(line)
+    seq = record.get("input") if isinstance(record, dict) else None
+    if not isinstance(seq, list) or not all(type(x) is int for x in seq):
+        raise ValueError("input must be a list of integers")
+    return Problem(
+        id=f"sorting-{lineno}",
+        question=("Sort the following numbers in non-decreasing order and "
+                  "output the sorted sequence: "
+                  + " ".join(str(x) for x in seq)),
+        gold_answer=" ".join(str(x) for x in seq),
+        category="sorting",
+    )
+
+
+# Each task's line reader: (line, line number) -> Problem, raising ValueError
+# for a line that is not one of the task's problems.
+_LINE_READERS = {"math": _math_problem, "game24": _game24_problem,
+                 "sorting": _sorting_problem}
+TASKS = tuple(_LINE_READERS)
+
+
+def load_problems(path: str | Path, lenient: bool = False, task: str = "math") -> list[Problem]:
+    """Read a ``task`` dataset file, one problem per nonblank line. A bad
+    line, or a repeated id, raises SchemaError naming the line unless
+    ``lenient``, in which case it is reported to stderr and skipped."""
+    parse = _LINE_READERS.get(task)
+    if parse is None:
+        raise ValueError(f"unknown task {task!r}")
     problems: list[Problem] = []
     seen_ids: set[str] = set()
     with open(path, encoding="utf-8") as fh:
@@ -92,74 +141,24 @@ def load_problems(path: str | Path, lenient: bool = False) -> list[Problem]:
             if not line.strip():
                 continue
             try:
-                record = json.loads(line)
-                problem = _problem_from_record(record, lineno)
+                problem = parse(line, lineno)
                 if problem.id in seen_ids:
-                    raise SchemaError(f"line {lineno}: duplicate id {problem.id!r}", lineno)
-            except (json.JSONDecodeError, SchemaError, ValueError) as exc:
-                if lenient:
-                    import sys
-                    print(f"skipping line {lineno}: {exc}", file=sys.stderr)
-                    continue
-                if isinstance(exc, SchemaError):
-                    raise
-                raise SchemaError(f"line {lineno}: {exc}", lineno) from exc
+                    raise ValueError(f"duplicate id {problem.id!r}")
+            # JSONDecodeError is a ValueError.
+            except ValueError as exc:
+                if not lenient:
+                    raise SchemaError(f"line {lineno}: {exc}", lineno) from exc
+                print(f"skipping line {lineno}: {exc}", file=sys.stderr)
+                continue
             seen_ids.add(problem.id)
             problems.append(problem)
     return problems
 
 
 def load_game24_file(path: str | Path) -> list[Problem]:
-    """One instance per line: 4 space-separated integers. The numbers are kept
-    in gold_answer for the grader."""
-    problems = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            parts = line.split()
-            if len(parts) != 4:
-                raise SchemaError(f"line {lineno}: expected 4 integers", lineno)
-            try:
-                numbers = tuple(int(p) for p in parts)
-                Game24Instance(numbers)
-            except ValueError as exc:
-                raise SchemaError(f"line {lineno}: {exc}", lineno) from exc
-            problems.append(Problem(
-                id=f"game24-{lineno}",
-                question=(f"Use the numbers {numbers[0]}, {numbers[1]}, {numbers[2]}, "
-                          f"{numbers[3]} exactly once each with + - * / and parentheses "
-                          "to make an expression equal to 24."),
-                gold_answer=" ".join(parts),
-                category="game24",
-            ))
-    return problems
-
-
-def load_sorting_file(path: str | Path) -> list[Problem]:
-    """JSON Lines {"input": [int, ...]}. The input sequence is kept in
-    gold_answer for the grader."""
-    problems = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-                seq = record["input"]
-                if not isinstance(seq, list) or not all(isinstance(x, int) for x in seq):
-                    raise SchemaError(f"line {lineno}: input must be a list of integers", lineno)
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                raise SchemaError(f"line {lineno}: {exc}", lineno) from exc
-            problems.append(Problem(
-                id=f"sorting-{lineno}",
-                question=("Sort the following numbers in non-decreasing order and "
-                          "output the sorted sequence: "
-                          + " ".join(str(x) for x in seq)),
-                gold_answer=" ".join(str(x) for x in seq),
-                category="sorting",
-            ))
-    return problems
+    """Read a 24-game file, one instance of 4 space-separated positive
+    integers per line; see ``load_problems``."""
+    return load_problems(path, task="game24")
 
 
 def sample_problems(problems: list[Problem], fraction: float, seed: int) -> list[Problem]:

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from macm.cli import EXIT_FOR_ERROR, main
-from macm.demo import ALGEBRA_QUESTION, algebra_trace_path
+from macm.demo import ALGEBRA_GOLD, ALGEBRA_QUESTION, algebra_trace_path
 from macm.domain import ERROR_KINDS, RunError
 from macm.harness import read_transcript
 
@@ -16,6 +16,13 @@ def write_jsonl(path, records):
 
 def solver_script(path, replies):
     path.write_text(json.dumps({"roles": {"solver": [{"reply": r} for r in replies]}}))
+
+
+def dataset_flags(command, dataset, grid):
+    """The flags that give ``command`` its problems: sweep also takes a grid."""
+    return {"solve": ["--problem-file", str(dataset)],
+            "bench": ["--dataset", str(dataset)],
+            "sweep": ["--dataset", str(dataset), "--grid", grid]}[command]
 
 
 class TestSolve:
@@ -155,6 +162,42 @@ def test_sampling_flags_reach_baseline_requests(command, method, tmp_path, capsy
     assert requests[0]["n"] == 2
 
 
+@pytest.mark.parametrize("command", ["solve", "bench", "sweep"])
+def test_sampling_flags_reach_every_macm_request(command, tmp_path, capsys):
+    dataset = tmp_path / "d.jsonl"
+    write_jsonl(dataset, [{"id": "algebra", "question": ALGEBRA_QUESTION,
+                           "answer": ALGEBRA_GOLD}])
+    record = tmp_path / "cassettes"
+    assert main([command, *dataset_flags(command, dataset, '{"max_iterations": [5]}'),
+                 "--method", "macm", "--temperature", "0.3", "--record", str(record),
+                 "--backend", f"scripted:{algebra_trace_path()}",
+                 "--out", str(tmp_path / "out")]) == 0
+    (cassette,) = record.rglob("*.jsonl")
+    entries = [json.loads(line) for line in cassette.read_text().splitlines()]
+    assert {e["role"] for e in entries} == {"thinker", "judge", "executor"}
+    max_tokens = {"thinker": 512, "judge": 4, "executor": 256}
+    for entry in entries:
+        assert entry["sampling"] == {"n": 1, "temperature": 0.3,
+                                     "max_tokens": max_tokens[entry["role"]]}
+
+
+@pytest.mark.parametrize("flag", ["--query-budget", "--prompts-dir"])
+@pytest.mark.parametrize("method", ["io", "cot", "sc-cot"])
+@pytest.mark.parametrize("command", ["solve", "bench", "sweep"])
+def test_macm_only_flags_are_refused_for_baselines(command, method, flag, tmp_path, capsys):
+    script = tmp_path / "s.json"
+    solver_script(script, ["Answer: 7", "Answer: 7", "7"])
+    dataset = tmp_path / "d.jsonl"
+    write_jsonl(dataset, [{"id": "p0", "question": "q", "answer": "7"}])
+    value = {"--query-budget": "1", "--prompts-dir": str(tmp_path)}[flag]
+    out, record = tmp_path / "out", tmp_path / "cassettes"
+    assert main([command, *dataset_flags(command, dataset, '{"l": [2]}'),
+                 "--method", method, flag, value, "--record", str(record),
+                 "--backend", f"scripted:{script}", "--out", str(out)]) == 2
+    assert "apply to --method macm only" in capsys.readouterr().err
+    assert not out.exists() and not record.exists()
+
+
 class TestBench:
     def _dataset(self, tmp_path):
         dataset = tmp_path / "d.jsonl"
@@ -198,6 +241,41 @@ class TestBench:
         dataset.write_text("not json\n")
         code = main(["bench", "--dataset", str(dataset), "--backend", "http"])
         assert code == 2
+
+    @pytest.mark.parametrize("field", [{"answer": 7}, {"category": 3}, {"category": ["a"]}])
+    def test_field_of_wrong_type_exit_code(self, field, tmp_path, capsys):
+        dataset = tmp_path / "d.jsonl"
+        write_jsonl(dataset, [{"id": "p0", "question": "q0", "answer": "7", "category": "Alg"},
+                              {"id": "p1", "question": "q1", **field}])
+        script = tmp_path / "s.json"
+        solver_script(script, ["Answer: 7"])
+        bench = ["bench", "--dataset", str(dataset), "--method", "io",
+                 "--backend", f"scripted:{script}"]
+        assert main([*bench, "--out", str(tmp_path / "strict")]) == 2
+        assert "error: line 2: " in capsys.readouterr().err
+        assert not (tmp_path / "strict").exists()
+        assert main([*bench, "--lenient", "--out", str(tmp_path / "lenient")]) == 0
+        rows = json.loads((tmp_path / "lenient" / "report.json").read_text())["rows"]
+        assert [r["id"] for r in rows] == ["p0"]
+        assert (tmp_path / "lenient" / "summary.md").exists()
+
+    @pytest.mark.parametrize("task, lines", [
+        ("game24", ["4 6 8 1", "1 2 3", "3 3 8 8"]),
+        ("sorting", ['{"input": [3, 1]}', '{"input": [1, "2"]}', '{"input": [2]}'])])
+    def test_lenient_applies_to_every_task(self, task, lines, tmp_path, capsys):
+        dataset = tmp_path / "d.txt"
+        dataset.write_text("".join(line + "\n" for line in lines))
+        script = tmp_path / "s.json"
+        solver_script(script, ["Answer: 1"])
+        bench = ["bench", "--task", task, "--dataset", str(dataset), "--method", "io",
+                 "--backend", f"scripted:{script}"]
+        assert main([*bench, "--out", str(tmp_path / "strict")]) == 2
+        assert "error: line 2: " in capsys.readouterr().err
+        out = tmp_path / "lenient"
+        assert main([*bench, "--lenient", "--out", str(out)]) == 0
+        assert "skipping line 2: " in capsys.readouterr().err
+        ids = [row.split(",")[0] for row in (out / "report.csv").read_text().splitlines()[1:]]
+        assert ids == [f"{task}-1", f"{task}-3"]
 
     def test_record_then_replay_matches(self, tmp_path, capsys):
         dataset = self._dataset(tmp_path)

@@ -5,6 +5,7 @@ import unicodedata
 import pytest
 from hypothesis import given, strategies as st
 
+from macm.agents import EXECUTOR, JUDGE, MAX_TOKENS, THINKER
 from macm.domain import (
     AgentCall,
     ConditionAccepted,
@@ -148,10 +149,12 @@ class TestConfigs:
         assert (params.n, params.temperature) == (1, 0.7)
 
     def test_role_max_tokens_defaults(self):
-        config = RunConfig()
-        assert config.thinker_sampling.max_tokens == 512
-        assert config.judge_sampling.max_tokens == 4
-        assert config.executor_sampling.max_tokens == 256
+        assert MAX_TOKENS == {THINKER: 512, JUDGE: 4, EXECUTOR: 256}
+
+    def test_run_config_temperature(self):
+        assert RunConfig().temperature == 0.7
+        with pytest.raises(ValueError):
+            RunConfig(temperature=-0.1)
 
     def test_run_config_defaults(self):
         config = RunConfig()

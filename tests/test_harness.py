@@ -37,7 +37,6 @@ from macm.harness import (
     grade,
     load_game24_file,
     load_problems,
-    load_sorting_file,
     make_backend_factory,
     read_transcript,
     report_to_dict,
@@ -98,8 +97,53 @@ class TestLoadProblems:
     def test_sorting_file(self, tmp_path):
         path = tmp_path / "seqs.jsonl"
         path.write_text('{"input": [3, 1, 2]}\n')
-        problems = load_sorting_file(path)
+        problems = load_problems(path, task="sorting")
         assert problems[0].gold_answer == "3 1 2"
+
+    def test_unknown_task(self, tmp_path):
+        path = tmp_path / "data.jsonl"
+        path.write_text("")
+        with pytest.raises(ValueError, match="unknown task 'chess'"):
+            load_problems(path, task="chess")
+
+    def test_null_fields_read_as_absent(self, tmp_path):
+        path = tmp_path / "data.jsonl"
+        path.write_text('{"id": "a", "question": "q", "answer": null, "category": null, '
+                        '"level": null}\n')
+        assert load_problems(path) == [Problem(id="a", question="q")]
+
+    @pytest.mark.parametrize("field", [
+        {"answer": 7}, {"answer": ["7"]}, {"category": 3}, {"category": ["a"]},
+        {"level": True}, {"level": "3"}, {"level": 2.0}, {"level": 6}])
+    def test_field_of_wrong_type(self, field, tmp_path, capsys):
+        path = tmp_path / "data.jsonl"
+        path.write_text("".join(json.dumps(r) + "\n" for r in (
+            {"id": "a", "question": "q1", "answer": "1", "category": "Alg"},
+            {"id": "b", "question": "q2", **field},
+            {"id": "c", "question": "q3"})))
+        with pytest.raises(SchemaError) as exc_info:
+            load_problems(path)
+        assert exc_info.value.line == 2
+        assert str(exc_info.value).startswith("line 2: ")
+        assert [p.id for p in load_problems(path, lenient=True)] == ["a", "c"]
+        assert "skipping line 2: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("task, bad_line", [
+        ("game24", "1 2 3"), ("game24", "1 2 3 x"), ("game24", "0 1 2 3"),
+        ("sorting", '{"input": [1, "2"]}'), ("sorting", '{"input": [true, 1]}'),
+        ("sorting", '{"input": 3}'), ("sorting", "[1, 2]"), ("sorting", "not json")])
+    def test_task_file_with_a_bad_line(self, task, bad_line, tmp_path, capsys):
+        good = {"game24": ["4 6 8 1", "3 3 8 8"],
+                "sorting": ['{"input": [3, 1]}', '{"input": [2]}']}[task]
+        path = tmp_path / "data.txt"
+        path.write_text(f"{good[0]}\n{bad_line}\n{good[1]}\n")
+        with pytest.raises(SchemaError) as exc_info:
+            load_problems(path, task=task)
+        assert exc_info.value.line == 2
+        assert str(exc_info.value).startswith("line 2: ")
+        problems = load_problems(path, lenient=True, task=task)
+        assert [p.id for p in problems] == [f"{task}-1", f"{task}-3"]
+        assert "skipping line 2: " in capsys.readouterr().err
 
     def test_sample_seeded(self):
         problems = [Problem(id=f"p{i}", question="q") for i in range(10)]
