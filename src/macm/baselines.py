@@ -52,12 +52,22 @@ class MethodCoT:
     chain_length_l: int = 5
     sampling: SamplingParams = SamplingParams()
 
+    def __post_init__(self):
+        if self.chain_length_l < 1:
+            raise ValueError("chain length must be >= 1")
+
 
 @dataclass(frozen=True)
 class MethodSCCoT:
     chain_length_l: int = 5
     voters_v: int = 5
     sampling: SamplingParams = SamplingParams()
+
+    def __post_init__(self):
+        if self.chain_length_l < 1:
+            raise ValueError("chain length must be >= 1")
+        if self.voters_v < 1:
+            raise ValueError("voter count must be >= 1")
 
 
 @dataclass(frozen=True)

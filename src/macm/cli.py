@@ -8,8 +8,8 @@ import sys
 from pathlib import Path
 
 from . import harness
-from .baselines import MethodCoT, MethodIO, MethodMACM, MethodSCCoT
-from .domain import Problem, RunConfig, RunError, SamplingParams, outcome_to_dict
+from .baselines import MethodMACM
+from .domain import Problem, RunError, outcome_to_dict
 from .errors import BackendFailure, EmptyDataset, SchemaError
 from .prompts import PromptCatalog
 
@@ -21,20 +21,17 @@ EXIT_FOR_ERROR = {"ParseFailure": 1, "BackendFailure": EXIT_BACKEND, "BudgetExce
 
 
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--method", choices=["io", "cot", "sc-cot", "macm"], default="macm")
+    parser.add_argument("--method", choices=list(harness.METHODS), default="macm")
     parser.add_argument("--backend", required=True,
                         help="http | scripted:<file> | replay:<cassette-or-dir>")
     parser.add_argument("--record", help="record traffic to this directory, one cassette "
                                          "<problem id>.jsonl per problem (sweep: under "
                                          "one point_... subdirectory per grid point)")
-    parser.add_argument("--max-iterations", type=int, default=5)
-    parser.add_argument("--temperature", type=float, default=0.7)
-    parser.add_argument("--n", type=int, default=1)
-    parser.add_argument("--l", type=int, default=5)
-    parser.add_argument("--v", type=int, default=5)
-    parser.add_argument("--format-retries", type=int, default=2)
-    parser.add_argument("--query-budget", type=int,
-                        help="cap on backend requests per problem (--method macm)")
+    for knob, kind in harness.KNOBS.items():
+        takers = "|".join(name for name, cls in harness.METHODS.items()
+                          if knob in harness.METHOD_KNOBS[cls])
+        parser.add_argument("--" + knob.replace("_", "-"), type=kind,
+                            help=f"taken by --method {takers}; unset: the method's default")
     parser.add_argument("--prompts-dir",
                         help="directory of prompt override files (--method macm)")
     parser.add_argument("--out", help="output directory")
@@ -72,26 +69,21 @@ def build_parser() -> argparse.ArgumentParser:
                                            "(counts responses, not requests)")
     _add_dataset_flags(p_sweep)
     p_sweep.add_argument("--grid", required=True,
-                         help="JSON knob grid, e.g. '{\"n\": [1, 3]}', or @file")
+                         help="JSON object {knob: [values]}, knobs named as the flags, or @file")
     _add_common_flags(p_sweep)
 
     return parser
 
 
 def _method(args):
-    if args.method == "macm":
-        config = RunConfig(max_iterations=args.max_iterations,
-                           format_retries=args.format_retries,
-                           temperature=args.temperature, query_budget=args.query_budget)
-        return MethodMACM(config, PromptCatalog.load(args.prompts_dir))
-    if args.query_budget is not None or args.prompts_dir is not None:
-        raise ValueError("--query-budget and --prompts-dir apply to --method macm only")
-    sampling = SamplingParams(n=args.n, temperature=args.temperature)
-    if args.method == "io":
-        return MethodIO(sampling)
-    if args.method == "cot":
-        return MethodCoT(args.l, sampling)
-    return MethodSCCoT(args.l, args.v, sampling)
+    """The chosen method with the knob flags that were given."""
+    method = harness.METHODS[args.method]()
+    if args.prompts_dir is not None:
+        if not isinstance(method, MethodMACM):
+            raise ValueError(f"--method {args.method} does not take --prompts-dir")
+        method = MethodMACM(prompts=PromptCatalog.load(args.prompts_dir))
+    return harness.with_knobs(method, {knob: getattr(args, knob) for knob in harness.KNOBS
+                                       if getattr(args, knob) is not None})
 
 
 def _load_dataset(args) -> list[Problem]:

@@ -136,15 +136,16 @@ def load_problems(path: str | Path, lenient: bool = False, task: str = "math") -
         raise ValueError(f"unknown task {task!r}")
     problems: list[Problem] = []
     seen_ids: set[str] = set()
-    with open(path, encoding="utf-8") as fh:
+    # Binary lines, so a line that is not UTF-8 fails inside the try.
+    with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
-                problem = parse(line, lineno)
+                problem = parse(line.decode("utf-8"), lineno)
                 if problem.id in seen_ids:
                     raise ValueError(f"duplicate id {problem.id!r}")
-            # JSONDecodeError is a ValueError.
+            # JSONDecodeError and UnicodeDecodeError are ValueErrors.
             except ValueError as exc:
                 if not lenient:
                     raise SchemaError(f"line {lineno}: {exc}", lineno) from exc
@@ -330,7 +331,37 @@ def compute_aggregates(rows: list[ReportRow]) -> dict:
     }
 
 
-_METHOD_LABELS = {MethodIO: "io", MethodCoT: "cot", MethodSCCoT: "sc-cot", MethodMACM: "macm"}
+METHODS = {"io": MethodIO, "cot": MethodCoT, "sc-cot": MethodSCCoT, "macm": MethodMACM}
+_LABELS = {cls: name for name, cls in METHODS.items()}
+# The knobs each method takes, named as grid keys (a flag spells _ as -), and
+# the fields each one sets, from the method down. KNOBS gives each knob's type.
+_SAMPLING_KNOBS = {"n": ("sampling", "n"), "temperature": ("sampling", "temperature")}
+METHOD_KNOBS = {
+    MethodIO: _SAMPLING_KNOBS,
+    MethodCoT: {"l": ("chain_length_l",), **_SAMPLING_KNOBS},
+    MethodSCCoT: {"l": ("chain_length_l",), "v": ("voters_v",), **_SAMPLING_KNOBS},
+    MethodMACM: {k: ("config", k) for k in
+                 ("temperature", "max_iterations", "format_retries", "query_budget")},
+}
+KNOBS = {k: float if k == "temperature" else int for knobs in METHOD_KNOBS.values() for k in knobs}
+
+
+def with_knobs(method: Method, knobs: Mapping[str, object]) -> Method:
+    """``method`` with each knob set where METHOD_KNOBS says. A knob the
+    method does not take, or a value not of the knob's type, raises ValueError."""
+    taken = METHOD_KNOBS[type(method)]
+    for knob, value in knobs.items():
+        if knob not in taken:
+            raise ValueError(f"--method {_LABELS[type(method)]} does not take {knob!r}; "
+                             f"it takes {', '.join(taken)}")
+        if type(value) not in (int, KNOBS[knob]):
+            raise ValueError(f"{knob} must be of type {KNOBS[knob].__name__}, not {value!r}")
+        field_name, *inner = taken[knob]
+        value = KNOBS[knob](value)
+        if inner:
+            value = replace(getattr(method, field_name), **{inner[0]: value})
+        method = replace(method, **{field_name: value})
+    return method
 
 
 def solve_one(problem: Problem, method: Method, backend_factory) -> Transcript:
@@ -382,7 +413,7 @@ def run_benchmark(problems: list[Problem], method: Method, backend_factory,
     out_dir = Path(out_dir)
     transcripts_dir = out_dir / "transcripts"
     transcripts_dir.mkdir(parents=True, exist_ok=True)
-    label = _METHOD_LABELS[type(method)]
+    label = _LABELS[type(method)]
 
     def run_one(problem: Problem) -> ReportRow:
         start = time.monotonic()
@@ -519,46 +550,28 @@ class SweepPoint:
             raise ValueError("corrected_fraction must be in [0, 1]")
 
 
-KNOBS = ("n", "l", "v", "max_iterations")
-
-
-def _method_for_point(method: Method, settings: dict) -> Method:
-    """The base method with one grid point's knobs applied; a knob the
-    method has no use for leaves it unchanged."""
-    if not isinstance(method, MethodMACM) and "n" in settings:
-        method = replace(method, sampling=replace(method.sampling, n=settings["n"]))
-    if isinstance(method, (MethodCoT, MethodSCCoT)) and "l" in settings:
-        method = replace(method, chain_length_l=settings["l"])
-    if isinstance(method, MethodSCCoT) and "v" in settings:
-        method = replace(method, voters_v=settings["v"])
-    if isinstance(method, MethodMACM) and "max_iterations" in settings:
-        method = replace(method, config=replace(
-            method.config, max_iterations=settings["max_iterations"]))
-    return method
-
-
 def sweep_queries(problems: list[Problem], method: Method, knob_grid: dict,
                   backend_factory, out_dir: str | Path,
                   task: str = "math") -> list[SweepPoint]:
-    """Run one benchmark per knob setting of the grid, applied to ``method``,
-    and record (mean choice count, fraction corrected): a request for n
-    responses counts n. Writes sweep.csv under out_dir. A factory from make_backend_factory
-    records and replays each point's cassettes under the point's directory
-    name (<dir>/point_n3/<id>.jsonl); any other factory is used as is."""
+    """Run one benchmark per knob setting of the grid, each applied to ``method`` by
+    with_knobs before the first runs, and record (mean choice count, fraction corrected):
+    a request for n responses counts n. Writes sweep.csv under out_dir. A factory from
+    make_backend_factory records and replays each point's cassettes under the point's
+    directory name (<dir>/point_n3/<id>.jsonl); any other factory is used as is."""
     if not problems:
         raise EmptyDataset("sweep requires at least one problem")
-    if not knob_grid:
-        raise ValueError("knob grid must be nonempty")
-    for knob in knob_grid:
-        if knob not in KNOBS:
-            raise ValueError(f"unknown knob {knob!r}")
+    if not isinstance(knob_grid, dict) or not knob_grid:
+        raise ValueError(f"knob grid must be a nonempty JSON object, not {knob_grid!r}")
+    for knob, values in knob_grid.items():
+        if not isinstance(values, list) or not values:
+            raise ValueError(f"grid values of {knob!r} must be a nonempty list, not {values!r}")
 
     out_dir = Path(out_dir)
     keys = sorted(knob_grid)
+    grid = [dict(zip(keys, values)) for values in itertools.product(*(knob_grid[k] for k in keys))]
+    point_methods = [with_knobs(method, settings) for settings in grid]
     points: list[SweepPoint] = []
-    for values in itertools.product(*(knob_grid[k] for k in keys)):
-        settings = dict(zip(keys, values))
-        point_method = _method_for_point(method, settings)
+    for settings, point_method in zip(grid, point_methods):
         point_dir = out_dir / ("point_" + "_".join(f"{k}{v}" for k, v in settings.items()))
         point_factory = backend_factory
         if isinstance(backend_factory, BackendFactory):

@@ -110,14 +110,18 @@ class PromptCatalog:
     @classmethod
     def load(cls, directory: str | Path | None = None) -> "PromptCatalog":
         """Default catalog, with any files present in ``directory`` overriding
-        the corresponding embedded prompt."""
+        the corresponding embedded prompt. A path that is not a directory, or
+        a ``*.txt`` file there that overrides no prompt, raises ValueError."""
         catalog = cls()
         if directory is None:
             return catalog
         directory = Path(directory)
+        if not directory.is_dir():
+            raise ValueError(f"{directory} is not a directory")
         overrides = {}
-        for filename, fieldname in _FILE_FIELDS.items():
-            path = directory / filename
-            if path.exists():
-                overrides[fieldname] = path.read_text(encoding="utf-8").strip()
+        for path in sorted(directory.glob("*.txt")):
+            if path.name not in _FILE_FIELDS:
+                raise ValueError(f"{path} overrides no prompt; the prompt files are "
+                                 + ", ".join(_FILE_FIELDS))
+            overrides[_FILE_FIELDS[path.name]] = path.read_text(encoding="utf-8").strip()
         return replace(catalog, **overrides)

@@ -284,3 +284,18 @@ class TestPromptCatalogOverride:
 
     def test_no_directory_gives_defaults(self):
         assert PromptCatalog.load(None) == PromptCatalog()
+
+    def test_path_that_is_not_a_directory(self, tmp_path):
+        (tmp_path / "prompt0.txt").write_text("x")
+        for path in (tmp_path / "missing", tmp_path / "prompt0.txt"):
+            with pytest.raises(ValueError, match="is not a directory"):
+                PromptCatalog.load(path)
+
+    def test_file_that_overrides_no_prompt(self, tmp_path):
+        (tmp_path / "prompt_0.txt").write_text("x")
+        with pytest.raises(ValueError, match="prompt_0.txt overrides no prompt"):
+            PromptCatalog.load(tmp_path)
+
+    def test_other_files_are_ignored(self, tmp_path):
+        (tmp_path / "notes.md").write_text("x")
+        assert PromptCatalog.load(tmp_path) == PromptCatalog()

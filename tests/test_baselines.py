@@ -1,7 +1,7 @@
 import pytest
 
 from macm.backend import QueryCounter
-from macm.baselines import solve_cot, solve_io, solve_sc_cot
+from macm.baselines import MethodCoT, MethodSCCoT, solve_cot, solve_io, solve_sc_cot
 from macm.domain import SamplingParams, Transcript
 from macm.errors import ParseFailure
 
@@ -97,3 +97,12 @@ class TestSolveSCCoT:
         answer = solve_sc_cot(toy_problem, 5, 5, default_sampling, backend, transcript)
         assert answer == "4"
         assert transcript.query_count() == 5 * 2 + 1
+
+
+@pytest.mark.parametrize("build", [lambda: MethodCoT(chain_length_l=0),
+                                   lambda: MethodSCCoT(chain_length_l=0),
+                                   lambda: MethodSCCoT(voters_v=0)],
+                         ids=["cot-l0", "sc-cot-l0", "sc-cot-v0"])
+def test_method_rejects_a_chain_length_or_voter_count_below_one(build):
+    with pytest.raises(ValueError, match="must be >= 1"):
+        build()

@@ -4,7 +4,7 @@ import pytest
 
 from macm.cli import EXIT_FOR_ERROR, main
 from macm.demo import ALGEBRA_GOLD, ALGEBRA_QUESTION, algebra_trace_path
-from macm.domain import ERROR_KINDS, RunError
+from macm.domain import ERROR_KINDS, RunError, Unsolvable
 from macm.harness import read_transcript
 
 from conftest import extraction_reply, mining_reply
@@ -149,11 +149,13 @@ def test_sampling_flags_reach_baseline_requests(command, method, tmp_path, capsy
     solver_script(script, ["Answer: 7", "Answer: 7", "7"])
     dataset = tmp_path / "d.jsonl"
     write_jsonl(dataset, [{"id": "p0", "question": "q", "answer": "7"}])
+    grid = '{"n": [2]}' if method == "io" else '{"l": [2]}'
     source = {"solve": ["--problem-file", str(dataset)],
               "bench": ["--dataset", str(dataset)],
-              "sweep": ["--dataset", str(dataset), "--grid", '{"l": [2]}']}
+              "sweep": ["--dataset", str(dataset), "--grid", grid]}
+    voters = ["--v", "2"] if method == "sc-cot" else []
     record = tmp_path / "cassettes"
-    assert main([command, *source[command], "--method", method, "--v", "2",
+    assert main([command, *source[command], "--method", method, *voters,
                  "--n", "2", "--temperature", "0.3", "--record", str(record),
                  "--backend", f"scripted:{script}", "--out", str(tmp_path / "out")]) == 0
     (cassette,) = record.rglob("*.jsonl")
@@ -194,7 +196,7 @@ def test_macm_only_flags_are_refused_for_baselines(command, method, flag, tmp_pa
     assert main([command, *dataset_flags(command, dataset, '{"l": [2]}'),
                  "--method", method, flag, value, "--record", str(record),
                  "--backend", f"scripted:{script}", "--out", str(out)]) == 2
-    assert "apply to --method macm only" in capsys.readouterr().err
+    assert f"--method {method} does not take" in capsys.readouterr().err
     assert not out.exists() and not record.exists()
 
 
@@ -412,3 +414,136 @@ class TestSweep:
         code = main(["sweep", "--dataset", str(dataset), "--grid", "{oops",
                      "--backend", "http"])
         assert code == 2
+
+
+# Which knobs each method takes, written out here rather than read from
+# harness.METHOD_KNOBS, so that a wrong table fails these tests.
+TAKES = {"io": {"n", "temperature"},
+         "cot": {"n", "temperature", "l"},
+         "sc-cot": {"n", "temperature", "l", "v"},
+         "macm": {"temperature", "max_iterations", "format_retries", "query_budget"}}
+KNOB_VALUES = {"n": 2, "l": 1, "v": 2, "temperature": 0.3, "max_iterations": 1,
+               "format_retries": 0, "query_budget": 1}
+
+
+def _knob_script(method):
+    """A script on which each knob of ``method`` leaves a mark (see _KNOB_MARKS)."""
+    if method == "io":
+        return {"roles": {"solver": ["Answer: 7", "Answer: 7"]}}
+    if method in ("cot", "sc-cot"):
+        return {"roles": {"solver": ["thinking", "Answer: 7"] * 5 + ["7"]}}
+    # One reply out of format first; then a condition is accepted each round
+    # and the objective is never reached.
+    return {"roles": {
+        "thinker": ["no conditions here", extraction_reply(["x = 7"], "find x")]
+        + [mining_reply([f"m{r}"]) for r in range(1, 6)],
+        "judge": ["True", "False"] * 5}}
+
+
+def _error(outcome, kind):
+    return isinstance(outcome, RunError) and outcome.kind == kind
+
+
+# What each knob at its KNOB_VALUES value does to the recorded requests and the
+# run's outcome; none of these holds with the knob left at its default.
+_KNOB_MARKS = {
+    "n": lambda entries, outcome: entries[0]["sampling"]["n"] == 2,
+    "temperature": lambda entries, outcome: all(
+        e["sampling"]["temperature"] == 0.3 for e in entries),
+    "l": lambda entries, outcome: (
+        len(entries) == 1 and _error(outcome, "ParseFailure")),
+    "v": lambda entries, outcome: (
+        "solved 2 times" in entries[-1]["request_messages"][0]["content"]),
+    "max_iterations": lambda entries, outcome: outcome == Unsolvable(1),
+    "format_retries": lambda entries, outcome: (
+        len(entries) == 1 and _error(outcome, "ParseFailure")),
+    "query_budget": lambda entries, outcome: _error(outcome, "BudgetExceeded"),
+}
+
+
+def _knob_run(command, method, knob, value, tmp_path):
+    """Run ``command`` with ``knob`` set: as a grid key for sweep, as a flag
+    otherwise (for sweep-flag, beside a grid the method takes)."""
+    script = tmp_path / "s.json"
+    script.write_text(json.dumps(_knob_script(method)))
+    dataset = tmp_path / "d.jsonl"
+    write_jsonl(dataset, [{"id": "p0", "question": "q", "answer": "7"}])
+    if command == "sweep":
+        grid, flag = json.dumps({knob: [value]}), []
+    else:
+        grid, flag = '{"temperature": [0.7]}', ["--" + knob.replace("_", "-"), str(value)]
+    command = command.removesuffix("-flag")
+    return main([command, *dataset_flags(command, dataset, grid), *flag, "--method", method,
+                 "--backend", f"scripted:{script}", "--record", str(tmp_path / "cassettes"),
+                 "--out", str(tmp_path / "out")])
+
+
+@pytest.mark.parametrize("method, knob", [(m, k) for m in TAKES for k in sorted(TAKES[m])])
+@pytest.mark.parametrize("command", ["solve", "bench", "sweep"])
+def test_knob_the_method_takes_reaches_the_run(command, method, knob, tmp_path, capsys):
+    code = _knob_run(command, method, knob, KNOB_VALUES[knob], tmp_path)
+    (cassette,) = (tmp_path / "cassettes").rglob("*.jsonl")
+    entries = [json.loads(line) for line in cassette.read_text().splitlines()]
+    (transcript,) = (tmp_path / "out").rglob("p0.jsonl")
+    outcome = read_transcript(transcript).outcome
+    assert _KNOB_MARKS[knob](entries, outcome), (entries, outcome)
+    failed = command == "solve" and isinstance(outcome, RunError)
+    assert code == (EXIT_FOR_ERROR[outcome.kind] if failed else 0)
+
+
+@pytest.mark.parametrize("method, knob", [(m, k) for m in TAKES for k in sorted(KNOB_VALUES)
+                                          if k not in TAKES[m]])
+@pytest.mark.parametrize("command", ["solve", "bench", "sweep", "sweep-flag"])
+def test_knob_the_method_does_not_take_is_refused(command, method, knob, tmp_path, capsys):
+    assert _knob_run(command, method, knob, KNOB_VALUES[knob], tmp_path) == 2
+    assert f"--method {method} does not take '{knob}'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists() and not (tmp_path / "cassettes").exists()
+
+
+@pytest.mark.parametrize("grid, named", [
+    ('{"n": 3}', "'n'"), ('"n"', "'n'"), ('{"n": ["a"]}', "n must be"),
+    ('{"n": []}', "'n'"), ('{"n": [true]}', "n must be"), ('{"n": [1.5]}', "n must be"),
+    ('{"temperature": ["hot"]}', "temperature must be"), ('{"n": null}', "'n'")])
+def test_malformed_grid_exit_code(grid, named, tmp_path, capsys):
+    dataset = tmp_path / "d.jsonl"
+    write_jsonl(dataset, [{"id": "p0", "question": "q", "answer": "7"}])
+    script = tmp_path / "s.json"
+    solver_script(script, ["Answer: 7"])
+    assert main(["sweep", "--dataset", str(dataset), "--method", "io", "--grid", grid,
+                 "--backend", f"scripted:{script}", "--record", str(tmp_path / "cassettes"),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "out").exists() and not (tmp_path / "cassettes").exists()
+
+
+@pytest.mark.parametrize("flags", [["--method", "cot", "--l", "0"],
+                                   ["--method", "sc-cot", "--l", "0"],
+                                   ["--method", "sc-cot", "--v", "0", "--parallelism", "2"]])
+def test_zero_chain_length_or_voters_refused_before_any_output(flags, tmp_path, capsys):
+    dataset = tmp_path / "d.jsonl"
+    write_jsonl(dataset, [{"id": "p0", "question": "q", "answer": "7"}])
+    script = tmp_path / "s.json"
+    solver_script(script, ["Answer: 7"])
+    assert main(["bench", "--dataset", str(dataset), *flags, "--backend", f"scripted:{script}",
+                 "--out", str(tmp_path / "out")]) == 2
+    assert "must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("prompts", ["missing", "unknown-file"])
+@pytest.mark.parametrize("command", ["solve", "bench", "sweep"])
+def test_bad_prompts_dir_exit_code(command, prompts, tmp_path, capsys):
+    prompts_dir = tmp_path / "prompts"
+    if prompts == "unknown-file":
+        prompts_dir.mkdir()
+        (prompts_dir / "prompt_0.txt").write_text("{question}")
+    dataset = tmp_path / "d.jsonl"
+    write_jsonl(dataset, [{"id": "algebra", "question": ALGEBRA_QUESTION,
+                           "answer": ALGEBRA_GOLD}])
+    out, record = tmp_path / "out", tmp_path / "cassettes"
+    assert main([command, *dataset_flags(command, dataset, '{"max_iterations": [5]}'),
+                 "--method", "macm", "--prompts-dir", str(prompts_dir),
+                 "--backend", f"scripted:{algebra_trace_path()}",
+                 "--record", str(record), "--out", str(out)]) == 2
+    assert str(prompts_dir) in capsys.readouterr().err
+    assert not out.exists() and not record.exists()

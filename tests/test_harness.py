@@ -31,7 +31,6 @@ from macm.domain import (
 from macm.errors import CorruptTranscript, EmptyDataset, SchemaError
 from macm.harness import (
     Report,
-    _method_for_point,
     compute_aggregates,
     filter_wrong,
     grade,
@@ -43,6 +42,7 @@ from macm.harness import (
     run_benchmark,
     sample_problems,
     sweep_queries,
+    with_knobs,
     write_report,
     write_transcript,
 )
@@ -144,6 +144,34 @@ class TestLoadProblems:
         problems = load_problems(path, lenient=True, task=task)
         assert [p.id for p in problems] == [f"{task}-1", f"{task}-3"]
         assert "skipping line 2: " in capsys.readouterr().err
+
+    _GOOD_LINES = {"math": [b'{"id": "a", "question": "q1"}', b'{"id": "c", "question": "q3"}'],
+                   "game24": [b"4 6 8 1", b"3 3 8 8"],
+                   "sorting": [b'{"input": [3, 1]}', b'{"input": [2]}']}
+    _IDS = {"math": ["a", "c"], "game24": ["game24-1", "game24-3"],
+            "sorting": ["sorting-1", "sorting-3"]}
+
+    @pytest.mark.parametrize("task", ["math", "game24", "sorting"])
+    def test_line_that_is_not_utf8(self, task, tmp_path, capsys):
+        good = self._GOOD_LINES[task]
+        path = tmp_path / "data.txt"
+        bad = b'{"id": "b", "question": "\xff"}'
+        path.write_bytes(b"\n".join([good[0], bad, good[1]]) + b"\n")
+        with pytest.raises(SchemaError) as exc_info:
+            load_problems(path, task=task)
+        assert exc_info.value.line == 2
+        assert str(exc_info.value).startswith("line 2: ")
+        assert [p.id for p in load_problems(path, lenient=True, task=task)] == self._IDS[task]
+        assert "skipping line 2: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("task", ["math", "game24", "sorting"])
+    def test_crlf_file_reads_as_lf(self, task, tmp_path):
+        lf, crlf = tmp_path / "lf.txt", tmp_path / "crlf.txt"
+        lf.write_bytes(b"\n".join(self._GOOD_LINES[task]) + b"\n")
+        crlf.write_bytes(b"\r\n".join(self._GOOD_LINES[task]) + b"\r\n")
+        problems = load_problems(crlf, task=task)
+        assert len(problems) == 2 and problems == load_problems(lf, task=task)
+        assert not any(p.question.endswith("\r") for p in problems)
 
     def test_sample_seeded(self):
         problems = [Problem(id=f"p{i}", question="q") for i in range(10)]
@@ -538,13 +566,36 @@ class TestSweep:
 
     def test_grid_applies_to_the_base_method_and_sampling(self):
         base = MethodMACM(config=RunConfig(format_retries=0, query_budget=9))
-        method = _method_for_point(base, {"max_iterations": 2, "n": 3})
+        method = with_knobs(base, {"max_iterations": 2})
         assert method.config == RunConfig(max_iterations=2, format_retries=0, query_budget=9)
         assert method.prompts is base.prompts
         cot = MethodCoT(chain_length_l=2, sampling=SamplingParams(temperature=0.0))
-        assert _method_for_point(cot, {"n": 3, "max_iterations": 2}) == MethodCoT(
+        assert with_knobs(cot, {"n": 3}) == MethodCoT(
             chain_length_l=2, sampling=SamplingParams(n=3, temperature=0.0))
-        assert _method_for_point(cot, {"v": 4}) == cot
+        for target, knobs in ((base, {"max_iterations": 2, "n": 3}),
+                              (cot, {"n": 3, "max_iterations": 2}), (cot, {"v": 4})):
+            with pytest.raises(ValueError, match="does not take"):
+                with_knobs(target, knobs)
+
+    def test_temperature_is_stored_as_a_float(self):
+        for method in (MethodIO(), MethodMACM()):
+            tuned = with_knobs(method, {"temperature": 0})
+            holder = tuned.sampling if isinstance(tuned, MethodIO) else tuned.config
+            assert holder.temperature == 0 and type(holder.temperature) is float
+
+    @pytest.mark.parametrize("knobs", [{"n": True}, {"n": 1.5}, {"n": "2"}, {"n": None},
+                                       {"temperature": "hot"}, {"temperature": False}])
+    def test_value_of_the_wrong_type_rejected(self, knobs):
+        (knob,) = knobs
+        with pytest.raises(ValueError, match=f"^{knob} must be "):
+            with_knobs(MethodIO(), knobs)
+
+    @pytest.mark.parametrize("grid", [{"n": 3}, "n", {"n": []}, {"n": ["a"]}, {"n": [True]},
+                                      {}, {"v": [2]}])
+    def test_malformed_grid_rejected_before_any_point_runs(self, grid, tmp_path, toy_problem):
+        with pytest.raises(ValueError):
+            sweep_queries([toy_problem], MethodIO(), grid, lambda pid: None, tmp_path / "out")
+        assert not (tmp_path / "out").exists()
 
     def test_unknown_knob_rejected(self, tmp_path, toy_problem):
         with pytest.raises(ValueError):
