@@ -17,7 +17,8 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_BACKEND = 3
 # The exit code of a solve whose run ended in a RunError, by its kind.
-EXIT_FOR_ERROR = {"ParseFailure": 1, "BackendFailure": EXIT_BACKEND, "BudgetExceeded": 4}
+EXIT_FOR_ERROR = {"ParseFailure": 1, "BackendFailure": EXIT_BACKEND, "BudgetExceeded": 4,
+                  "InternalError": 5}
 
 
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
@@ -61,8 +62,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench = sub.add_parser("bench", help="run a benchmark over a dataset")
     _add_dataset_flags(p_bench)
     p_bench.add_argument("--parallelism", type=int, default=1)
-    p_bench.add_argument("--count-choices", action="store_true",
-                         help="count responses instead of requests")
     _add_common_flags(p_bench)
 
     p_sweep = sub.add_parser("sweep", help="sweep knob settings over a dataset "
@@ -124,12 +123,12 @@ def cmd_bench(args) -> int:
     out_dir = Path(args.out or "bench_out")
     report = harness.run_benchmark(
         problems, _method(args), factory, out_dir, task=args.task,
-        parallelism=args.parallelism, count_choices=args.count_choices)
+        parallelism=args.parallelism)
     harness.write_report(report, out_dir)
     agg = report.aggregates
     print(f"accuracy {agg['accuracy'] * 100:.2f}% "
           f"({agg['correct']}/{agg['attempted']}), "
-          f"mean queries {agg['mean_queries']:.2f}")
+          f"mean queries {agg['mean_queries']:.2f}, mean choices {agg['mean_choices']:.2f}")
     return EXIT_OK
 
 

@@ -99,6 +99,8 @@ class RunConfig:
             raise ValueError("format_retries must be >= 0")
         if self.temperature < 0:
             raise ValueError("temperature must be >= 0")
+        if self.query_budget is not None and self.query_budget < 1:
+            raise ValueError("query_budget must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -135,10 +137,12 @@ class RunError:
     @classmethod
     def of(cls, exc: Exception) -> RunError:
         """The outcome of a run ended by ``exc``: the kind is the SOLVE_ERRORS
-        class it is an instance of, and anything else (an OSError from a
-        backend factory, say) is a BackendFailure."""
-        kind = next((c.__name__ for c in SOLVE_ERRORS if isinstance(exc, c)), "BackendFailure")
-        return cls(kind, str(exc))
+        class it is an instance of. An OSError (a backend that cannot open its
+        cassette or reach its model, say) is a BackendFailure, and anything
+        else is an InternalError whose detail leads with the exception's type."""
+        kind = next((c.__name__ for c in SOLVE_ERRORS if isinstance(exc, c)),
+                    "BackendFailure" if isinstance(exc, OSError) else "InternalError")
+        return cls(kind, f"{type(exc).__name__}: {exc}" if kind == "InternalError" else str(exc))
 
 
 Outcome = Solved | Unsolvable | RunError

@@ -35,9 +35,14 @@ class CassetteExhausted(BackendFailure):
     """More calls were replayed than the cassette holds."""
 
 
-# The errors that end one run with a RunError outcome, whose kind is the
-# class's name, instead of propagating.
-SOLVE_ERRORS = (ParseFailure, BackendFailure, BudgetExceeded)
+class InternalError(MacmError):
+    """The kind of a run ended by any other exception: a bug in the solver,
+    the grader or the transcript write, never the model's reply."""
+
+
+# The kinds of a RunError outcome, each named by its class: a run ended by an
+# exception is one of them, never an abort of its batch.
+SOLVE_ERRORS = (ParseFailure, BackendFailure, BudgetExceeded, InternalError)
 
 
 class CorruptTranscript(MacmError):

@@ -13,7 +13,7 @@ import re
 import sys
 import time
 from collections.abc import Callable, Mapping
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 from . import orchestrator
@@ -48,7 +48,7 @@ from .domain import (
     event_to_dict,
     outcome_to_dict,
 )
-from .errors import SOLVE_ERRORS, BackendFailure, CorruptTranscript, EmptyDataset, SchemaError
+from .errors import CorruptTranscript, EmptyDataset, SchemaError
 from .tasks import (
     Game24Instance,
     bounded_int,
@@ -294,7 +294,8 @@ class ReportRow:
     method: str
     outcome: Mapping  # outcome_to_dict's keys; an OutcomeView from run_benchmark
     correct: bool
-    queries: int
+    queries: int  # requests sent
+    choices: int | None = field(default=None, kw_only=True)  # responses they returned
     wall_ms: int
     transcript_path: str
     category: str | None = None
@@ -311,8 +312,12 @@ class Report:
         self.aggregates = compute_aggregates(self.rows)
 
 
+def _mean(values: list) -> float | None:
+    """0.0 for no values; None if one is None (a row built without that count)."""
+    return None if None in values else sum(values) / len(values) if values else 0.0
+
+
 def compute_aggregates(rows: list[ReportRow]) -> dict:
-    overall = sum(r.correct for r in rows) / len(rows) if rows else 0.0
     by_category: dict[str, dict] = {}
     for row in rows:
         cat = row.category or "uncategorized"
@@ -321,12 +326,12 @@ def compute_aggregates(rows: list[ReportRow]) -> dict:
         bucket["correct"] += int(row.correct)
     for bucket in by_category.values():
         bucket["accuracy"] = bucket["correct"] / bucket["attempted"]
-    mean_queries = sum(r.queries for r in rows) / len(rows) if rows else 0.0
     return {
         "attempted": len(rows),
         "correct": sum(r.correct for r in rows),
-        "accuracy": overall,
-        "mean_queries": mean_queries,
+        "accuracy": _mean([r.correct for r in rows]),
+        "mean_queries": _mean([r.queries for r in rows]),
+        "mean_choices": _mean([r.choices for r in rows]),
         "by_category": by_category,
     }
 
@@ -366,21 +371,15 @@ def with_knobs(method: Method, knobs: Mapping[str, object]) -> Method:
 
 def solve_one(problem: Problem, method: Method, backend_factory) -> Transcript:
     """Run one problem with the chosen method on ``backend_factory(problem.id)``;
-    always returns a finalized transcript. A backend that cannot be built
-    (say, a missing cassette) ends the run as a BackendFailure."""
-    try:
-        backend = backend_factory(problem.id)
-    except (OSError, BackendFailure) as exc:
-        transcript = Transcript(run_id=problem.id)
-        transcript.append(Final(RunError.of(exc)))
-        return transcript
-    if isinstance(method, MethodMACM):
-        _, transcript = orchestrator.solve(problem, method.config, backend,
-                                           prompts=method.prompts, run_id=problem.id)
-        return transcript
-
+    always returns a finalized transcript, never raises. An exception, in
+    building the backend (say, a missing cassette) or in the run, ends the
+    run as ``RunError.of`` it."""
     transcript = Transcript(run_id=problem.id)
     try:
+        backend = backend_factory(problem.id)
+        if isinstance(method, MethodMACM):
+            return orchestrator.solve(problem, method.config, backend,
+                                      prompts=method.prompts, run_id=problem.id)[1]
         if isinstance(method, MethodIO):
             answer = solve_io(problem, method.sampling, backend, transcript)
         elif isinstance(method, MethodCoT):
@@ -390,20 +389,20 @@ def solve_one(problem: Problem, method: Method, backend_factory) -> Transcript:
             answer = solve_sc_cot(problem, method.chain_length_l, method.voters_v,
                                   method.sampling, backend, transcript)
         transcript.append(Final(Solved(answer)))
-    except SOLVE_ERRORS as exc:
+    except Exception as exc:
         transcript.append(Final(RunError.of(exc)))
     return transcript
 
 
 def run_benchmark(problems: list[Problem], method: Method, backend_factory,
-                  out_dir: str | Path, task: str = "math", parallelism: int = 1,
-                  count_choices: bool = False) -> Report:
-    """Solve every problem, grade it, and write one transcript file each.
+                  out_dir: str | Path, task: str = "math", parallelism: int = 1) -> Report:
+    """Solve every problem, write one transcript file each, and grade it.
 
     ``backend_factory(problem_id)`` must return a backend for that problem
-    (scripted/replay backends are single-run). Individual problem failures,
-    including a backend that cannot be built (say, a missing cassette),
-    become Error rows; the batch never aborts. Row order is by problem id,
+    (scripted/replay backends are single-run). Every problem gets one row,
+    and the batch never aborts: a run that fails (say, over a missing
+    cassette) is its row's error outcome, and a transcript write or a grade
+    that raises makes the row an InternalError. Row order is by problem id,
     independent of parallelism.
     """
     if task not in TASKS:
@@ -420,24 +419,26 @@ def run_benchmark(problems: list[Problem], method: Method, backend_factory,
         transcript = solve_one(problem, method, backend_factory)
         wall_ms = int((time.monotonic() - start) * 1000)
         outcome = transcript.outcome
-        correct = False
-        refusal = False
-        needs_review = False
-        if isinstance(outcome, Solved):
-            correct = grade(task, problem, outcome.answer)
-            refusal = bool(_REFUSAL.search(outcome.answer))
-            if task == "math" and problem.gold_answer is not None:
-                needs_review = (needs_manual_review(outcome.answer)
-                                or needs_manual_review(problem.gold_answer))
+        correct = refusal = needs_review = False
         transcript_path = transcripts_dir / f"{problem.id}.jsonl"
-        write_transcript(transcript, transcript_path)
-        queries = transcript.choice_count() if count_choices else transcript.query_count()
+        try:
+            write_transcript(transcript, transcript_path)
+            if isinstance(outcome, Solved):
+                correct = grade(task, problem, outcome.answer)
+                refusal = bool(_REFUSAL.search(outcome.answer))
+                if task == "math" and problem.gold_answer is not None:
+                    needs_review = (needs_manual_review(outcome.answer)
+                                    or needs_manual_review(problem.gold_answer))
+        except Exception as exc:
+            outcome = RunError("InternalError", f"{type(exc).__name__}: {exc}")
+            correct = refusal = needs_review = False
         return ReportRow(
             id=problem.id,
             method=label,
             outcome=OutcomeView(outcome),
             correct=correct,
-            queries=queries,
+            queries=transcript.query_count(),
+            choices=transcript.choice_count(),
             wall_ms=wall_ms,
             transcript_path=str(transcript_path.relative_to(out_dir)),
             category=problem.category,
@@ -467,28 +468,21 @@ _CSV_FIELDS = ["id", "method", "outcome_kind", "correct", "queries",
 
 
 def report_to_dict(report: Report) -> dict:
-    return {
-        "rows": [{
-            "id": r.id, "method": r.method, "outcome": dict(r.outcome),
-            "correct": r.correct, "queries": r.queries, "wall_ms": r.wall_ms,
-            "transcript_path": r.transcript_path, "category": r.category,
-            "refusal": r.refusal, "needs_review": r.needs_review,
-        } for r in report.rows],
-        "aggregates": report.aggregates,
-    }
+    """Each row as ReportRow's fields in their order, its outcome as a dict."""
+    names = [f.name for f in fields(ReportRow)]
+    rows = [{name: getattr(r, name) for name in names} for r in report.rows]
+    for row in rows:
+        row["outcome"] = dict(row["outcome"])
+    return {"rows": rows, "aggregates": report.aggregates}
 
 
 def _report_csv_text(report: Report) -> str:
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=_CSV_FIELDS, lineterminator="\n")
+    writer = csv.DictWriter(buf, fieldnames=_CSV_FIELDS, lineterminator="\n",
+                            extrasaction="ignore")
     writer.writeheader()
-    for r in report.rows:
-        writer.writerow({
-            "id": r.id, "method": r.method, "outcome_kind": r.outcome["kind"],
-            "correct": r.correct, "queries": r.queries,
-            "transcript_path": r.transcript_path, "category": r.category or "",
-            "refusal": r.refusal, "needs_review": r.needs_review,
-        })
+    for row in report_to_dict(report)["rows"]:
+        writer.writerow({**row, "outcome_kind": row["outcome"]["kind"]})
     return buf.getvalue()
 
 
@@ -555,9 +549,11 @@ def sweep_queries(problems: list[Problem], method: Method, knob_grid: dict,
                   task: str = "math") -> list[SweepPoint]:
     """Run one benchmark per knob setting of the grid, each applied to ``method`` by
     with_knobs before the first runs, and record (mean choice count, fraction corrected):
-    a request for n responses counts n. Writes sweep.csv under out_dir. A factory from
-    make_backend_factory records and replays each point's cassettes under the point's
-    directory name (<dir>/point_n3/<id>.jsonl); any other factory is used as is."""
+    a request for n responses counts n. A grid point whose method equals an earlier one's
+    (say, temperature 0 after 0.0) raises ValueError. Writes sweep.csv under out_dir.
+    A factory from make_backend_factory records and replays each point's cassettes under
+    the point's directory name (<dir>/point_n3/<id>.jsonl); any other factory is used
+    as is."""
     if not problems:
         raise EmptyDataset("sweep requires at least one problem")
     if not isinstance(knob_grid, dict) or not knob_grid:
@@ -570,17 +566,19 @@ def sweep_queries(problems: list[Problem], method: Method, knob_grid: dict,
     keys = sorted(knob_grid)
     grid = [dict(zip(keys, values)) for values in itertools.product(*(knob_grid[k] for k in keys))]
     point_methods = [with_knobs(method, settings) for settings in grid]
+    for i, point_method in enumerate(point_methods):
+        if point_method in point_methods[:i]:
+            raise ValueError(f"grid point {grid[i]} repeats an earlier point's settings")
     points: list[SweepPoint] = []
     for settings, point_method in zip(grid, point_methods):
         point_dir = out_dir / ("point_" + "_".join(f"{k}{v}" for k, v in settings.items()))
         point_factory = backend_factory
         if isinstance(backend_factory, BackendFactory):
             point_factory = replace(backend_factory, subdir=point_dir.name)
-        report = run_benchmark(problems, point_method, point_factory, point_dir,
-                               task=task, count_choices=True)
+        report = run_benchmark(problems, point_method, point_factory, point_dir, task=task)
         points.append(SweepPoint(
             settings=settings,
-            mean_queries=report.aggregates["mean_queries"],
+            mean_queries=report.aggregates["mean_choices"],
             corrected_fraction=report.aggregates["accuracy"],
         ))
 

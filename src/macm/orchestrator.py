@@ -33,7 +33,7 @@ from .domain import (
     Unsolvable,
     VerdictEvent,
 )
-from .errors import SOLVE_ERRORS, CorruptTranscript
+from .errors import CorruptTranscript
 from .prompts import PromptCatalog
 
 
@@ -80,9 +80,9 @@ def solve(problem: Problem, config: RunConfig, backend,
           run_id: str | None = None) -> tuple[Outcome, Transcript]:
     """Run the full mining loop on one problem.
 
-    Returns the outcome and the complete transcript; on ParseFailure,
-    BackendFailure, or BudgetExceeded the partial transcript is kept and the
-    outcome is an error, never an exception.
+    Returns the outcome and the complete transcript; on an exception the
+    partial transcript is kept and the outcome is ``RunError.of`` it, never
+    an exception.
     """
     return resume_from_transcript(Transcript(run_id), backend, problem=problem,
                                   config=config, prompts=prompts)
@@ -139,7 +139,7 @@ def resume_from_transcript(transcript: Transcript, backend, *,
             if state.plan is None:
                 log(PlanDesigned(client.thinker_design_steps(state.known)))
             outcome = Solved(client.executor_compute(state.known, state.plan))
-    except SOLVE_ERRORS as exc:
+    except Exception as exc:
         outcome = RunError.of(exc)
     transcript.append(Final(outcome))
     return outcome, transcript

@@ -86,6 +86,21 @@ class TestSolve:
         if cassettes == "torn-line":
             assert f"cassette {target / 'cli.jsonl'}, line 1" in outcome.detail
 
+    def test_internal_error_exit_code(self, tmp_path, capsys, monkeypatch):
+        from macm import harness
+
+        def factory(problem_id):
+            raise RuntimeError("a bug")
+
+        monkeypatch.setattr(harness, "make_backend_factory", lambda *args, **kwargs: factory)
+        code = main(["solve", "--question", "q", "--backend", "http", "--out", str(tmp_path)])
+        assert code == EXIT_FOR_ERROR["InternalError"] == 5
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["outcome"] == {"kind": "error", "error_kind": "InternalError",
+                                      "detail": "RuntimeError: a bug"}
+        assert read_transcript(tmp_path / "cli.jsonl").outcome == \
+            RunError("InternalError", "RuntimeError: a bug")
+
     def test_unknown_backend_selector(self, capsys):
         code = main(["solve", "--question", "q", "--backend", "bogus"])
         assert code == 2
@@ -301,12 +316,36 @@ class TestBench:
         write_jsonl(dataset, [{"id": "p0", "question": "q", "answer": "7"}])
         script = tmp_path / "s.json"
         solver_script(script, ["Answer: 7", "Answer: 7"])
-        for flags, queries in (([], 2), (["--count-choices"], 4)):
-            out = tmp_path / f"out{queries}"
-            assert main(["bench", "--dataset", str(dataset), "--method", "io", "--n", "3",
-                         "--backend", f"scripted:{script}", "--out", str(out), *flags]) == 0
-            rows = json.loads((out / "report.json").read_text())["rows"]
-            assert [r["queries"] for r in rows] == [queries]
+        out = tmp_path / "out"
+        assert main(["bench", "--dataset", str(dataset), "--method", "io", "--n", "3",
+                     "--backend", f"scripted:{script}", "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert [(r["queries"], r["choices"]) for r in report["rows"]] == [(2, 4)]
+        assert (report["aggregates"]["mean_queries"], report["aggregates"]["mean_choices"]) \
+            == (2.0, 4.0)
+        assert "mean queries 2.00, mean choices 4.00" in capsys.readouterr().out
+
+    def test_count_choices_flag_is_gone(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["bench", "--dataset", str(self._dataset(tmp_path)), "--method", "io",
+                  "--backend", "http", "--out", str(tmp_path / "out"), "--count-choices"])
+        assert info.value.code == 2
+        assert "--count-choices" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_transcript_that_cannot_be_written_is_an_internal_error_row(self, tmp_path,
+                                                                        capsys):
+        script = tmp_path / "s.json"
+        solver_script(script, ["Answer: 7"])
+        out = tmp_path / "out"
+        (out / "transcripts" / "p0.jsonl").mkdir(parents=True)
+        assert main(["bench", "--dataset", str(self._dataset(tmp_path)), "--method", "io",
+                     "--backend", f"scripted:{script}", "--out", str(out)]) == 0
+        rows = json.loads((out / "report.json").read_text())["rows"]
+        assert [r["outcome"].get("error_kind") for r in rows] == ["InternalError", None]
+        assert rows[0]["outcome"]["detail"] == \
+            f"IsADirectoryError: [Errno 21] Is a directory: '{out / 'transcripts' / 'p0.jsonl'}'"
+        assert (out / "transcripts" / "p1.jsonl").is_file()
 
     def test_empty_selection_is_an_empty_report(self, tmp_path, capsys):
         # No incorrect rows to retry: bench succeeds with an empty report,
@@ -497,6 +536,33 @@ def test_knob_the_method_takes_reaches_the_run(command, method, knob, tmp_path, 
 def test_knob_the_method_does_not_take_is_refused(command, method, knob, tmp_path, capsys):
     assert _knob_run(command, method, knob, KNOB_VALUES[knob], tmp_path) == 2
     assert f"--method {method} does not take '{knob}'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists() and not (tmp_path / "cassettes").exists()
+
+
+@pytest.mark.parametrize("value", [0, -1])
+@pytest.mark.parametrize("command", ["solve", "bench", "sweep"])
+def test_query_budget_below_one_is_refused(command, value, tmp_path, capsys):
+    assert _knob_run(command, "macm", "query_budget", value, tmp_path) == 2
+    assert "query_budget must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists() and not (tmp_path / "cassettes").exists()
+
+
+@pytest.mark.parametrize("method, grid, named", [
+    ("io", '{"temperature": [0, 0.0]}', "{'temperature': 0.0}"),
+    ("io", '{"temperature": [0.7, 0.70]}', "{'temperature': 0.7}"),
+    ("io", '{"n": [1, 1]}', "{'n': 1}"),
+    ("io", '{"n": [1, 3, 1], "temperature": [0.5]}', "{'n': 1, 'temperature': 0.5}"),
+    ("macm", '{"max_iterations": [1, 2], "query_budget": [3, 3]}',
+     "{'max_iterations': 1, 'query_budget': 3}")])
+def test_repeated_grid_value_exit_code(method, grid, named, tmp_path, capsys):
+    dataset = tmp_path / "d.jsonl"
+    write_jsonl(dataset, [{"id": "p0", "question": "q", "answer": "7"}])
+    script = tmp_path / "s.json"
+    solver_script(script, ["Answer: 7"])
+    assert main(["sweep", "--dataset", str(dataset), "--method", method, "--grid", grid,
+                 "--backend", f"scripted:{script}", "--record", str(tmp_path / "cassettes"),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert f"grid point {named} repeats" in capsys.readouterr().err
     assert not (tmp_path / "out").exists() and not (tmp_path / "cassettes").exists()
 
 

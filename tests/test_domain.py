@@ -169,6 +169,12 @@ class TestConfigs:
         with pytest.raises(ValueError):
             SamplingParams(temperature=-0.1)
 
+    @pytest.mark.parametrize("budget", [0, -1])
+    def test_query_budget_below_one_rejected(self, budget):
+        with pytest.raises(ValueError, match="query_budget must be >= 1"):
+            RunConfig(query_budget=budget)
+        assert RunConfig(query_budget=1).query_budget == 1
+
     def test_problem_validation(self):
         with pytest.raises(ValueError):
             Problem(id="", question="q")

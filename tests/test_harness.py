@@ -22,6 +22,7 @@ from macm.domain import (
     PlanDesigned,
     Problem,
     RunConfig,
+    RunError,
     SamplingParams,
     Solved,
     SufficiencyVerdict,
@@ -31,6 +32,7 @@ from macm.domain import (
 from macm.errors import CorruptTranscript, EmptyDataset, SchemaError
 from macm.harness import (
     Report,
+    ReportRow,
     compute_aggregates,
     filter_wrong,
     grade,
@@ -327,6 +329,104 @@ class TestRunBenchmark:
         assert report.rows[0].needs_review
 
 
+class _RaisingBackend:
+    """A backend with a bug: every call raises."""
+
+    def complete(self, request, role):
+        raise RuntimeError("complete bug")
+
+
+FAULTS = ("factory", "complete", "grade", "transcript-dir")
+
+
+def _faulty_run(problems, method, build, out, parallelism, fault=None, at=None):
+    """run_benchmark over ``build()`` backends, with ``fault`` injected at problem ``at``."""
+    from macm import harness
+
+    def factory(pid):
+        if pid == at and fault == "factory":
+            raise RuntimeError("factory bug")
+        return _RaisingBackend() if pid == at and fault == "complete" else build()
+
+    def grade_with_fault(task, problem, answer):
+        if problem.id == at and fault == "grade":
+            raise RuntimeError("grade bug")
+        return grade(task, problem, answer)
+
+    if fault == "transcript-dir":
+        (out / "transcripts" / f"{at}.jsonl").mkdir(parents=True)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(harness, "grade", grade_with_fault)
+        return run_benchmark(problems, method, factory, out, parallelism=parallelism)
+
+
+def _row_key(row):
+    """A row without its wall time, which no two runs share."""
+    return dataclasses.replace(row, wall_ms=0)
+
+
+class TestBatchNeverAborts:
+    @settings(deadline=None, max_examples=25)
+    @given(size=st.integers(1, 6), fault=st.sampled_from(FAULTS), macm=st.booleans(),
+           data=st.data())
+    @pytest.mark.parametrize("parallelism", [1, 2])
+    def test_one_fault_costs_one_row(self, parallelism, size, fault, macm, data):
+        import tempfile
+
+        from macm.backend import ScriptedBackend
+        from macm.demo import algebra_problem, algebra_trace_path
+
+        at = f"p{data.draw(st.integers(0, size - 1), label='faulty problem')}"
+        if macm:
+            method = MethodMACM()
+            problems = [dataclasses.replace(algebra_problem(), id=f"p{i}") for i in range(size)]
+            build = lambda: ScriptedBackend.from_file(algebra_trace_path())  # noqa: E731
+        else:
+            method = MethodIO()
+            problems = [Problem(id=f"p{i}", question=f"q{i}", gold_answer=str(7 + i % 2))
+                        for i in range(size)]
+            build = lambda: scripted(solver=["Answer: 7"])  # noqa: E731
+        with tempfile.TemporaryDirectory() as tmp:
+            clean = _faulty_run(problems, method, build, Path(tmp) / "clean", parallelism)
+            out = Path(tmp) / "faulty"
+            report = _faulty_run(problems, method, build, out, parallelism, fault, at)
+
+            assert [r.id for r in report.rows] == [p.id for p in problems]
+            for row, clean_row in zip(report.rows, clean.rows):
+                if row.id == at:
+                    assert row.outcome["error_kind"] == "InternalError"
+                    assert row.outcome["detail"].startswith(
+                        "IsADirectoryError: " if fault == "transcript-dir" else "RuntimeError: ")
+                    assert not row.correct
+                else:
+                    assert _row_key(row) == _row_key(clean_row)
+                if not (row.id == at and fault == "transcript-dir"):
+                    assert read_transcript(out / row.transcript_path).is_final
+
+    def test_transcript_path_that_is_a_directory(self, tmp_path):
+        problems = [Problem(id=f"p{i}", question=f"q{i}", gold_answer="7") for i in range(3)]
+        (tmp_path / "transcripts" / "p1.jsonl").mkdir(parents=True)
+        report = run_benchmark(problems, MethodIO(), lambda pid: scripted(solver=["Answer: 7"]),
+                               tmp_path)
+        assert [(r.id, r.correct) for r in report.rows] == \
+            [("p0", True), ("p1", False), ("p2", True)]
+        assert report.rows[1].outcome["error_kind"] == "InternalError"
+        assert read_transcript(tmp_path / "transcripts" / "p2.jsonl").outcome == Solved("7")
+
+    def test_backend_bug_at_parallelism_two(self, tmp_path):
+        problems = [Problem(id=f"p{i}", question=f"q{i}", gold_answer="7") for i in range(3)]
+        report = run_benchmark(
+            problems, MethodIO(),
+            lambda pid: _RaisingBackend() if pid == "p1" else scripted(solver=["Answer: 7"]),
+            tmp_path, parallelism=2)
+        assert [(r.id, r.correct) for r in report.rows] == \
+            [("p0", True), ("p1", False), ("p2", True)]
+        assert sorted(p.name for p in (tmp_path / "transcripts").iterdir()) == \
+            ["p0.jsonl", "p1.jsonl", "p2.jsonl"]
+        assert read_transcript(tmp_path / "transcripts" / "p1.jsonl").outcome == \
+            RunError("InternalError", "RuntimeError: complete bug")
+
+
 class TestReportPersistence:
     def _report(self, tmp_path):
         problems = [Problem(id="p0", question="q", gold_answer="7", category="Alg")]
@@ -344,6 +444,13 @@ class TestReportPersistence:
         reloaded = json.loads((out / "report.json").read_text())
         assert reloaded == report_to_dict(report)
         assert reloaded["rows"][0]["outcome"] == {"kind": "solved", "answer": "7"}
+
+    def test_row_keys_are_the_row_fields_in_order(self, tmp_path):
+        report = self._report(tmp_path)
+        (row,) = report_to_dict(report)["rows"]
+        assert list(row) == [f.name for f in dataclasses.fields(ReportRow)]
+        assert (row["queries"], row["choices"]) == (1, 1)
+        assert report.aggregates["mean_choices"] == 1.0
 
     def test_aggregates_self_consistent(self, tmp_path):
         report = self._report(tmp_path)

@@ -23,6 +23,7 @@ from macm.domain import (
     ConditionProposed,
     DuplicateDropped,
     Final,
+    ObjectiveSet,
     Problem,
     RunConfig,
     RunError,
@@ -162,6 +163,28 @@ class TestErrorPropagation:
     def test_run_error_of_names_the_error_kind(self, error, kind):
         assert [cls.__name__ for cls in SOLVE_ERRORS] == list(ERROR_KINDS)
         assert RunError.of(error("detail")) == RunError(kind, "detail")
+
+    @pytest.mark.parametrize("error", [RuntimeError, KeyError, TypeError])
+    def test_run_error_of_a_bug_is_an_internal_error(self, error):
+        assert RunError.of(error("detail")) == RunError(
+            "InternalError", f"{error.__name__}: {error('detail')}")
+
+    def test_bug_in_a_backend_ends_the_run_with_its_transcript(self, toy_problem, fast_config):
+        class Buggy:
+            """Answers the extraction, then fails at the second call."""
+
+            def __init__(self):
+                self.inner = scripted(thinker=[extraction_reply(["c"], "obj")])
+
+            def complete(self, request, role):
+                if self.inner.counter.requests:
+                    raise ZeroDivisionError("division by zero")
+                return self.inner.complete(request, role)
+
+        outcome, transcript = solve(toy_problem, fast_config, Buggy())
+        assert outcome == RunError("InternalError", "ZeroDivisionError: division by zero")
+        assert transcript.query_count() == 1 and transcript.outcome == outcome
+        assert ObjectiveSet("obj") in transcript.events
 
     def test_query_budget(self, toy_problem):
         config = RunConfig(format_retries=0, query_budget=2)
