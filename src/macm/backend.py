@@ -120,16 +120,9 @@ class ScriptedBackend:
 
     @classmethod
     def from_dict(cls, data: dict, counter: QueryCounter | None = None) -> "ScriptedBackend":
-        roles = {}
-        for role, entries in data.get("roles", {}).items():
-            parsed = []
-            for entry in entries:
-                if isinstance(entry, str):
-                    parsed.append(ScriptEntry(reply=entry))
-                else:
-                    parsed.append(ScriptEntry(reply=entry["reply"],
-                                              expect_substring=entry.get("expect_substring")))
-            roles[role] = parsed
+        roles = {role: [ScriptEntry(e) if isinstance(e, str)
+                        else ScriptEntry(e["reply"], e.get("expect_substring")) for e in entries]
+                 for role, entries in data.get("roles", {}).items()}
         return cls(roles, counter=counter)
 
     @classmethod
@@ -569,11 +562,7 @@ def _cassette_line(seq: int, role: str, request: ChatRequest, response: ChatResp
         "seq": seq,
         "role": role,
         "request_messages": [{"role": m.role, "content": m.content} for m in request.messages],
-        "sampling": {
-            "n": request.sampling.n,
-            "temperature": request.sampling.temperature,
-            "max_tokens": request.sampling.max_tokens,
-        },
+        "sampling": vars(request.sampling),  # n, temperature, max_tokens
         "choices": list(response.choices),
         "tokens_in": response.tokens_in,
         "tokens_out": response.tokens_out,

@@ -95,7 +95,7 @@ def _load_dataset(args) -> list[Problem]:
 
 
 def cmd_solve(args) -> int:
-    factory = harness.make_backend_factory(args.backend, record_dir=args.record)
+    method = _method(args)
     if args.question:
         problem = Problem(id="cli", question=args.question)
     else:
@@ -103,8 +103,11 @@ def cmd_solve(args) -> int:
         if not problems:
             raise EmptyDataset(f"no problems in {args.problem_file}")
         problem = problems[0]
+    if args.out:  # before any model call, so an --out that cannot be made costs none
+        Path(args.out).mkdir(parents=True, exist_ok=True)
+    factory = harness.make_backend_factory(args.backend, record_dir=args.record)
 
-    transcript = harness.solve_one(problem, _method(args), factory)
+    transcript = harness.solve_one(problem, method, factory)
     outcome = transcript.outcome
     print(json.dumps({"outcome": outcome_to_dict(outcome),
                       "queries": transcript.query_count(),

@@ -78,8 +78,8 @@ class SamplingParams:
     def __post_init__(self):
         if self.n < 1 or self.max_tokens < 1:
             raise ValueError("n, max_tokens must be positive")
-        if self.temperature < 0:
-            raise ValueError("temperature must be >= 0")
+        if not 0 <= self.temperature < float("inf"):
+            raise ValueError(f"temperature must be finite and >= 0, got {self.temperature}")
 
 
 @dataclass(frozen=True)
@@ -97,8 +97,8 @@ class RunConfig:
             raise ValueError("max_iterations must be >= 1")
         if self.format_retries < 0:
             raise ValueError("format_retries must be >= 0")
-        if self.temperature < 0:
-            raise ValueError("temperature must be >= 0")
+        if not 0 <= self.temperature < float("inf"):
+            raise ValueError(f"temperature must be finite and >= 0, got {self.temperature}")
         if self.query_budget is not None and self.query_budget < 1:
             raise ValueError("query_budget must be >= 1")
 
@@ -171,8 +171,8 @@ def outcome_from_dict(data: dict) -> Outcome:
 # Transcript events
 # ---------------------------------------------------------------------------
 
-# The checks below are what a resumed run relies on: a transcript line that
-# breaks one fails in read_transcript as a CorruptTranscript.
+# The checks below guard reading a transcript: a line that breaks one fails in
+# read_transcript as a CorruptTranscript.
 
 def _check_text(text, what: str) -> None:
     if not isinstance(text, str) or not text.strip():

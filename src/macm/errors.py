@@ -47,7 +47,7 @@ SOLVE_ERRORS = (ParseFailure, BackendFailure, BudgetExceeded, InternalError)
 
 class CorruptTranscript(MacmError):
     """A transcript cannot be read (a line is not an event) or resumed
-    (already finalized or inconsistent)."""
+    (already finalized, or not what a re-run of its calls logs)."""
 
 
 class SchemaError(MacmError):

@@ -1,19 +1,21 @@
-"""The condition-mining state machine.
+"""The condition-mining loop.
 
 One run is: initialize the condition list and objective, then up to
 ``max_iterations`` rounds of (mine candidates, judge each one, check
 sufficiency), then design steps and execute. Every agent interaction and
-state change is logged to the transcript before the next begins, and the
-run's state is the fold of its transcript events through ``RunState.apply``:
-a fresh run and a resumed one share that one transition function.
+state change is logged to the transcript before the next begins. Given the
+model's replies the loop is deterministic, so a resumed run is the same loop
+run again from the start, answered from the transcript's own calls.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import dataclasses
 
 from .agents import AgentClient
+from .backend import ChatResponse
 from .domain import (
+    AgentCall,
     ConditionAccepted,
     ConditionDiscarded,
     ConditionList,
@@ -33,46 +35,45 @@ from .domain import (
     Unsolvable,
     VerdictEvent,
 )
-from .errors import CorruptTranscript
+from .errors import BackendFailure, CorruptTranscript
 from .prompts import PromptCatalog
 
 
-@dataclass
-class RunState:
-    """What a run's events say so far. ``known`` is None until the problem is
-    extracted; ``pending`` holds the candidates proposed this round and not
-    yet judged or dropped, None until the round is mined."""
-
-    known: ConditionList | None = None
-    round: int = 1
-    pending: list[str] | None = None
-    sufficient: bool = False
-    plan: tuple[str, ...] | None = None
-
-    def apply(self, event: Event) -> None:
-        """Fold one event into the state. An event filed under a round other
-        than the state's own raises CorruptTranscript."""
-        kind = type(event)
-        # Every event that carries a round belongs to the round being mined; an
-        # initial ConditionAccepted carries None.
-        filed = getattr(event, "round", None)
-        if filed is not None and filed != self.round:
-            raise CorruptTranscript(
-                f"{kind.__name__} filed under round {filed} in round {self.round}")
-        if kind is ConditionProposed:
-            self.pending = (self.pending or []) + [event.text]
-        elif kind is ConditionAccepted:
-            self.known.add(event.text)
-            if event.round is not None:
-                del self.pending[0]
-        elif kind is ConditionDiscarded or kind is DuplicateDropped:
-            del self.pending[0]
-        elif kind is SufficiencyVerdict:
-            self.round, self.pending, self.sufficient = event.round + 1, None, event.value
-        elif kind is ObjectiveSet:
-            self.known = ConditionList(event.text)
-        elif kind is PlanDesigned:
-            self.plan = event.steps
+def _run(problem: Problem, config: RunConfig, backend, prompts: PromptCatalog,
+          transcript: Transcript) -> Outcome:
+    """Run the loop into ``transcript``; an exception ends it as ``RunError.of`` it."""
+    client = AgentClient(backend=backend, config=config, transcript=transcript, prompts=prompts)
+    log = transcript.append
+    try:
+        texts, objective = client.thinker_extract(problem)
+        log(ObjectiveSet(objective))
+        known = ConditionList(objective)
+        for text in texts:
+            if not known.is_duplicate(text):
+                known.add(text)
+                log(ConditionAccepted(text))
+        for rnd in range(1, config.max_iterations + 1):
+            candidates = client.thinker_mine(known)
+            for text in candidates:
+                log(ConditionProposed(text, rnd))
+            for text in candidates:
+                if known.is_duplicate(text):
+                    log(DuplicateDropped(text, rnd))
+                    continue
+                accepted = client.judge_condition(text, known).value
+                log(VerdictEvent(f"condition: {text}", accepted))
+                if accepted:
+                    known.add(text)
+                log((ConditionAccepted if accepted else ConditionDiscarded)(text, rnd))
+            sufficient = client.judge_sufficiency(known).value
+            log(SufficiencyVerdict(rnd, sufficient))
+            if sufficient:
+                plan = client.thinker_design_steps(known)
+                log(PlanDesigned(plan))
+                return Solved(client.executor_compute(known, plan))
+        return Unsolvable(config.max_iterations)
+    except Exception as exc:
+        return RunError.of(exc)
 
 
 def solve(problem: Problem, config: RunConfig, backend,
@@ -84,62 +85,66 @@ def solve(problem: Problem, config: RunConfig, backend,
     partial transcript is kept and the outcome is ``RunError.of`` it, never
     an exception.
     """
-    return resume_from_transcript(Transcript(run_id), backend, problem=problem,
-                                  config=config, prompts=prompts)
+    transcript = Transcript(run_id)
+    outcome = _run(problem, config, backend, prompts or PromptCatalog(), transcript)
+    transcript.append(Final(outcome))
+    return outcome, transcript
 
 
-def resume_from_transcript(transcript: Transcript, backend, *,
-                           problem: Problem | None = None,
+def _first_difference(recorded: list[Event], rerun: list[Event]) -> int | None:
+    """The index of the first recorded event the re-run does not repeat,
+    timestamps aside; None when the re-run begins with all of them."""
+    for i, event in enumerate(recorded):
+        if i == len(rerun) or event != (
+                dataclasses.replace(rerun[i], timestamp=event.timestamp)
+                if type(event) is AgentCall is type(rerun[i]) else rerun[i]):
+            return i
+    return None
+
+
+class _TranscriptBackend:
+    """Answers the re-run's k-th request from the transcript's k-th AgentCall.
+    A request past them goes to ``backend``, once the re-run has logged every
+    event of the transcript."""
+
+    def __init__(self, recorded: list[Event], rerun: Transcript, backend):
+        self.recorded, self.rerun, self.backend = recorded, rerun, backend
+        self.calls = [e for e in recorded if isinstance(e, AgentCall)]
+
+    def complete(self, request, role: str) -> ChatResponse:
+        k = self.rerun.query_count()  # each request answered is logged before the next
+        if k < len(self.calls):
+            call = self.calls[k]
+            if (call.role, call.prompt, call.n_choices) != (
+                    role, request.prompt_text(), request.sampling.n):
+                raise BackendFailure(f"request {k + 1} differs from the transcript's call")
+            return ChatResponse((call.raw_response,), call.tokens_in, call.tokens_out)
+        if k == len(self.calls) and _first_difference(self.recorded, self.rerun.events) is not None:
+            raise BackendFailure("the re-run differs from the transcript")
+        return self.backend.complete(request, role)
+
+
+def resume_from_transcript(transcript: Transcript, backend, *, problem: Problem,
                            config: RunConfig | None = None,
                            prompts: PromptCatalog | None = None) -> tuple[Outcome, Transcript]:
-    """Reconstruct the run state from an unfinished transcript and continue.
+    """Continue an unfinished run of ``problem``: append the rest of the run
+    to ``transcript`` and return ``(outcome, transcript)``.
 
-    With a replay backend positioned past the calls already in the
-    transcript, this produces the same outcome as an uninterrupted run.
-    An empty transcript behaves as a fresh solve (``problem`` required then).
+    The loop runs again from the start, answered from the transcript's
+    AgentCalls; ``backend`` serves the requests past them, once the re-run
+    has repeated every event of the transcript. A finalised transcript, or
+    one the re-run does not repeat (edited, say, or run with other settings
+    or prompts), raises CorruptTranscript naming the first event that differs.
     """
     if transcript.is_final:
         raise CorruptTranscript("transcript already carries a Final event")
-    state = RunState()
-    for event in transcript.events:
-        state.apply(event)
-    if state.known is None and problem is None:
-        raise CorruptTranscript("transcript has no objective and no problem was given")
-    config = config or RunConfig()
-    client = AgentClient(backend=backend, config=config, transcript=transcript,
-                         prompts=prompts or PromptCatalog())
-
-    def log(event: Event) -> None:
-        transcript.append(event)
-        state.apply(event)
-
-    try:
-        if state.known is None:
-            texts, objective = client.thinker_extract(problem)
-            log(ObjectiveSet(objective))
-            for text in texts:
-                if not state.known.is_duplicate(text):
-                    log(ConditionAccepted(text))
-        while not state.sufficient and state.round <= config.max_iterations:
-            if state.pending is None:
-                for text in client.thinker_mine(state.known):
-                    log(ConditionProposed(text, state.round))
-            while state.pending:
-                text = state.pending[0]
-                if state.known.is_duplicate(text):
-                    log(DuplicateDropped(text, state.round))
-                    continue
-                verdict = client.judge_condition(text, state.known)
-                log(VerdictEvent(f"condition: {text}", verdict.value))
-                log((ConditionAccepted if verdict.value else ConditionDiscarded)(
-                    text, state.round))
-            log(SufficiencyVerdict(state.round, client.judge_sufficiency(state.known).value))
-        outcome = Unsolvable(config.max_iterations)
-        if state.sufficient:
-            if state.plan is None:
-                log(PlanDesigned(client.thinker_design_steps(state.known)))
-            outcome = Solved(client.executor_compute(state.known, state.plan))
-    except Exception as exc:
-        outcome = RunError.of(exc)
-    transcript.append(Final(outcome))
+    recorded, rerun = transcript.events, Transcript(transcript.run_id)
+    outcome = _run(problem, config or RunConfig(), _TranscriptBackend(recorded, rerun, backend),
+                    prompts or PromptCatalog(), rerun)
+    rerun.append(Final(outcome))
+    i = _first_difference(recorded, rerun.events)
+    if i is not None:
+        raise CorruptTranscript(f"event {i} of the transcript, {recorded[i]!r:.200}, "
+                                f"differs from the re-run's {rerun.events[i]!r:.200}")
+    transcript.events.extend(rerun.events[len(recorded):])
     return outcome, transcript

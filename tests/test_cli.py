@@ -101,6 +101,17 @@ class TestSolve:
         assert read_transcript(tmp_path / "cli.jsonl").outcome == \
             RunError("InternalError", "RuntimeError: a bug")
 
+    def test_out_that_cannot_be_made_is_refused_before_any_call(self, tmp_path, capsys):
+        out = tmp_path / "outfile"
+        out.write_text("not a directory\n")
+        code = main(["solve", "--question", ALGEBRA_QUESTION,
+                     "--backend", f"scripted:{algebra_trace_path()}",
+                     "--record", str(tmp_path / "cassettes"), "--out", str(out)])
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "cassettes").exists()
+        assert out.read_text() == "not a directory\n"
+
     def test_unknown_backend_selector(self, capsys):
         code = main(["solve", "--question", "q", "--backend", "bogus"])
         assert code == 2
@@ -510,7 +521,7 @@ def _knob_run(command, method, knob, value, tmp_path):
     if command == "sweep":
         grid, flag = json.dumps({knob: [value]}), []
     else:
-        grid, flag = '{"temperature": [0.7]}', ["--" + knob.replace("_", "-"), str(value)]
+        grid, flag = '{"temperature": [0.7]}', [f"--{knob.replace('_', '-')}={value}"]
     command = command.removesuffix("-flag")
     return main([command, *dataset_flags(command, dataset, grid), *flag, "--method", method,
                  "--backend", f"scripted:{script}", "--record", str(tmp_path / "cassettes"),
@@ -544,6 +555,15 @@ def test_knob_the_method_does_not_take_is_refused(command, method, knob, tmp_pat
 def test_query_budget_below_one_is_refused(command, value, tmp_path, capsys):
     assert _knob_run(command, "macm", "query_budget", value, tmp_path) == 2
     assert "query_budget must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists() and not (tmp_path / "cassettes").exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("method", ["io", "sc-cot", "macm"])
+@pytest.mark.parametrize("command", ["solve", "bench", "sweep"])
+def test_non_finite_temperature_is_refused(command, method, value, tmp_path, capsys):
+    assert _knob_run(command, method, "temperature", float(value), tmp_path) == 2
+    assert "temperature must be finite and >= 0" in capsys.readouterr().err
     assert not (tmp_path / "out").exists() and not (tmp_path / "cassettes").exists()
 
 

@@ -19,12 +19,13 @@ from macm.domain import (
     RunConfig,
     SamplingParams,
     Solved,
-    SufficiencyVerdict,
     Transcript,
     Unsolvable,
     normalize_condition_text,
 )
-from macm.orchestrator import RunState
+from macm.orchestrator import solve
+
+from conftest import extraction_reply, mining_reply, scripted
 
 
 class TestNormalizeConditionText:
@@ -98,13 +99,6 @@ class TestConditionInvariants:
                     make("x", bad)
 
 
-def fold(*events) -> RunState:
-    state = RunState()
-    for event in events:
-        state.apply(event)
-    return state
-
-
 class TestConditionList:
     def test_dedup_by_normalized_text(self):
         known = ConditionList("goal", ["a  =  b"])
@@ -117,20 +111,25 @@ class TestConditionList:
             known.add(text)
         assert known.texts == ["c1", "c2", "c3"]
 
-    def test_discarded_not_in_accepted(self):
-        state = fold(ObjectiveSet("goal"), ConditionAccepted("keep"),
-                     ConditionProposed("drop", 1), ConditionDiscarded("drop", 1))
-        assert state.known.texts == ["keep"]
-        assert state.pending == []
+    def test_discarded_not_in_accepted(self, toy_problem, fast_config):
+        backend = scripted(thinker=[extraction_reply(["keep"], "goal"), mining_reply(["drop"]),
+                                    "1. go"],
+                           judge=["False", "True"], executor=["Answer: ok"])
+        outcome, transcript = solve(toy_problem, fast_config, backend)
+        assert outcome == Solved("ok")
+        assert [e.text for e in transcript.events if isinstance(e, ConditionAccepted)] == ["keep"]
+        assert "drop" not in transcript.agent_calls()[-1].prompt
 
-    def test_discarded_text_can_be_reaccepted(self):
-        state = fold(ObjectiveSet("goal"), ConditionAccepted("y = 2"),
-                     ConditionProposed("x = 1", 1), ConditionDiscarded("x = 1", 1),
-                     SufficiencyVerdict(1, False))
-        assert not state.known.is_duplicate("x = 1")
-        state.apply(ConditionProposed("x = 1", 2))
-        state.apply(ConditionAccepted("x = 1", 2))
-        assert state.known.texts == ["y = 2", "x = 1"]
+    def test_discarded_text_can_be_reaccepted(self, toy_problem, fast_config):
+        backend = scripted(thinker=[extraction_reply(["y = 2"], "goal"), mining_reply(["x = 1"]),
+                                    mining_reply(["x = 1"]), "1. go"],
+                           judge=["False", "False", "True", "True"], executor=["Answer: ok"])
+        outcome, transcript = solve(toy_problem, fast_config, backend)
+        assert outcome == Solved("ok")
+        assert ConditionDiscarded("x = 1", 1) in transcript.events
+        assert [e.text for e in transcript.events if isinstance(e, ConditionAccepted)] \
+            == ["y = 2", "x = 1"]
+        assert "1. y = 2\n2. x = 1" in transcript.agent_calls()[-1].prompt
 
     @given(st.lists(st.text(min_size=1).filter(lambda s: s.strip()), max_size=20))
     def test_accepted_set_is_monotone(self, texts):
@@ -155,6 +154,12 @@ class TestConfigs:
         assert RunConfig().temperature == 0.7
         with pytest.raises(ValueError):
             RunConfig(temperature=-0.1)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_temperature_rejected(self, value):
+        for make in (RunConfig, SamplingParams):
+            with pytest.raises(ValueError, match="temperature must be finite and >= 0"):
+                make(temperature=value)
 
     def test_run_config_defaults(self):
         config = RunConfig()

@@ -47,6 +47,7 @@ from macm.errors import (
 )
 from macm.harness import read_transcript, solve_one
 from macm.orchestrator import resume_from_transcript, solve
+from macm.prompts import PromptCatalog
 
 from conftest import extraction_reply, mining_reply, random_script, scripted
 
@@ -296,6 +297,46 @@ def two_round_script(counter=None):
         counter=counter)
 
 
+def format_retry_script():
+    """The two-round run, its Judge replying malformed once before its first verdict."""
+    return scripted(
+        thinker=[extraction_reply(["c0"], "obj"),
+                 mining_reply(["m1"]),
+                 mining_reply(["m2"]),
+                 "1. combine\n2. compute"],
+        judge=["Maybe", "True", "False", "True", "True"],
+        executor=["Answer: 99"])
+
+
+def recorded_run(run, tmp_path):
+    """Record one named or random scripted run; returns its problem, config,
+    outcome, transcript and cassette."""
+    config = RunConfig(format_retries=0)
+    if run == "algebra":
+        problem, config = algebra_problem(), RunConfig()
+        backend = ScriptedBackend.from_file(algebra_trace_path())
+    else:
+        problem = Problem(id="toy-1", question="Compute 1+1.")
+        if run == "two-round":
+            backend = two_round_script()
+        elif run == "duplicate":
+            backend = duplicate_script()
+        elif run == "format-retry":
+            backend, config = format_retry_script(), RunConfig(format_retries=1)
+        else:
+            backend, _ = random_script(run)
+    cassette = tmp_path / "run.jsonl"
+    outcome, full = solve(problem, config, RecordingBackend(backend, cassette))
+    return problem, config, outcome, full, cassette
+
+
+class NeverCalled:
+    """A continuation backend that fails the test if it is asked anything."""
+
+    def complete(self, request, role):
+        pytest.fail("the continuation backend was called")
+
+
 class TestResume:
     def _record_full_run(self, tmp_path, problem, config):
         cassette = tmp_path / "run.jsonl"
@@ -313,7 +354,8 @@ class TestResume:
         calls_done = partial.query_count()
 
         outcome, resumed = resume_from_transcript(
-            partial, ReplayBackend(cassette, skip_calls=calls_done), config=fast_config)
+            partial, ReplayBackend(cassette, skip_calls=calls_done), problem=toy_problem,
+            config=fast_config)
         assert outcome == full.outcome
         assert resumed.query_count() == full.query_count()
         assert accepted_mined(resumed) == accepted_mined(full)
@@ -327,44 +369,52 @@ class TestResume:
         partial.events = list(full.events[: cut + 1])
         outcome, resumed = resume_from_transcript(
             partial, ReplayBackend(cassette, skip_calls=partial.query_count()),
-            config=fast_config)
+            problem=toy_problem, config=fast_config)
         assert outcome == full.outcome
 
-    @settings(max_examples=30, deadline=None)
-    @given(run=st.one_of(st.integers(0, 499),
-                         st.sampled_from(["two-round", "duplicate", "algebra"])))
-    @example(run="two-round")
-    @example(run="duplicate")
-    @example(run="algebra")
-    def test_resume_from_every_cut_matches_uninterrupted_run(self, run, tmp_path_factory):
-        """Cut a recorded run after every state event that the next agent call
-        (or Final) follows; resuming the prefix replays to the same run."""
-        if run == "algebra":
-            problem, config = algebra_problem(), RunConfig()
-            backend = ScriptedBackend.from_file(algebra_trace_path())
-        else:
-            problem, config = Problem(id="toy-1", question="Compute 1+1."), \
-                RunConfig(format_retries=0)
-            if run == "two-round":
-                backend = two_round_script()
-            elif run == "duplicate":
-                backend = duplicate_script()
-            else:
-                backend, _ = random_script(run)
-        cassette = tmp_path_factory.mktemp("resume") / "run.jsonl"
-        outcome, full = solve(problem, config, RecordingBackend(backend, cassette))
-        cuts = [i + 1 for i in range(len(full.events) - 1)
-                if not isinstance(full.events[i], AgentCall)
-                and isinstance(full.events[i + 1], (AgentCall, Final))]
-        assert cuts
-        for cut in cuts:
+    def _resume_matches(self, run, tmp_path, cuts=None):
+        problem, config, outcome, full, cassette = recorded_run(run, tmp_path)
+        for cut in range(len(full.events)) if cuts is None else cuts(full.events):
             partial = Transcript(full.run_id)
             partial.events = full.events[:cut]
+            kept = list(partial.events)
             resumed_outcome, resumed = resume_from_transcript(
-                partial, ReplayBackend(cassette, skip_calls=partial.query_count()), config=config)
+                partial, ReplayBackend(cassette, skip_calls=partial.query_count()),
+                problem=problem, config=config)
             assert resumed_outcome == outcome
             assert resumed.query_count() == full.query_count()
             assert without_timestamps(resumed.events) == without_timestamps(full.events)
+            assert resumed.events[:cut] == kept
+
+    @settings(max_examples=30, deadline=None)
+    @given(run=st.one_of(st.integers(0, 499),
+                         st.sampled_from(["two-round", "duplicate", "algebra", "format-retry"])))
+    @example(run="two-round")
+    @example(run="duplicate")
+    @example(run="algebra")
+    @example(run="format-retry")
+    def test_resume_from_every_cut_matches_uninterrupted_run(self, run, tmp_path_factory):
+        """Cut a recorded run after every event; resuming the prefix replays
+        to the same run."""
+        self._resume_matches(run, tmp_path_factory.mktemp("resume"))
+
+    def test_resume_right_after_the_round_two_mine_call(self, tmp_path):
+        def cuts(events):
+            mines = [i for i, e in enumerate(events) if isinstance(e, AgentCall)
+                     and e.role == "thinker" and "Derive new conditions" in e.prompt]
+            assert isinstance(events[mines[1] + 1], ConditionProposed)
+            return [mines[1] + 1]
+
+        self._resume_matches("two-round", tmp_path, cuts)
+
+    def test_resume_between_a_malformed_reply_and_its_retry(self, tmp_path):
+        def cuts(events):
+            malformed = next(i for i, e in enumerate(events)
+                             if isinstance(e, AgentCall) and e.raw_response == "Maybe")
+            assert isinstance(events[malformed + 1], AgentCall)
+            return [malformed + 1]
+
+        self._resume_matches("format-retry", tmp_path, cuts)
 
     def test_resume_golden_file_with_a_misfiled_round_is_corrupt(self, tmp_path):
         golden = Path(__file__).parent / "data" / "algebra_transcript.jsonl"
@@ -374,8 +424,9 @@ class TestResume:
         transcript = read_transcript(path)
         assert transcript.events[5] == ConditionProposed("x^2 + 5x + α = k(x + 11)(x - 4)", 3)
         transcript.events = transcript.events[:-1]  # drop the Final, as a crash would
-        with pytest.raises(CorruptTranscript, match="under round 3 in round 1"):
-            resume_from_transcript(transcript, ScriptedBackend.from_file(algebra_trace_path()))
+        with pytest.raises(CorruptTranscript,
+                           match=r"event 5 of the transcript, ConditionProposed\(.*round=3\)"):
+            resume_from_transcript(transcript, NeverCalled(), problem=algebra_problem())
 
     @pytest.mark.parametrize("event", [
         ConditionProposed("m2", 1), DuplicateDropped("m2", 3), ConditionAccepted("m2", 1),
@@ -387,14 +438,45 @@ class TestResume:
                    if isinstance(e, SufficiencyVerdict) and e.round == 1)
         partial = Transcript(full.run_id)
         partial.events = full.events[: cut + 1] + [event]
-        with pytest.raises(CorruptTranscript, match=f"under round {event.round} in round 2"):
-            resume_from_transcript(partial, ReplayBackend(cassette), config=fast_config)
+        with pytest.raises(CorruptTranscript,
+                           match=rf"event {cut + 1} of the transcript, {type(event).__name__}"):
+            resume_from_transcript(partial, NeverCalled(), problem=toy_problem,
+                                   config=fast_config)
+
+    @pytest.mark.parametrize("tamper", ["edited prompt", "extra event", "extra call",
+                                        "fewer rounds", "other prompts"])
+    def test_resume_a_transcript_the_rerun_does_not_repeat_is_corrupt(self, tamper, tmp_path):
+        problem, config, _, full, _ = recorded_run("two-round", tmp_path)
+        events = list(full.events[:-1])
+        calls = [i for i, e in enumerate(events) if isinstance(e, AgentCall)]
+        prompts, where = None, calls[2]
+        if tamper == "edited prompt":
+            events[where] = dataclasses.replace(events[where],
+                                                prompt=events[where].prompt + " (edited)")
+        elif tamper == "extra event":
+            where = calls[2] + 1
+            events.insert(where, ConditionAccepted("extra", 1))
+        elif tamper == "extra call":
+            events.insert(where, events[where])
+            where += 1
+        elif tamper == "fewer rounds":
+            config = dataclasses.replace(config, max_iterations=1)
+            where = next(i for i, e in enumerate(events) if isinstance(e, SufficiencyVerdict)) + 1
+        else:
+            prompts = dataclasses.replace(PromptCatalog(), mine="Mine: {conditions} {objective}")
+            where = calls[1]
+        partial = Transcript(full.run_id)
+        partial.events = events
+        with pytest.raises(CorruptTranscript, match=rf"^event {where} of the transcript"):
+            resume_from_transcript(partial, NeverCalled(), problem=problem, config=config,
+                                   prompts=prompts)
 
     def test_resume_finalized_transcript_is_corrupt(self, toy_problem, fast_config):
         transcript = Transcript("done")
         transcript.append(Final(Solved("1")))
         with pytest.raises(CorruptTranscript):
-            resume_from_transcript(transcript, two_round_script(), config=fast_config)
+            resume_from_transcript(transcript, two_round_script(), problem=toy_problem,
+                                   config=fast_config)
 
     def test_resume_empty_transcript_is_fresh_solve(self, toy_problem, fast_config):
         outcome, transcript = resume_from_transcript(
@@ -403,8 +485,8 @@ class TestResume:
         assert outcome == Solved("99")
         assert transcript.query_count() == 9
 
-    def test_resume_empty_without_problem_is_corrupt(self, fast_config):
-        with pytest.raises(CorruptTranscript):
+    def test_resume_without_problem_is_refused(self, fast_config):
+        with pytest.raises(TypeError, match="problem"):
             resume_from_transcript(Transcript("fresh"), two_round_script(),
                                    config=fast_config)
 
