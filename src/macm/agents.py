@@ -12,7 +12,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from .backend import ChatMessage, ChatRequest, ChatResponse, ROLE_ASSISTANT, ROLE_SYSTEM, ROLE_USER
+from .backend import (ChatMessage, ChatRequest, ChatResponse, ROLE_ASSISTANT, ROLE_SYSTEM,
+                      ROLE_USER, call_fields)
 from .domain import (
     AgentCall,
     ConditionList,
@@ -157,17 +158,9 @@ def render_conditions(texts: list[str]) -> str:
 def logged_request(backend, role: str, request: ChatRequest,
                    transcript: Transcript) -> ChatResponse:
     """Send one request and log it to the transcript as an AgentCall (one
-    event per backend request)."""
+    event per backend request), every choice and the sampling included."""
     response = backend.complete(request, role)
-    transcript.append(AgentCall(
-        role=role,
-        prompt=request.prompt_text(),
-        raw_response=response.text,
-        tokens_in=response.tokens_in,
-        tokens_out=response.tokens_out,
-        timestamp=now(),
-        n_choices=len(response.choices),
-    ))
+    transcript.append(AgentCall(**call_fields(role, request, response, now())))
     return response
 
 

@@ -4,7 +4,7 @@ Three interchangeable backends share one ``complete()`` entry point:
 
 * ``HttpBackend`` — live OpenAI-compatible wire client with retry/backoff,
 * ``ScriptedBackend`` — deterministic per-role reply queues for testing,
-* ``RecordingBackend`` / ``ReplayBackend`` — cassette record/replay layer.
+* ``ReplayBackend`` — answers each request from the AgentCall logged for it.
 
 Every successful or retry-exhausted ``complete()`` call counts as exactly one
 request on the shared :class:`QueryCounter`; a request with ``n`` choices
@@ -18,18 +18,14 @@ import json
 import os
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from json.encoder import c_make_encoder, encode_basestring
 from pathlib import Path
 from urllib.parse import unquote, urlsplit
 
-from .domain import SamplingParams, normalize_condition_text
-from .errors import (
-    BackendFailure,
-    CassetteExhausted,
-    CassetteMismatch,
-    ScriptExhausted,
-    ScriptMismatch,
-)
+from .domain import SamplingParams, normalize_condition_text, now
+from .errors import (BackendFailure, CassetteExhausted, CassetteMismatch, ScriptExhausted,
+                     ScriptMismatch)
 
 ROLE_SYSTEM = "system"
 ROLE_USER = "user"
@@ -61,8 +57,7 @@ class ChatRequest:
                 raise ValueError("system message only allowed at position 0")
 
     def prompt_text(self) -> str:
-        """Flat rendering of all message contents, used for transcripts and
-        cassette matching."""
+        """All message contents, joined: the prompt transcripts log and replay matches."""
         return "\n".join(m.content for m in self.messages)
 
 
@@ -528,14 +523,28 @@ class HttpBackend:
 
 
 # ---------------------------------------------------------------------------
-# Record / replay cassettes
+# Recording and replay: a run's AgentCalls answer its requests again
 # ---------------------------------------------------------------------------
 
-# Shared by the cassette and transcript writers: json.dumps with a non-default
-# argument builds a new encoder on every call. encode() keeps no state between
-# calls, so one instance serves every thread. Both writers encode dicts built
-# fresh for the call, which hold no cycle to check for.
+# Shared by every JSON Lines writer: json.dumps with a non-default argument
+# builds a new encoder on every call. Each writer encodes dicts built fresh
+# for the call, which hold no cycle to check for.
 JSON_ENCODER = json.JSONEncoder(ensure_ascii=False, check_circular=False)
+# Its C encoder, built once (encode() builds one per call), or None. Threads share it.
+_C_LINE_ENCODER = c_make_encoder and c_make_encoder(
+    None, JSON_ENCODER.default, encode_basestring, None, JSON_ENCODER.key_separator,
+    JSON_ENCODER.item_separator, JSON_ENCODER.sort_keys, JSON_ENCODER.skipkeys,
+    JSON_ENCODER.allow_nan)
+
+
+def json_lines(objects) -> bytes:
+    """Each object as JSON_ENCODER encodes it, one per line, in UTF-8."""
+    encode = _C_LINE_ENCODER or (lambda o, _: [JSON_ENCODER.encode(o)])
+    chunks = []
+    for o in objects:
+        chunks += encode(o, 0)
+        chunks.append("\n")
+    return "".join(chunks).encode("utf-8")
 
 
 def open_fresh(path: str | Path) -> int:
@@ -557,36 +566,62 @@ def write_all(fd: int, data: bytes) -> None:
         data = data[os.write(fd, data):]
 
 
-def _cassette_line(seq: int, role: str, request: ChatRequest, response: ChatResponse) -> dict:
-    return {
-        "seq": seq,
-        "role": role,
-        "request_messages": [{"role": m.role, "content": m.content} for m in request.messages],
-        "sampling": vars(request.sampling),  # n, temperature, max_tokens
-        "choices": list(response.choices),
-        "tokens_in": response.tokens_in,
-        "tokens_out": response.tokens_out,
-    }
+def call_fields(role: str, request: ChatRequest, response: ChatResponse,
+                timestamp: float) -> dict:
+    """The fields, in order, of the AgentCall that records ``request``, sent
+    for ``role``, and its ``response``; the sampling's come last."""
+    return {"role": role, "prompt": request.prompt_text(), "raw_response": response.text,
+            "tokens_in": response.tokens_in, "tokens_out": response.tokens_out,
+            "timestamp": timestamp, "n_choices": len(response.choices),
+            "more_choices": response.choices[1:], **vars(request.sampling)}
+
+
+def replayable(call: dict) -> tuple[str, str, int, ChatResponse]:
+    """(role, prompt, n, response) of an AgentCall's fields (its ``vars`` or
+    its agent_call line). A missing field raises KeyError; a call that
+    returned more choices than it records raises ValueError."""
+    more = call.get("more_choices", ())
+    if call.get("n_choices", 1) > 1 + len(more):
+        raise ValueError(f"the call returned {call['n_choices']} choices and records "
+                         f"{1 + len(more)}: its transcript predates recording every choice")
+    return (call["role"], call["prompt"], call.get("n", 1),
+            ChatResponse((call["raw_response"], *more), call["tokens_in"], call["tokens_out"]))
+
+
+def replay(recorded: tuple, request: ChatRequest, role: str, where, k: int) -> ChatResponse:
+    """The response of ``recorded``, ``replayable`` call k (from 0) at ``where``,
+    if ``request``, sent for ``role``, has its role, its prompt up to whitespace
+    and its ``n``; else CassetteMismatch. Replay and resume both match so."""
+    recorded_role, prompt, n, response = recorded
+    got = request.prompt_text()
+    # Equal strings normalise equal; normalise only when they differ.
+    if prompt != got and normalize_condition_text(prompt) != normalize_condition_text(got):
+        reason = "prompt differs from the recording"
+    elif recorded_role != role:
+        reason = f"role {role!r} != recorded {recorded_role!r}"
+    elif n != request.sampling.n:
+        reason = f"n={request.sampling.n} != recorded n={n}"
+    else:
+        return response
+    raise CassetteMismatch(f"{where}, call {k + 1}: {reason}")
 
 
 class RecordingBackend:
-    """Wraps another backend and appends every (request, response) pair to a
-    JSON Lines cassette file."""
+    """Wraps another backend and appends each request, with its response, to
+    a JSON Lines file as the agent_call line a transcript logs for it."""
 
-    def __init__(self, inner, cassette_path: str | Path):
+    def __init__(self, inner, path: str | Path):
         self.inner = inner
-        self.path = Path(cassette_path)
-        self._seq = 0
+        self.path = Path(path)
         self._lock = threading.Lock()
         self.path.parent.mkdir(parents=True, exist_ok=True)
         os.close(open_fresh(self.path))
 
     def complete(self, request: ChatRequest, role: str) -> ChatResponse:
         response = self.inner.complete(request, role)
+        # event_to_dict's line for the AgentCall, without the cost of building it.
+        data = json_lines([{"event": "agent_call", **call_fields(role, request, response, now())}])
         with self._lock:
-            line = _cassette_line(self._seq, role, request, response)
-            self._seq += 1
-            data = (JSON_ENCODER.encode(line) + "\n").encode("utf-8")
             # The whole line is written before complete() returns, and no
             # handle outlives the call.
             fd = os.open(self.path, os.O_WRONLY | os.O_APPEND | os.O_CREAT, 0o666)
@@ -597,59 +632,43 @@ class RecordingBackend:
         return response
 
 
-def _replay_entry(line: bytes) -> tuple:
-    """(seq, role, n, prompt text, response) of one cassette line. Any key
-    that replay reads and the line lacks, or holds with the wrong type, raises
-    KeyError, TypeError or ValueError; any other key is ignored."""
-    # Decoded here, not by json.loads: bytes make it detect the encoding first.
-    entry = json.loads(line.decode("utf-8"))
-    return (entry["seq"], entry["role"], entry["sampling"]["n"],
-            "\n".join(m["content"] for m in entry["request_messages"]),
-            ChatResponse(choices=tuple(entry["choices"]), tokens_in=entry.get("tokens_in", 0),
-                         tokens_out=entry.get("tokens_out", 0)))
-
-
 class ReplayBackend:
-    """Serves recorded responses back in order, asserting that each request's
-    prompt matches the recorded one after whitespace normalization, and that
-    its role and number of choices ``n`` match the recording. A cassette line
-    that is not an entry (a torn write, say) raises BackendFailure naming the
-    file and the line."""
+    """Answers request k by ``replay`` from the k-th agent_call line of a JSON Lines
+    file (a transcript, or a RecordingBackend's), past the first ``skip_calls``. The
+    file is read here, other lines skipped; a line that is not JSON, has no ``event``
+    (an old cassette's) or lacks a field replay reads raises BackendFailure naming it."""
 
-    def __init__(self, cassette_path: str | Path, counter: QueryCounter | None = None,
+    def __init__(self, path: str | Path, counter: QueryCounter | None = None,
                  skip_calls: int = 0):
-        self.path = Path(cassette_path)
-        self._entries = []
-        # Binary lines, so a write torn inside a UTF-8 sequence fails on its own line.
+        if skip_calls < 0:
+            raise ValueError(f"skip_calls must be >= 0, got {skip_calls}")
+        self.path = Path(path)
+        self._calls = []
+        # Binary lines, so a torn UTF-8 sequence fails on its own line; decoded
+        # here, since json.loads would first detect the encoding of bytes.
         with open(self.path, "rb") as fh:
             for lineno, line in enumerate(fh, start=1):
                 if not line.strip():
                     continue
                 try:
-                    self._entries.append(_replay_entry(line))
+                    data = json.loads(line.decode("utf-8"))
+                    kind = data.get("event")
+                    if kind == "agent_call":
+                        self._calls.append(replayable(data))
+                    elif kind is None:
+                        raise ValueError("no event: cassette lines are no longer read")
                 # JSONDecodeError and UnicodeDecodeError are ValueErrors.
-                except (KeyError, TypeError, ValueError) as exc:
-                    raise BackendFailure(f"cassette {self.path}, line {lineno}: "
-                                         f"not a cassette entry ({exc!r})") from exc
+                except (AttributeError, KeyError, TypeError, ValueError) as exc:
+                    raise BackendFailure(f"{self.path}, line {lineno}: "
+                                         f"not a recorded call ({exc!r})") from exc
         self._pos = skip_calls
         self.counter = counter or QueryCounter()
 
     def complete(self, request: ChatRequest, role: str) -> ChatResponse:
-        if self._pos >= len(self._entries):
-            raise CassetteExhausted(
-                f"cassette {self.path} has {len(self._entries)} entries, call {self._pos} requested")
-        seq, recorded_role, n, recorded, response = self._entries[self._pos]
-        got = request.prompt_text()
-        # Equal strings normalise equal; normalise only when they differ.
-        if recorded != got and normalize_condition_text(recorded) != normalize_condition_text(got):
-            raise CassetteMismatch(
-                f"cassette {self.path} entry {seq}: prompt differs from recording")
-        if recorded_role != role:
-            raise CassetteMismatch(
-                f"cassette {self.path} entry {seq}: role {role!r} != recorded {recorded_role!r}")
-        if n != request.sampling.n:
-            raise CassetteMismatch(
-                f"cassette {self.path} entry {seq}: n={request.sampling.n} != recorded n={n}")
-        self._pos += 1
+        k = self._pos
+        if k >= len(self._calls):
+            raise CassetteExhausted(f"{self.path} records only {len(self._calls)} calls")
+        response = replay(self._calls[k], request, role, self.path, k)
+        self._pos = k + 1
         self.counter.record(len(response.choices))
         return response

@@ -24,10 +24,8 @@ EXIT_FOR_ERROR = {"ParseFailure": 1, "BackendFailure": EXIT_BACKEND, "BudgetExce
 def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--method", choices=list(harness.METHODS), default="macm")
     parser.add_argument("--backend", required=True,
-                        help="http | scripted:<file> | replay:<cassette-or-dir>")
-    parser.add_argument("--record", help="record traffic to this directory, one cassette "
-                                         "<problem id>.jsonl per problem (sweep: under "
-                                         "one point_... subdirectory per grid point)")
+                        help="http | scripted:<file> | replay:<dir-or-transcript>: a "
+                             "bench's <out>/transcripts, or a solve's or sweep's --out")
     for knob, kind in harness.KNOBS.items():
         takers = "|".join(name for name, cls in harness.METHODS.items()
                           if knob in harness.METHOD_KNOBS[cls])
@@ -105,9 +103,7 @@ def cmd_solve(args) -> int:
         problem = problems[0]
     if args.out:  # before any model call, so an --out that cannot be made costs none
         Path(args.out).mkdir(parents=True, exist_ok=True)
-    factory = harness.make_backend_factory(args.backend, record_dir=args.record)
-
-    transcript = harness.solve_one(problem, method, factory)
+    transcript = harness.solve_one(problem, method, harness.make_backend_factory(args.backend))
     outcome = transcript.outcome
     print(json.dumps({"outcome": outcome_to_dict(outcome),
                       "queries": transcript.query_count(),
@@ -122,7 +118,7 @@ def cmd_solve(args) -> int:
 
 def cmd_bench(args) -> int:
     problems = _load_dataset(args)
-    factory = harness.make_backend_factory(args.backend, record_dir=args.record)
+    factory = harness.make_backend_factory(args.backend)
     out_dir = Path(args.out or "bench_out")
     report = harness.run_benchmark(
         problems, _method(args), factory, out_dir, task=args.task,
@@ -141,7 +137,7 @@ def cmd_sweep(args) -> int:
     if grid_text.startswith("@"):
         grid_text = Path(grid_text[1:]).read_text(encoding="utf-8")
     grid = json.loads(grid_text)
-    factory = harness.make_backend_factory(args.backend, record_dir=args.record)
+    factory = harness.make_backend_factory(args.backend)
     out_dir = Path(args.out or "sweep_out")
     points = harness.sweep_queries(problems, _method(args), grid, factory, out_dir,
                                    task=args.task)

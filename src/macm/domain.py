@@ -31,8 +31,8 @@ class Problem:
     level: int | None = None
 
     def __post_init__(self):
-        if not self.id:
-            raise ValueError("problem id must be nonempty")
+        if self.id in ("", ".", "..") or "/" in self.id or "\0" in self.id:
+            raise ValueError(f"problem id {self.id!r} is not a file name")
         if not self.question:
             raise ValueError("problem question must be nonempty")
         if self.level is not None and not 1 <= self.level <= 5:
@@ -138,7 +138,7 @@ class RunError:
     def of(cls, exc: Exception) -> RunError:
         """The outcome of a run ended by ``exc``: the kind is the SOLVE_ERRORS
         class it is an instance of. An OSError (a backend that cannot open its
-        cassette or reach its model, say) is a BackendFailure, and anything
+        recording or reach its model, say) is a BackendFailure, and anything
         else is an InternalError whose detail leads with the exception's type."""
         kind = next((c.__name__ for c in SOLVE_ERRORS if isinstance(exc, c)),
                     "BackendFailure" if isinstance(exc, OSError) else "InternalError")
@@ -186,6 +186,9 @@ def _check_round(value) -> None:
 
 @dataclass(frozen=True)
 class AgentCall:
+    """One backend request and its response: ``raw_response`` is choice 1,
+    ``more_choices`` the rest. Older calls read later fields as defaults."""
+
     role: str
     prompt: str
     raw_response: str
@@ -193,6 +196,10 @@ class AgentCall:
     tokens_out: int
     timestamp: float
     n_choices: int = 1
+    more_choices: tuple[str, ...] = ()
+    n: int = 1
+    temperature: float | None = None
+    max_tokens: int | None = None
 
 
 @dataclass(frozen=True)
@@ -319,6 +326,8 @@ def _decode(data: dict) -> Event:
             return PlanDesigned(tuple(fields["steps"]))
         return cls(**fields)
     fields = {k: v for k, v in data.items() if k != "event"}
+    if kind == "agent_call" and "more_choices" in fields:
+        fields["more_choices"] = tuple(fields["more_choices"])
     if kind == "verdict" and fields["subject"].startswith(_SUFFICIENCY_SUBJECT):
         return SufficiencyVerdict(int(fields["subject"][len(_SUFFICIENCY_SUBJECT):]),
                                   fields["value"])

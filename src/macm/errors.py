@@ -32,7 +32,7 @@ class CassetteMismatch(BackendFailure):
 
 
 class CassetteExhausted(BackendFailure):
-    """More calls were replayed than the cassette holds."""
+    """More calls were replayed than the recording holds."""
 
 
 class InternalError(MacmError):

@@ -17,15 +17,7 @@ from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 from . import orchestrator
-from .backend import (
-    JSON_ENCODER,
-    QueryCounter,
-    RecordingBackend,
-    ReplayBackend,
-    ScriptedBackend,
-    open_fresh,
-    write_all,
-)
+from .backend import QueryCounter, ReplayBackend, ScriptedBackend, json_lines, open_fresh, write_all
 from .baselines import (
     Method,
     MethodCoT,
@@ -223,13 +215,13 @@ def _atomic_write(path: Path, content: str) -> None:
 def write_transcript(transcript: Transcript, path: str | Path) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    lines = [JSON_ENCODER.encode({"event": "meta", "run_id": transcript.run_id})]
-    lines += [JSON_ENCODER.encode(event_to_dict(e)) for e in transcript.events]
+    data = json_lines([{"event": "meta", "run_id": transcript.run_id},
+                       *map(event_to_dict, transcript.events)])
     # Not _atomic_write: renaming over a file that holds data is slow (see
     # open_fresh), and a run writes one transcript per problem.
     fd = open_fresh(path)
     try:
-        write_all(fd, ("\n".join(lines) + "\n").encode("utf-8"))
+        write_all(fd, data)
     finally:
         os.close(fd)
 
@@ -372,7 +364,7 @@ def with_knobs(method: Method, knobs: Mapping[str, object]) -> Method:
 def solve_one(problem: Problem, method: Method, backend_factory) -> Transcript:
     """Run one problem with the chosen method on ``backend_factory(problem.id)``;
     always returns a finalized transcript, never raises. An exception, in
-    building the backend (say, a missing cassette) or in the run, ends the
+    building the backend (say, a missing recording) or in the run, ends the
     run as ``RunError.of`` it."""
     transcript = Transcript(run_id=problem.id)
     try:
@@ -401,7 +393,7 @@ def run_benchmark(problems: list[Problem], method: Method, backend_factory,
     ``backend_factory(problem_id)`` must return a backend for that problem
     (scripted/replay backends are single-run). Every problem gets one row,
     and the batch never aborts: a run that fails (say, over a missing
-    cassette) is its row's error outcome, and a transcript write or a grade
+    recording) is its row's error outcome, and a transcript write or a grade
     that raises makes the row an InternalError. Row order is by problem id,
     independent of parallelism.
     """
@@ -551,9 +543,8 @@ def sweep_queries(problems: list[Problem], method: Method, knob_grid: dict,
     with_knobs before the first runs, and record (mean choice count, fraction corrected):
     a request for n responses counts n. A grid point whose method equals an earlier one's
     (say, temperature 0 after 0.0) raises ValueError. Writes sweep.csv under out_dir.
-    A factory from make_backend_factory records and replays each point's cassettes under
-    the point's directory name (<dir>/point_n3/<id>.jsonl); any other factory is used
-    as is."""
+    A factory from make_backend_factory replays each point from that point's transcripts
+    (<dir>/point_n3/transcripts/<id>.jsonl); any other factory is used as is."""
     if not problems:
         raise EmptyDataset("sweep requires at least one problem")
     if not isinstance(knob_grid, dict) or not knob_grid:
@@ -574,7 +565,7 @@ def sweep_queries(problems: list[Problem], method: Method, knob_grid: dict,
         point_dir = out_dir / ("point_" + "_".join(f"{k}{v}" for k, v in settings.items()))
         point_factory = backend_factory
         if isinstance(backend_factory, BackendFactory):
-            point_factory = replace(backend_factory, subdir=point_dir.name)
+            point_factory = replace(backend_factory, subdir=f"{point_dir.name}/transcripts")
         report = run_benchmark(problems, point_method, point_factory, point_dir, task=task)
         points.append(SweepPoint(
             settings=settings,
@@ -599,44 +590,34 @@ def sweep_queries(problems: list[Problem], method: Method, knob_grid: dict,
 
 @dataclass(frozen=True)
 class BackendFactory:
-    """Builds each problem's backend. ``build`` takes the cassette path
-    relative to a cassette directory, <subdir>/<problem id>.jsonl; with
-    ``record_dir`` the traffic is also recorded to that path under it.
-    ``subdir`` is empty except in sweeps, which set it to each grid point's
-    output directory name."""
+    """Builds each problem's backend. ``build`` takes <subdir>/<problem
+    id>.jsonl, the path of its recording under a replay directory; sweeps
+    set ``subdir`` to each grid point's transcripts directory."""
 
     build: Callable[[str], object]
-    record_dir: Path | None = None
     subdir: str = ""
 
     def __call__(self, problem_id: str):
-        cassette = os.path.join(self.subdir, f"{problem_id}.jsonl")
-        backend = self.build(cassette)
-        if self.record_dir is not None:
-            return RecordingBackend(backend, self.record_dir / cassette)
-        return backend
+        return self.build(os.path.join(self.subdir, f"{problem_id}.jsonl"))
 
 
-def make_backend_factory(selector: str, counter: QueryCounter | None = None,
-                         record_dir: str | Path | None = None) -> BackendFactory:
+def make_backend_factory(selector: str, counter: QueryCounter | None = None) -> BackendFactory:
     """Build a per-problem backend factory from a CLI selector:
-    "http", "scripted:<file>", or "replay:<dir-or-file>". With ``record_dir``
-    every problem's traffic is recorded to <record_dir>/<id>.jsonl, and a
-    replay directory is read the same way (in a sweep, one directory level
-    deeper per grid point)."""
-    record_dir = None if record_dir is None else Path(record_dir)
+    "http", "scripted:<file>", or "replay:<dir-or-file>". A replay directory
+    holds a transcript <id>.jsonl per problem (a bench's <out>/transcripts;
+    a sweep's point reads <dir>/<point dir>/transcripts)."""
     if selector == "http":
         from .backend import HttpBackend
         shared = HttpBackend(counter=counter)
-        return BackendFactory(lambda cassette: shared, record_dir)
+        return BackendFactory(lambda recording: shared)
     if selector.startswith("scripted:"):
         path = selector.split(":", 1)[1]
         with open(path, encoding="utf-8") as fh:
             script_data = json.load(fh)
         return BackendFactory(
-            lambda cassette: ScriptedBackend.from_dict(script_data, counter=counter), record_dir)
+            lambda recording: ScriptedBackend.from_dict(script_data, counter=counter))
     if selector.startswith("replay:"):
         target = Path(selector.split(":", 1)[1])
-        return BackendFactory(lambda cassette: ReplayBackend(
-            target / cassette if target.is_dir() else target, counter=counter), record_dir)
+        return BackendFactory(lambda recording: ReplayBackend(
+            target / recording if target.is_dir() else target, counter=counter))
     raise ValueError(f"unknown backend selector {selector!r}")

@@ -13,7 +13,7 @@ from __future__ import annotations
 import dataclasses
 
 from .agents import AgentClient
-from .backend import ChatResponse
+from .backend import ChatResponse, replay, replayable
 from .domain import (
     AgentCall,
     ConditionAccepted,
@@ -103,22 +103,19 @@ def _first_difference(recorded: list[Event], rerun: list[Event]) -> int | None:
 
 
 class _TranscriptBackend:
-    """Answers the re-run's k-th request from the transcript's k-th AgentCall.
-    A request past them goes to ``backend``, once the re-run has logged every
-    event of the transcript."""
+    """Answers the re-run's k-th request from the transcript's k-th AgentCall,
+    by ``backend.replay``'s rule. A request past them goes to ``backend``,
+    once the re-run has logged every event of the transcript."""
 
     def __init__(self, recorded: list[Event], rerun: Transcript, backend):
         self.recorded, self.rerun, self.backend = recorded, rerun, backend
         self.calls = [e for e in recorded if isinstance(e, AgentCall)]
+        self._pos = 0
 
     def complete(self, request, role: str) -> ChatResponse:
-        k = self.rerun.query_count()  # each request answered is logged before the next
+        k, self._pos = self._pos, self._pos + 1  # a request that fails ends the re-run
         if k < len(self.calls):
-            call = self.calls[k]
-            if (call.role, call.prompt, call.n_choices) != (
-                    role, request.prompt_text(), request.sampling.n):
-                raise BackendFailure(f"request {k + 1} differs from the transcript's call")
-            return ChatResponse((call.raw_response,), call.tokens_in, call.tokens_out)
+            return replay(replayable(vars(self.calls[k])), request, role, "the transcript", k)
         if k == len(self.calls) and _first_difference(self.recorded, self.rerun.events) is not None:
             raise BackendFailure("the re-run differs from the transcript")
         return self.backend.complete(request, role)

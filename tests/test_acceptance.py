@@ -239,13 +239,11 @@ def test_replay_determinism(capfd):
             script_path = tmp / "script.json"
             script_path.write_text(json.dumps(
                 {"roles": {"solver": [{"reply": "Answer: 7"}]}}))
-            cassettes = tmp / "cassettes"
-
-            rec_factory = make_backend_factory(
-                f"scripted:{script_path}", QueryCounter(), record_dir=cassettes)
+            rec_factory = make_backend_factory(f"scripted:{script_path}", QueryCounter())
             recorded = run_benchmark(problems, MethodIO(), rec_factory, tmp / "rec")
 
-            replay_factory = make_backend_factory(f"replay:{cassettes}", QueryCounter())
+            replay_factory = make_backend_factory(f"replay:{tmp / 'rec' / 'transcripts'}",
+                                                  QueryCounter())
             replayed = run_benchmark(problems, MethodIO(), replay_factory, tmp / "rep")
 
             assert _report_csv_text(recorded).encode() == \

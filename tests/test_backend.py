@@ -11,18 +11,33 @@ import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from macm.agents import logged_request
 from macm.backend import (
+    JSON_ENCODER,
     ChatMessage,
     ChatRequest,
+    ChatResponse,
     HttpBackend,
     QueryCounter,
     ReplayBackend,
     RecordingBackend,
     ScriptedBackend,
     ScriptEntry,
+    call_fields,
+    json_lines,
 )
-from macm.domain import SamplingParams
+from macm.domain import (
+    AgentCall,
+    ConditionProposed,
+    Final,
+    SamplingParams,
+    Solved,
+    Transcript,
+    event_to_dict,
+)
+from macm.harness import read_transcript, write_transcript
 from macm.errors import (
     BackendFailure,
     CassetteExhausted,
@@ -94,47 +109,63 @@ class TestScriptedBackend:
         assert backend.complete(request(), "judge").text == "False"
 
 
+class Choices:
+    """A backend answering every request with ``n`` distinct choices."""
+
+    def complete(self, req, role):
+        return ChatResponse(tuple(f"{role}-{i}" for i in range(req.sampling.n)), 5, 2)
+
+
+def record(path, calls, inner=None):
+    """Record each (request, role) of ``calls`` to ``path``; the responses."""
+    recorder = RecordingBackend(inner or Choices(), path)
+    return [recorder.complete(req, role) for req, role in calls]
+
+
 class TestRecordReplay:
     def test_round_trip(self, tmp_path):
         cassette = tmp_path / "run.jsonl"
-        inner = ScriptedBackend({"judge": [ScriptEntry("True"), ScriptEntry("False")]})
-        recorder = RecordingBackend(inner, cassette)
-        first = recorder.complete(request("q1"), "judge")
-        second = recorder.complete(request("q2"), "judge")
-
+        first, second = record(cassette, [(request("q1"), "judge"), (request("q2"), "judge")],
+                               ScriptedBackend({"judge": [ScriptEntry("True"),
+                                                          ScriptEntry("False")]}))
         player = ReplayBackend(cassette)
-        assert player.complete(request("q1"), "judge").choices == first.choices
-        assert player.complete(request("q2"), "judge").choices == second.choices
+        assert player.complete(request("q1"), "judge").choices == first.choices == ("True",)
+        assert player.complete(request("q2"), "judge").choices == second.choices == ("False",)
 
-        # Cassettes once carried sampling.top_k; a line that still does replays.
-        legacy = tmp_path / "legacy.jsonl"
-        entries = [json.loads(line) for line in cassette.read_text().splitlines()]
-        legacy.write_text("".join(
-            json.dumps({**e, "sampling": {**e["sampling"], "top_k": 1}}) + "\n"
-            for e in entries))
-        player = ReplayBackend(legacy)
-        assert player.complete(request("q1"), "judge").choices == first.choices
-        assert player.complete(request("q2"), "judge").choices == second.choices
+    def test_every_choice_and_the_token_counts_replay(self, tmp_path):
+        cassette = tmp_path / "run.jsonl"
+        (recorded,) = record(cassette, [(request("q", n=3), "solver")])
+        replayed = ReplayBackend(cassette).complete(request("q", n=3), "solver")
+        assert replayed == recorded == ChatResponse(("solver-0", "solver-1", "solver-2"), 5, 2)
+
+    def test_a_transcript_replays_and_its_other_lines_are_skipped(self, tmp_path):
+        transcript = Transcript("p1")
+        for req, role in [(request("q1", n=2), "solver"), (request("q2"), "judge")]:
+            logged_request(Choices(), role, req, transcript)
+            transcript.append(ConditionProposed("c", 1))
+        transcript.append(Final(Solved("7")))
+        path = tmp_path / "p1.jsonl"
+        write_transcript(transcript, path)
+        player = ReplayBackend(path)
+        assert player.complete(request("q1", n=2), "solver").choices == ("solver-0", "solver-1")
+        assert player.complete(request("q2"), "judge").choices == ("judge-0",)
+        with pytest.raises(CassetteExhausted):
+            player.complete(request("q3"), "judge")
 
     def test_prompt_mismatch(self, tmp_path):
         cassette = tmp_path / "run.jsonl"
-        inner = ScriptedBackend({"judge": [ScriptEntry("True")]})
-        RecordingBackend(inner, cassette).complete(request("original"), "judge")
+        record(cassette, [(request("original"), "judge")])
         with pytest.raises(CassetteMismatch):
             ReplayBackend(cassette).complete(request("altered"), "judge")
 
     def test_whitespace_insensitive_match(self, tmp_path):
         cassette = tmp_path / "run.jsonl"
-        inner = ScriptedBackend({"judge": [ScriptEntry("True")]})
-        RecordingBackend(inner, cassette).complete(request("a  b"), "judge")
-        assert ReplayBackend(cassette).complete(request("a b"), "judge").text == "True"
+        record(cassette, [(request("a  b"), "judge")])
+        assert ReplayBackend(cassette).complete(request("a b"), "judge").text == "judge-0"
 
     def test_exhaustion(self, tmp_path):
         cassette = tmp_path / "run.jsonl"
-        inner = ScriptedBackend({"judge": [ScriptEntry("True"), ScriptEntry("False")]})
-        recorder = RecordingBackend(inner, cassette)
-        recorder.complete(request("q1"), "judge")
-        recorder.complete(request("q2"), "judge")
+        record(cassette, [(request("q1"), "judge"), (request("q2"), "judge")])
         player = ReplayBackend(cassette)
         player.complete(request("q1"), "judge")
         player.complete(request("q2"), "judge")
@@ -143,67 +174,67 @@ class TestRecordReplay:
 
     def test_role_mismatch(self, tmp_path):
         cassette = tmp_path / "run.jsonl"
-        RecordingBackend(ScriptedBackend({"judge": [ScriptEntry("True")]}),
-                         cassette).complete(request("q"), "judge")
-        with pytest.raises(CassetteMismatch):
+        record(cassette, [(request("q"), "judge")])
+        with pytest.raises(CassetteMismatch) as info:
             ReplayBackend(cassette).complete(request("q"), "thinker")
+        assert str(info.value) == f"{cassette}, call 1: role 'thinker' != recorded 'judge'"
 
     def test_skip_calls_resumes_midway(self, tmp_path):
         cassette = tmp_path / "run.jsonl"
-        inner = ScriptedBackend({"judge": [ScriptEntry("one"), ScriptEntry("two")]})
-        recorder = RecordingBackend(inner, cassette)
-        recorder.complete(request("q1"), "judge")
-        recorder.complete(request("q2"), "judge")
+        record(cassette, [(request("q1"), "judge"), (request("q2"), "thinker")])
         player = ReplayBackend(cassette, skip_calls=1)
-        assert player.complete(request("q2"), "judge").text == "two"
+        assert player.complete(request("q2"), "thinker").text == "thinker-0"
+
+    def test_negative_skip_calls_is_refused(self, tmp_path):
+        cassette = tmp_path / "run.jsonl"
+        record(cassette, [(request("q1"), "judge"), (request("q2"), "thinker")])
+        with pytest.raises(ValueError, match="skip_calls must be >= 0"):
+            ReplayBackend(cassette, skip_calls=-1)
 
     @pytest.mark.parametrize("replayed", ["a  b\tc", "a b c", " a\u3000b\n\nc\u2028"])
     def test_exact_or_whitespace_equal_prompt_accepted(self, tmp_path, replayed):
         cassette = tmp_path / "run.jsonl"
-        RecordingBackend(ScriptedBackend({"judge": [ScriptEntry("True")]}),
-                         cassette).complete(request("a  b\tc"), "judge")
-        assert ReplayBackend(cassette).complete(request(replayed), "judge").text == "True"
+        record(cassette, [(request("a  b\tc"), "judge")])
+        assert ReplayBackend(cassette).complete(request(replayed), "judge").text == "judge-0"
 
     def test_identical_prompt_is_not_normalised(self, tmp_path, monkeypatch):
         cassette = tmp_path / "run.jsonl"
-        RecordingBackend(ScriptedBackend({"judge": [ScriptEntry("True")]}),
-                         cassette).complete(request("a  b"), "judge")
+        record(cassette, [(request("a  b"), "judge")])
 
         def fail(text):
             raise AssertionError("normalised an identical prompt")
 
         monkeypatch.setattr(macm.backend, "normalize_condition_text", fail)
-        assert ReplayBackend(cassette).complete(request("a  b"), "judge").text == "True"
+        assert ReplayBackend(cassette).complete(request("a  b"), "judge").text == "judge-0"
 
     def test_non_whitespace_difference_message(self, tmp_path):
         cassette = tmp_path / "run.jsonl"
-        RecordingBackend(ScriptedBackend({"judge": [ScriptEntry("True")]}),
-                         cassette).complete(request("a  b"), "judge")
+        record(cassette, [(request("a  b"), "judge")])
         with pytest.raises(CassetteMismatch) as info:
             ReplayBackend(cassette).complete(request("a  c"), "judge")
-        assert str(info.value) == f"cassette {cassette} entry 0: prompt differs from recording"
+        assert str(info.value) == f"{cassette}, call 1: prompt differs from the recording"
 
     def test_choice_count_mismatch(self, tmp_path):
         cassette = tmp_path / "run.jsonl"
-        RecordingBackend(ScriptedBackend({"solver": [ScriptEntry("ok")]}),
-                         cassette).complete(request("q", n=3), "solver")
+        record(cassette, [(request("q", n=3), "solver")], ScriptedBackend(
+            {"solver": [ScriptEntry("ok")]}))
         with pytest.raises(CassetteMismatch) as info:
             ReplayBackend(cassette).complete(request("q", n=1), "solver")
-        assert str(info.value) == f"cassette {cassette} entry 0: n=1 != recorded n=3"
+        assert str(info.value) == f"{cassette}, call 1: n=1 != recorded n=3"
         assert ReplayBackend(cassette).complete(request("q", n=3), "solver").choices == ("ok",) * 3
 
-    def test_cassette_lines_are_json_dumps_bytes(self, tmp_path):
+    def test_cassette_lines_are_json_dumps_bytes(self, tmp_path, monkeypatch):
+        # A recorder writes the agent_call line a transcript logs for the call.
+        monkeypatch.setattr(macm.backend, "now", lambda: 1700000000.0)
         cassette = tmp_path / "run.jsonl"
-        inner = ScriptedBackend({"judge": [ScriptEntry("Vrai ✓"), ScriptEntry("False")]})
-        recorder = RecordingBackend(inner, cassette)
         calls = [(request("ça fait π ≈ 3.14 — 数学", system="sys"), "judge"),
                  (request("q2", n=2), "judge")]
-        expected = b""
-        for seq, (req, role) in enumerate(calls):
-            response = recorder.complete(req, role)
-            line = macm.backend._cassette_line(seq, role, req, response)
-            expected += (json.dumps(line, ensure_ascii=False) + "\n").encode("utf-8")
-        assert cassette.read_bytes() == expected
+        transcript = Transcript("run")
+        for response, (req, role) in zip(record(cassette, calls), calls):
+            transcript.append(AgentCall(**call_fields(role, req, response, 1700000000.0)))
+        assert cassette.read_bytes() == b"".join(
+            (json.dumps(event_to_dict(e), ensure_ascii=False) + "\n").encode("utf-8")
+            for e in transcript.events)
 
     def test_new_recorder_starts_the_cassette_empty(self, tmp_path):
         cassette = tmp_path / "run.jsonl"
@@ -213,19 +244,89 @@ class TestRecordReplay:
         assert cassette.read_bytes() == b""
         second.complete(request("q2"), "judge")
         entries = [json.loads(line) for line in cassette.read_text().splitlines()]
-        assert [(e["seq"], e["choices"]) for e in entries] == [(0, ["False"])]
+        assert [(e["prompt"], e["raw_response"]) for e in entries] == [("q2", "False")]
 
     def test_cassette_schema(self, tmp_path):
         cassette = tmp_path / "run.jsonl"
-        RecordingBackend(ScriptedBackend({"judge": [ScriptEntry("True")]}),
-                         cassette).complete(request("q", system="sys"), "judge")
+        record(cassette, [(request("q", n=2, system="sys"), "judge")])
         entry = json.loads(cassette.read_text().strip())
-        assert set(entry) == {"seq", "role", "request_messages", "sampling",
-                              "choices", "tokens_in", "tokens_out"}
-        assert entry["seq"] == 0
-        assert entry["role"] == "judge"
-        assert entry["request_messages"][0] == {"role": "system", "content": "sys"}
-        assert set(entry["sampling"]) == {"n", "temperature", "max_tokens"}
+        assert list(entry) == ["event", "role", "prompt", "raw_response", "tokens_in",
+                               "tokens_out", "timestamp", "n_choices", "more_choices", "n",
+                               "temperature", "max_tokens"]
+        assert (entry["event"], entry["role"], entry["prompt"]) == ("agent_call", "judge", "sys\nq")
+        assert (entry["raw_response"], entry["more_choices"], entry["n_choices"]) == \
+            ("judge-0", ["judge-1"], 2)
+        assert (entry["n"], entry["temperature"], entry["max_tokens"]) == (2, 0.7, 512)
+        assert read_transcript(cassette).agent_calls()[0].more_choices == ("judge-1",)
+
+    @pytest.mark.parametrize("line, why", [
+        ('{"seq": 0, "role": "judge", "request_messages": [{"role": "user", "content": "q"}], '
+         '"sampling": {"n": 1, "temperature": 0.7, "max_tokens": 4}, "choices": ["True"], '
+         '"tokens_in": 0, "tokens_out": 0}', "cassette lines are no longer read"),
+        ('{"event": "agent_call", "role": "judge", "prompt": "q", "raw_resp', "JSONDecodeError"),
+        ('{"event": "agent_call", "role": "judge", "raw_response": "True", "tokens_in": 0, '
+         '"tokens_out": 0, "timestamp": 0.0}', "'prompt'"),
+        ('[1, 2]', "no attribute 'get'"),
+        ('{"event": "agent_call", "role": "solver", "prompt": "q", "raw_response": "a", '
+         '"tokens_in": 0, "tokens_out": 0, "timestamp": 0.0, "n_choices": 3}',
+         "predates recording every choice"),
+    ], ids=["old-cassette-line", "torn", "no-prompt", "not-an-object", "old-multi-choice-call"])
+    def test_unreadable_line_is_refused_naming_the_file_and_line(self, tmp_path, line, why):
+        path = tmp_path / "run.jsonl"
+        path.write_text('{"event": "meta", "run_id": "run"}\n\n' + line + "\n")
+        with pytest.raises(BackendFailure) as info:
+            ReplayBackend(path)
+        assert str(info.value).startswith(f"{path}, line 3: not a recorded call (")
+        assert why in str(info.value)
+
+    def test_old_multi_choice_call_reads_but_does_not_replay(self, tmp_path):
+        # A transcript written before every choice was recorded: the call
+        # returned three choices and kept the first.
+        path = tmp_path / "old.jsonl"
+        path.write_text(
+            '{"event": "meta", "run_id": "old"}\n'
+            '{"event": "agent_call", "role": "solver", "prompt": "q", "raw_response": "a", '
+            '"tokens_in": 0, "tokens_out": 0, "timestamp": 0.0, "n_choices": 3}\n'
+            '{"event": "agent_call", "role": "solver", "prompt": "s", "raw_response": "b", '
+            '"tokens_in": 0, "tokens_out": 0, "timestamp": 0.0, "n_choices": 1}\n')
+        transcript = read_transcript(path)
+        assert (transcript.query_count(), transcript.choice_count()) == (2, 4)
+        first = transcript.agent_calls()[0]
+        assert (first.more_choices, first.n, first.temperature, first.max_tokens) == \
+            ((), 1, None, None)
+        with pytest.raises(BackendFailure, match="predates recording every choice"):
+            ReplayBackend(path)
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=True, allow_infinity=True)
+    | st.sampled_from([-0.0, float("nan"), float("inf"), -float("inf")])
+    | st.text(st.characters(min_codepoint=0, max_codepoint=0x10FFFF, exclude_categories=["Cs"])),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner,
+                                                                 max_size=4),
+    max_leaves=12)
+
+
+class TestJsonLines:
+    @staticmethod
+    def _expected(objects):
+        return b"".join((JSON_ENCODER.encode(o) + "\n").encode("utf-8") for o in objects)
+
+    @settings(max_examples=200, deadline=None)
+    @given(objects=st.lists(JSON_VALUES, max_size=5))
+    def test_equals_the_encoder_line_by_line(self, objects):
+        assert macm.backend._C_LINE_ENCODER is not None
+        assert json_lines(objects) == self._expected(objects)
+
+    @settings(max_examples=100, deadline=None)
+    @given(objects=st.lists(JSON_VALUES, max_size=5))
+    def test_equals_the_encoder_without_the_c_accelerator(self, objects):
+        saved = macm.backend._C_LINE_ENCODER
+        macm.backend._C_LINE_ENCODER = None
+        try:
+            assert json_lines(objects) == self._expected(objects)
+        finally:
+            macm.backend._C_LINE_ENCODER = saved
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,16 @@
+import dataclasses
 import json
+import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from macm.cli import EXIT_FOR_ERROR, main
 from macm.demo import ALGEBRA_GOLD, ALGEBRA_QUESTION, algebra_trace_path
 from macm.domain import ERROR_KINDS, RunError, Unsolvable
 from macm.harness import read_transcript
 
-from conftest import extraction_reply, mining_reply
+from conftest import extraction_reply, mining_reply, random_script
 
 
 def write_jsonl(path, records):
@@ -16,6 +19,13 @@ def write_jsonl(path, records):
 
 def solver_script(path, replies):
     path.write_text(json.dumps({"roles": {"solver": [{"reply": r} for r in replies]}}))
+
+
+def agent_calls(out, name="p0.jsonl"):
+    """The agent_call lines of the one transcript ``name`` under ``out``."""
+    (transcript,) = out.rglob(name)
+    lines = map(json.loads, transcript.read_text().splitlines())
+    return [line for line in lines if line["event"] == "agent_call"]
 
 
 def dataset_flags(command, dataset, grid):
@@ -84,7 +94,7 @@ class TestSolve:
         outcome = read_transcript(out / "cli.jsonl").outcome
         assert isinstance(outcome, RunError) and outcome.kind == "BackendFailure"
         if cassettes == "torn-line":
-            assert f"cassette {target / 'cli.jsonl'}, line 1" in outcome.detail
+            assert outcome.detail.startswith(f"{target / 'cli.jsonl'}, line 1: ")
 
     def test_internal_error_exit_code(self, tmp_path, capsys, monkeypatch):
         from macm import harness
@@ -101,15 +111,20 @@ class TestSolve:
         assert read_transcript(tmp_path / "cli.jsonl").outcome == \
             RunError("InternalError", "RuntimeError: a bug")
 
-    def test_out_that_cannot_be_made_is_refused_before_any_call(self, tmp_path, capsys):
+    def test_out_that_cannot_be_made_is_refused_before_any_call(self, tmp_path, capsys,
+                                                                monkeypatch):
+        from macm import harness
+
+        def no_backend(*args, **kwargs):
+            pytest.fail("a backend was built")
+
+        monkeypatch.setattr(harness, "make_backend_factory", no_backend)
         out = tmp_path / "outfile"
         out.write_text("not a directory\n")
         code = main(["solve", "--question", ALGEBRA_QUESTION,
-                     "--backend", f"scripted:{algebra_trace_path()}",
-                     "--record", str(tmp_path / "cassettes"), "--out", str(out)])
+                     "--backend", f"scripted:{algebra_trace_path()}", "--out", str(out)])
         assert code == 2
         assert "error:" in capsys.readouterr().err
-        assert not (tmp_path / "cassettes").exists()
         assert out.read_text() == "not a directory\n"
 
     def test_unknown_backend_selector(self, capsys):
@@ -127,13 +142,14 @@ class TestSolve:
         assert code == 0
 
     def test_record_dir_then_replay(self, tmp_path, capsys):
-        cassettes = tmp_path / "cassettes"
+        # solve records its run in --out/<id>.jsonl; replay:<that dir> reads it.
+        out = tmp_path / "out"
         solve = ["solve", "--question", ALGEBRA_QUESTION]
         assert main(solve + ["--backend", f"scripted:{algebra_trace_path()}",
-                             "--record", str(cassettes)]) == 0
+                             "--out", str(out)]) == 0
         recorded = json.loads(capsys.readouterr().out)
-        assert [p.name for p in cassettes.iterdir()] == ["cli.jsonl"]
-        for target in (cassettes, cassettes / "cli.jsonl"):
+        assert [p.name for p in out.iterdir()] == ["cli.jsonl"]
+        for target in (out, out / "cli.jsonl"):
             assert main(solve + ["--backend", f"replay:{target}"]) == 0
             assert json.loads(capsys.readouterr().out) == recorded
 
@@ -180,12 +196,10 @@ def test_sampling_flags_reach_baseline_requests(command, method, tmp_path, capsy
               "bench": ["--dataset", str(dataset)],
               "sweep": ["--dataset", str(dataset), "--grid", grid]}
     voters = ["--v", "2"] if method == "sc-cot" else []
-    record = tmp_path / "cassettes"
     assert main([command, *source[command], "--method", method, *voters,
-                 "--n", "2", "--temperature", "0.3", "--record", str(record),
+                 "--n", "2", "--temperature", "0.3",
                  "--backend", f"scripted:{script}", "--out", str(tmp_path / "out")]) == 0
-    (cassette,) = record.rglob("*.jsonl")
-    requests = [json.loads(line)["sampling"] for line in cassette.read_text().splitlines()]
+    requests = agent_calls(tmp_path / "out")
     assert all(r["temperature"] == 0.3 for r in requests)
     assert requests[0]["n"] == 2
 
@@ -195,18 +209,16 @@ def test_sampling_flags_reach_every_macm_request(command, tmp_path, capsys):
     dataset = tmp_path / "d.jsonl"
     write_jsonl(dataset, [{"id": "algebra", "question": ALGEBRA_QUESTION,
                            "answer": ALGEBRA_GOLD}])
-    record = tmp_path / "cassettes"
     assert main([command, *dataset_flags(command, dataset, '{"max_iterations": [5]}'),
-                 "--method", "macm", "--temperature", "0.3", "--record", str(record),
+                 "--method", "macm", "--temperature", "0.3",
                  "--backend", f"scripted:{algebra_trace_path()}",
                  "--out", str(tmp_path / "out")]) == 0
-    (cassette,) = record.rglob("*.jsonl")
-    entries = [json.loads(line) for line in cassette.read_text().splitlines()]
+    entries = agent_calls(tmp_path / "out", "algebra.jsonl")
     assert {e["role"] for e in entries} == {"thinker", "judge", "executor"}
     max_tokens = {"thinker": 512, "judge": 4, "executor": 256}
     for entry in entries:
-        assert entry["sampling"] == {"n": 1, "temperature": 0.3,
-                                     "max_tokens": max_tokens[entry["role"]]}
+        assert (entry["n"], entry["temperature"], entry["max_tokens"]) == \
+            (1, 0.3, max_tokens[entry["role"]])
 
 
 @pytest.mark.parametrize("flag", ["--query-budget", "--prompts-dir"])
@@ -218,12 +230,12 @@ def test_macm_only_flags_are_refused_for_baselines(command, method, flag, tmp_pa
     dataset = tmp_path / "d.jsonl"
     write_jsonl(dataset, [{"id": "p0", "question": "q", "answer": "7"}])
     value = {"--query-budget": "1", "--prompts-dir": str(tmp_path)}[flag]
-    out, record = tmp_path / "out", tmp_path / "cassettes"
+    out = tmp_path / "out"
     assert main([command, *dataset_flags(command, dataset, '{"l": [2]}'),
-                 "--method", method, flag, value, "--record", str(record),
+                 "--method", method, flag, value,
                  "--backend", f"scripted:{script}", "--out", str(out)]) == 2
     assert f"--method {method} does not take" in capsys.readouterr().err
-    assert not out.exists() and not record.exists()
+    assert not out.exists()
 
 
 class TestBench:
@@ -309,13 +321,11 @@ class TestBench:
         dataset = self._dataset(tmp_path)
         script = tmp_path / "s.json"
         solver_script(script, ["Answer: 7"])
-        cassettes = tmp_path / "cassettes"
 
         assert main(["bench", "--dataset", str(dataset), "--method", "io",
-                     "--backend", f"scripted:{script}", "--record", str(cassettes),
-                     "--out", str(tmp_path / "rec")]) == 0
+                     "--backend", f"scripted:{script}", "--out", str(tmp_path / "rec")]) == 0
         assert main(["bench", "--dataset", str(dataset), "--method", "io",
-                     "--backend", f"replay:{cassettes}",
+                     "--backend", f"replay:{tmp_path / 'rec' / 'transcripts'}",
                      "--out", str(tmp_path / "rep")]) == 0
         rec = (tmp_path / "rec" / "report.csv").read_bytes()
         rep = (tmp_path / "rep" / "report.csv").read_bytes()
@@ -335,6 +345,36 @@ class TestBench:
         assert (report["aggregates"]["mean_queries"], report["aggregates"]["mean_choices"]) \
             == (2.0, 4.0)
         assert "mean queries 2.00, mean choices 4.00" in capsys.readouterr().out
+
+    def test_record_flag_is_gone(self, tmp_path, capsys):
+        # A run is recorded in its transcripts; replay:<out>/transcripts reads them.
+        with pytest.raises(SystemExit) as info:
+            main(["bench", "--dataset", str(self._dataset(tmp_path)), "--method", "io",
+                  "--backend", "http", "--record", str(tmp_path / "cassettes"),
+                  "--out", str(tmp_path / "out")])
+        assert info.value.code == 2
+        assert "--record" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists() and not (tmp_path / "cassettes").exists()
+
+    @pytest.mark.parametrize("bad_id", ["../escaped", "SCRATCH/abs"])
+    def test_id_that_escapes_out_writes_nothing(self, bad_id, tmp_path, capsys):
+        work = tmp_path / "work"
+        work.mkdir()
+        dataset = tmp_path / "d.jsonl"
+        write_jsonl(dataset, [{"id": "p0", "question": "q", "answer": "7"},
+                              {"id": bad_id.replace("SCRATCH", str(tmp_path)), "question": "q"}])
+        script = tmp_path / "s.json"
+        solver_script(script, ["Answer: 7"])
+        out = work / "out"
+        bench = ["bench", "--dataset", str(dataset), "--method", "io",
+                 "--backend", f"scripted:{script}", "--out", str(out)]
+        before = sorted(tmp_path.rglob("*"))
+        assert main(bench) == 2
+        assert "error: line 2: problem id" in capsys.readouterr().err
+        assert sorted(tmp_path.rglob("*")) == before
+        assert main(bench + ["--lenient"]) == 0
+        assert sorted(p for p in tmp_path.rglob("*") if out not in (p, *p.parents)) == before
+        assert [p.name for p in (out / "transcripts").iterdir()] == ["p0.jsonl"]
 
     def test_count_choices_flag_is_gone(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as info:
@@ -408,6 +448,45 @@ class TestBench:
             assert f"{malformed}: not a report.json" in capsys.readouterr().err
 
 
+# Scripted runs that replay: I-O with one and three choices, CoT, SC-CoT with
+# sampling flags, and MACM with one format retry allowed.
+REPLAYED_RUNS = {
+    "io": ["--method", "io"],
+    "io-n3": ["--method", "io", "--n", "3"],
+    "cot": ["--method", "cot", "--l", "3"],
+    "sc-cot": ["--method", "sc-cot", "--v", "2", "--n", "2", "--l", "3"],
+    "macm": ["--method", "macm", "--format-retries", "1"],
+}
+
+
+@settings(max_examples=30, deadline=None)
+@given(run=st.sampled_from(sorted(REPLAYED_RUNS)), seed=st.integers(0, 10_000))
+def test_replaying_a_bench_reproduces_its_report_and_calls(run, seed, tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("replay")
+    rng = random.Random(seed)
+    if run == "macm":
+        backend, _ = random_script(seed)
+        roles = {role: [e.reply for e in entries] for role, entries in backend._queues.items()}
+        # A malformed verdict somewhere: its retry, or a ParseFailure, replays too.
+        roles["judge"].insert(rng.randrange(len(roles["judge"]) + 1), "Maybe")
+    else:
+        roles = {"solver": rng.choices(["Answer: 7", "Answer: 8", "thinking", "7", "8"], k=12)}
+    script = tmp / "s.json"
+    script.write_text(json.dumps({"roles": roles}))
+    dataset = tmp / "d.jsonl"
+    write_jsonl(dataset, [{"id": f"p{i}", "question": f"q{i}", "answer": "7"} for i in range(3)])
+    bench = ["bench", "--dataset", str(dataset), *REPLAYED_RUNS[run]]
+    rec, rep = tmp / "rec", tmp / "rep"
+    assert main(bench + ["--backend", f"scripted:{script}", "--out", str(rec)]) == 0
+    assert main(bench + ["--backend", f"replay:{rec / 'transcripts'}", "--out", str(rep)]) == 0
+    assert (rep / "report.csv").read_bytes() == (rec / "report.csv").read_bytes()
+    for i in range(3):
+        calls = [[dataclasses.replace(call, timestamp=0.0) for call in
+                  read_transcript(out / "transcripts" / f"p{i}.jsonl").agent_calls()]
+                 for out in (rec, rep)]
+        assert calls[0] == calls[1]
+
+
 class TestSweep:
     def test_grid_over_io(self, tmp_path, capsys):
         dataset = tmp_path / "d.jsonl"
@@ -436,26 +515,25 @@ class TestSweep:
         assert code == 0
 
     def test_record_then_replay_per_point(self, tmp_path, capsys):
-        # Each grid point records to <dir>/<point dir>/<id>.jsonl and replays
-        # from there, so the replayed sweep equals the recorded one.
+        # Each grid point writes <out>/<point dir>/transcripts/<id>.jsonl, and
+        # replay:<out> reads each point from there, so the replayed sweep
+        # equals the recorded one.
         dataset = tmp_path / "d.jsonl"
         write_jsonl(dataset, [{"id": f"p{i}", "question": f"q{i}", "answer": "7"}
                               for i in range(6)])
         script = tmp_path / "s.json"
         solver_script(script, ["Answer: 7", "Answer: 7"])
-        cassettes = tmp_path / "cassettes"
+        rec = tmp_path / "rec"
         sweep = ["sweep", "--dataset", str(dataset), "--method", "io",
                  "--grid", '{"n": [1, 3]}']
-        assert main(sweep + ["--backend", f"scripted:{script}", "--record", str(cassettes),
-                             "--out", str(tmp_path / "rec")]) == 0
-        assert main(sweep + ["--backend", f"replay:{cassettes}",
+        assert main(sweep + ["--backend", f"scripted:{script}", "--out", str(rec)]) == 0
+        assert main(sweep + ["--backend", f"replay:{rec}",
                              "--out", str(tmp_path / "rep")]) == 0
-        recorded = (tmp_path / "rec" / "sweep.csv").read_bytes()
+        recorded = (rec / "sweep.csv").read_bytes()
         assert recorded.decode().splitlines()[1:] == ["1,1.0,1.0", "3,4.0,1.0"]
         assert (tmp_path / "rep" / "sweep.csv").read_bytes() == recorded
-        assert sorted(p.name for p in cassettes.iterdir()) == ["point_n1", "point_n3"]
         for point in ("point_n1", "point_n3"):
-            assert sorted(p.name for p in (cassettes / point).iterdir()) == \
+            assert sorted(p.name for p in (rec / point / "transcripts").iterdir()) == \
                 [f"p{i}.jsonl" for i in range(6)]
 
     def test_bad_grid_json_exit_code(self, tmp_path, capsys):
@@ -497,13 +575,12 @@ def _error(outcome, kind):
 # What each knob at its KNOB_VALUES value does to the recorded requests and the
 # run's outcome; none of these holds with the knob left at its default.
 _KNOB_MARKS = {
-    "n": lambda entries, outcome: entries[0]["sampling"]["n"] == 2,
-    "temperature": lambda entries, outcome: all(
-        e["sampling"]["temperature"] == 0.3 for e in entries),
+    "n": lambda entries, outcome: entries[0]["n"] == 2,
+    "temperature": lambda entries, outcome: all(e["temperature"] == 0.3 for e in entries),
     "l": lambda entries, outcome: (
         len(entries) == 1 and _error(outcome, "ParseFailure")),
     "v": lambda entries, outcome: (
-        "solved 2 times" in entries[-1]["request_messages"][0]["content"]),
+        "solved 2 times" in entries[-1]["prompt"]),
     "max_iterations": lambda entries, outcome: outcome == Unsolvable(1),
     "format_retries": lambda entries, outcome: (
         len(entries) == 1 and _error(outcome, "ParseFailure")),
@@ -524,16 +601,14 @@ def _knob_run(command, method, knob, value, tmp_path):
         grid, flag = '{"temperature": [0.7]}', [f"--{knob.replace('_', '-')}={value}"]
     command = command.removesuffix("-flag")
     return main([command, *dataset_flags(command, dataset, grid), *flag, "--method", method,
-                 "--backend", f"scripted:{script}", "--record", str(tmp_path / "cassettes"),
-                 "--out", str(tmp_path / "out")])
+                 "--backend", f"scripted:{script}", "--out", str(tmp_path / "out")])
 
 
 @pytest.mark.parametrize("method, knob", [(m, k) for m in TAKES for k in sorted(TAKES[m])])
 @pytest.mark.parametrize("command", ["solve", "bench", "sweep"])
 def test_knob_the_method_takes_reaches_the_run(command, method, knob, tmp_path, capsys):
     code = _knob_run(command, method, knob, KNOB_VALUES[knob], tmp_path)
-    (cassette,) = (tmp_path / "cassettes").rglob("*.jsonl")
-    entries = [json.loads(line) for line in cassette.read_text().splitlines()]
+    entries = agent_calls(tmp_path / "out")
     (transcript,) = (tmp_path / "out").rglob("p0.jsonl")
     outcome = read_transcript(transcript).outcome
     assert _KNOB_MARKS[knob](entries, outcome), (entries, outcome)
@@ -547,7 +622,7 @@ def test_knob_the_method_takes_reaches_the_run(command, method, knob, tmp_path, 
 def test_knob_the_method_does_not_take_is_refused(command, method, knob, tmp_path, capsys):
     assert _knob_run(command, method, knob, KNOB_VALUES[knob], tmp_path) == 2
     assert f"--method {method} does not take '{knob}'" in capsys.readouterr().err
-    assert not (tmp_path / "out").exists() and not (tmp_path / "cassettes").exists()
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("value", [0, -1])
@@ -555,7 +630,7 @@ def test_knob_the_method_does_not_take_is_refused(command, method, knob, tmp_pat
 def test_query_budget_below_one_is_refused(command, value, tmp_path, capsys):
     assert _knob_run(command, "macm", "query_budget", value, tmp_path) == 2
     assert "query_budget must be >= 1" in capsys.readouterr().err
-    assert not (tmp_path / "out").exists() and not (tmp_path / "cassettes").exists()
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
@@ -564,7 +639,7 @@ def test_query_budget_below_one_is_refused(command, value, tmp_path, capsys):
 def test_non_finite_temperature_is_refused(command, method, value, tmp_path, capsys):
     assert _knob_run(command, method, "temperature", float(value), tmp_path) == 2
     assert "temperature must be finite and >= 0" in capsys.readouterr().err
-    assert not (tmp_path / "out").exists() and not (tmp_path / "cassettes").exists()
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("method, grid, named", [
@@ -580,10 +655,9 @@ def test_repeated_grid_value_exit_code(method, grid, named, tmp_path, capsys):
     script = tmp_path / "s.json"
     solver_script(script, ["Answer: 7"])
     assert main(["sweep", "--dataset", str(dataset), "--method", method, "--grid", grid,
-                 "--backend", f"scripted:{script}", "--record", str(tmp_path / "cassettes"),
-                 "--out", str(tmp_path / "out")]) == 2
+                 "--backend", f"scripted:{script}", "--out", str(tmp_path / "out")]) == 2
     assert f"grid point {named} repeats" in capsys.readouterr().err
-    assert not (tmp_path / "out").exists() and not (tmp_path / "cassettes").exists()
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("grid, named", [
@@ -596,10 +670,9 @@ def test_malformed_grid_exit_code(grid, named, tmp_path, capsys):
     script = tmp_path / "s.json"
     solver_script(script, ["Answer: 7"])
     assert main(["sweep", "--dataset", str(dataset), "--method", "io", "--grid", grid,
-                 "--backend", f"scripted:{script}", "--record", str(tmp_path / "cassettes"),
-                 "--out", str(tmp_path / "out")]) == 2
+                 "--backend", f"scripted:{script}", "--out", str(tmp_path / "out")]) == 2
     assert named in capsys.readouterr().err
-    assert not (tmp_path / "out").exists() and not (tmp_path / "cassettes").exists()
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("flags", [["--method", "cot", "--l", "0"],
@@ -626,10 +699,9 @@ def test_bad_prompts_dir_exit_code(command, prompts, tmp_path, capsys):
     dataset = tmp_path / "d.jsonl"
     write_jsonl(dataset, [{"id": "algebra", "question": ALGEBRA_QUESTION,
                            "answer": ALGEBRA_GOLD}])
-    out, record = tmp_path / "out", tmp_path / "cassettes"
+    out = tmp_path / "out"
     assert main([command, *dataset_flags(command, dataset, '{"max_iterations": [5]}'),
                  "--method", "macm", "--prompts-dir", str(prompts_dir),
-                 "--backend", f"scripted:{algebra_trace_path()}",
-                 "--record", str(record), "--out", str(out)]) == 2
+                 "--backend", f"scripted:{algebra_trace_path()}", "--out", str(out)]) == 2
     assert str(prompts_dir) in capsys.readouterr().err
-    assert not out.exists() and not record.exists()
+    assert not out.exists()

@@ -189,6 +189,12 @@ class TestConfigs:
             Problem(id="p", question="q", level=6)
 
 
+@pytest.mark.parametrize("bad_id", ["", ".", "..", "../x", "/x", "a/b", "a\0b"])
+def test_problem_id_must_be_a_file_name(bad_id):
+    with pytest.raises(ValueError, match="is not a file name"):
+        Problem(id=bad_id, question="q")
+
+
 class TestTranscript:
     def _call(self) -> AgentCall:
         return AgentCall(role="thinker", prompt="p", raw_response="r",

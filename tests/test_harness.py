@@ -88,6 +88,17 @@ class TestLoadProblems:
         with pytest.raises(SchemaError):
             load_problems(path)
 
+    @pytest.mark.parametrize("bad_id", ["../escaped", "/abs/path", "a/b", ".", "..", "a\0b"])
+    def test_id_that_is_not_a_file_name_rejected(self, tmp_path, capsys, bad_id):
+        # The id names the problem's transcript file under --out.
+        path = tmp_path / "data.jsonl"
+        path.write_text(json.dumps({"id": "a", "question": "q"}) + "\n"
+                        + json.dumps({"id": bad_id, "question": "q"}) + "\n")
+        with pytest.raises(SchemaError, match=r"^line 2: problem id .* is not a file name"):
+            load_problems(path)
+        assert [p.id for p in load_problems(path, lenient=True)] == ["a"]
+        assert "skipping line 2: " in capsys.readouterr().err
+
     def test_game24_file(self, tmp_path):
         path = tmp_path / "games.txt"
         path.write_text("4 4 6 8\n3 3 8 8\n")
@@ -723,6 +734,8 @@ class TestFilterWrong:
 
 
 class TestRecordReplayBenchmark:
+    """A bench replays from an earlier bench's transcripts: replay:<out>/transcripts."""
+
     def test_replay_reproduces_csv_bytes(self, tmp_path):
         from macm.harness import _report_csv_text
         problems = [Problem(id=f"p{i}", question=f"q{i}", gold_answer=str(i))
@@ -730,34 +743,55 @@ class TestRecordReplayBenchmark:
         script = {"roles": {"solver": [{"reply": "Answer: 0"}]}}
         script_path = tmp_path / "script.json"
         script_path.write_text(json.dumps(script))
-        cassettes = tmp_path / "cassettes"
 
         rec_counter = QueryCounter()
-        rec_factory = make_backend_factory(f"scripted:{script_path}", rec_counter,
-                                           record_dir=cassettes)
+        rec_factory = make_backend_factory(f"scripted:{script_path}", rec_counter)
         recorded = run_benchmark(problems, MethodIO(), rec_factory, tmp_path / "rec")
 
         replay_counter = QueryCounter()
-        replay_factory = make_backend_factory(f"replay:{cassettes}", replay_counter)
+        replay_factory = make_backend_factory(f"replay:{tmp_path / 'rec' / 'transcripts'}",
+                                              replay_counter)
         replayed = run_benchmark(problems, MethodIO(), replay_factory, tmp_path / "rep")
 
         assert _report_csv_text(recorded) == _report_csv_text(replayed)
         assert replay_counter.requests == rec_counter.requests
 
+    def test_replay_into_the_out_it_reads_from(self, tmp_path, monkeypatch):
+        # Each problem's transcript is read whole when its backend is built,
+        # before its run writes the new one over it.
+        from macm import agents
+        monkeypatch.setattr(agents, "now", lambda: GOLDEN_TIMESTAMP)
+        problems = [Problem(id=f"p{i}", question=f"q{i}", gold_answer="7") for i in range(4)]
+        script_path = tmp_path / "script.json"
+        script_path.write_text(json.dumps({"roles": {"solver": ["Answer: 7", "Answer: 7"]}}))
+        method = MethodIO(SamplingParams(n=2))
+        out = tmp_path / "out"
+        write_report(run_benchmark(problems, method,
+                                   make_backend_factory(f"scripted:{script_path}"), out), out)
+        # report.json is left out: it holds each row's wall time.
+        files = ["report.csv", *(f"transcripts/{p.id}.jsonl" for p in problems)]
+        before = [(out / name).read_bytes() for name in files]
+        for parallelism in (1, 2):
+            replayed = run_benchmark(problems, method,
+                                     make_backend_factory(f"replay:{out / 'transcripts'}"),
+                                     out, parallelism=parallelism)
+            write_report(replayed, out)
+            assert [(out / name).read_bytes() for name in files] == before
+
     def test_missing_cassette_becomes_error_row(self, tmp_path):
         problems = [Problem(id=f"p{i}", question=f"q{i}", gold_answer="0") for i in range(3)]
         script_path = tmp_path / "script.json"
         script_path.write_text(json.dumps({"roles": {"solver": [{"reply": "Answer: 0"}]}}))
-        cassettes = tmp_path / "cassettes"
         recorded = run_benchmark(
-            problems, MethodIO(),
-            make_backend_factory(f"scripted:{script_path}", QueryCounter(), record_dir=cassettes),
+            problems, MethodIO(), make_backend_factory(f"scripted:{script_path}", QueryCounter()),
             tmp_path / "rec")
-        (cassettes / "p1.jsonl").unlink()
+        transcripts = tmp_path / "rec" / "transcripts"
+        (transcripts / "p1.jsonl").unlink()
 
         out = tmp_path / "rep"
         replayed = run_benchmark(problems, MethodIO(),
-                                 make_backend_factory(f"replay:{cassettes}", QueryCounter()), out)
+                                 make_backend_factory(f"replay:{transcripts}", QueryCounter()),
+                                 out)
 
         assert [r.id for r in replayed.rows] == ["p0", "p1", "p2"]
         error = replayed.rows[1]
@@ -770,33 +804,38 @@ class TestRecordReplayBenchmark:
             == [(r.outcome, r.correct, r.queries) for r in (recorded.rows[0], recorded.rows[2])]
 
     @pytest.mark.parametrize("corrupt, line", [
-        (lambda lines: [lines[0], lines[1][:len(lines[1]) // 2]], 2),
-        (lambda lines: [json.dumps({k: v for k, v in json.loads(lines[0]).items()
-                                    if k != "request_messages"}), lines[1]], 1),
-    ], ids=["torn-last-line", "no-request-messages"])
+        (lambda lines: [*lines[:-1], lines[-1][:len(lines[-1]) // 2]], 4),
+        (lambda lines: [lines[0], json.dumps({k: v for k, v in json.loads(lines[1]).items()
+                                              if k != "prompt"}), *lines[2:]], 2),
+        (lambda lines: [lines[0], json.dumps({
+            "seq": 0, "role": "solver", "request_messages": [{"role": "user", "content": "q1"}],
+            "sampling": {"n": 2, "temperature": 0.7, "max_tokens": 512},
+            "choices": ["Answer: 0", "Answer: 0"], "tokens_in": 0, "tokens_out": 0}),
+            *lines[2:]], 2),
+    ], ids=["torn-last-line", "no-prompt", "old-cassette-line"])
     def test_corrupt_cassette_becomes_error_row(self, tmp_path, corrupt, line):
         problems = [Problem(id=f"p{i}", question=f"q{i}", gold_answer="0") for i in range(3)]
         script_path = tmp_path / "script.json"
         script_path.write_text(json.dumps({"roles": {"solver": ["Answer: 0", "Answer: 0"]}}))
         method = MethodIO(SamplingParams(n=2))  # two requests: n choices, then a select
-        cassettes = tmp_path / "cassettes"
         recorded = run_benchmark(
-            problems, method,
-            make_backend_factory(f"scripted:{script_path}", QueryCounter(), record_dir=cassettes),
+            problems, method, make_backend_factory(f"scripted:{script_path}", QueryCounter()),
             tmp_path / "rec")
-        cassette = cassettes / "p1.jsonl"
-        lines = cassette.read_text().splitlines()
-        assert len(lines) == 2
-        cassette.write_text("\n".join(corrupt(lines)))
+        transcripts = tmp_path / "rec" / "transcripts"
+        transcript = transcripts / "p1.jsonl"
+        lines = transcript.read_text().splitlines()
+        assert [json.loads(text)["event"] for text in lines] == \
+            ["meta", "agent_call", "agent_call", "final"]
+        transcript.write_text("\n".join(corrupt(lines)))
 
         replayed = run_benchmark(problems, method,
-                                 make_backend_factory(f"replay:{cassettes}", QueryCounter()),
+                                 make_backend_factory(f"replay:{transcripts}", QueryCounter()),
                                  tmp_path / "rep")
 
         assert [r.id for r in replayed.rows] == ["p0", "p1", "p2"]
         error = replayed.rows[1]
         assert error.outcome["error_kind"] == "BackendFailure"
-        assert error.outcome["detail"].startswith(f"cassette {cassette}, line {line}: ")
+        assert error.outcome["detail"].startswith(f"{transcript}, line {line}: ")
         assert not error.correct and error.queries == 0
         assert [(r.outcome, r.correct, r.queries) for r in (replayed.rows[0], replayed.rows[2])] \
             == [(r.outcome, r.correct, r.queries) for r in (recorded.rows[0], recorded.rows[2])]

@@ -8,10 +8,12 @@ from macm.agents import MAX_CANDIDATES
 from macm.backend import (
     ChatMessage,
     ChatRequest,
+    ChatResponse,
     RecordingBackend,
     ReplayBackend,
     ScriptedBackend,
     ScriptEntry,
+    call_fields,
 )
 from macm.baselines import MethodIO
 from macm.demo import algebra_problem, algebra_trace_path
@@ -45,8 +47,8 @@ from macm.errors import (
     ScriptExhausted,
     ScriptMismatch,
 )
-from macm.harness import read_transcript, solve_one
-from macm.orchestrator import resume_from_transcript, solve
+from macm.harness import read_transcript, solve_one, write_transcript
+from macm.orchestrator import _TranscriptBackend, resume_from_transcript, solve
 from macm.prompts import PromptCatalog
 
 from conftest import extraction_reply, mining_reply, random_script, scripted
@@ -309,8 +311,8 @@ def format_retry_script():
 
 
 def recorded_run(run, tmp_path):
-    """Record one named or random scripted run; returns its problem, config,
-    outcome, transcript and cassette."""
+    """Run one named or random scripted run; returns its problem, config,
+    outcome, transcript and the path it was written to."""
     config = RunConfig(format_retries=0)
     if run == "algebra":
         problem, config = algebra_problem(), RunConfig()
@@ -325,9 +327,10 @@ def recorded_run(run, tmp_path):
             backend, config = format_retry_script(), RunConfig(format_retries=1)
         else:
             backend, _ = random_script(run)
-    cassette = tmp_path / "run.jsonl"
-    outcome, full = solve(problem, config, RecordingBackend(backend, cassette))
-    return problem, config, outcome, full, cassette
+    outcome, full = solve(problem, config, backend)
+    path = tmp_path / "run.jsonl"
+    write_transcript(full, path)
+    return problem, config, outcome, full, path
 
 
 class NeverCalled:
@@ -339,14 +342,14 @@ class NeverCalled:
 
 class TestResume:
     def _record_full_run(self, tmp_path, problem, config):
-        cassette = tmp_path / "run.jsonl"
-        backend = RecordingBackend(two_round_script(), cassette)
-        outcome, transcript = solve(problem, config, backend)
+        outcome, transcript = solve(problem, config, two_round_script())
         assert outcome == Solved("99")
-        return cassette, transcript
+        path = tmp_path / "run.jsonl"
+        write_transcript(transcript, path)
+        return path, transcript
 
     def test_resume_after_round_one_sufficiency(self, tmp_path, toy_problem, fast_config):
-        cassette, full = self._record_full_run(tmp_path, toy_problem, fast_config)
+        recording, full = self._record_full_run(tmp_path, toy_problem, fast_config)
         cut = next(i for i, e in enumerate(full.events)
                    if isinstance(e, SufficiencyVerdict) and e.round == 1)
         partial = Transcript(full.run_id)
@@ -354,32 +357,32 @@ class TestResume:
         calls_done = partial.query_count()
 
         outcome, resumed = resume_from_transcript(
-            partial, ReplayBackend(cassette, skip_calls=calls_done), problem=toy_problem,
+            partial, ReplayBackend(recording, skip_calls=calls_done), problem=toy_problem,
             config=fast_config)
         assert outcome == full.outcome
         assert resumed.query_count() == full.query_count()
         assert accepted_mined(resumed) == accepted_mined(full)
 
     def test_resume_mid_judging(self, tmp_path, toy_problem, fast_config):
-        cassette, full = self._record_full_run(tmp_path, toy_problem, fast_config)
+        recording, full = self._record_full_run(tmp_path, toy_problem, fast_config)
         # Cut right after the round-2 candidate was proposed but before judging.
         cut = max(i for i, e in enumerate(full.events)
                   if type(e).__name__ == "ConditionProposed" and e.round == 2)
         partial = Transcript(full.run_id)
         partial.events = list(full.events[: cut + 1])
         outcome, resumed = resume_from_transcript(
-            partial, ReplayBackend(cassette, skip_calls=partial.query_count()),
+            partial, ReplayBackend(recording, skip_calls=partial.query_count()),
             problem=toy_problem, config=fast_config)
         assert outcome == full.outcome
 
     def _resume_matches(self, run, tmp_path, cuts=None):
-        problem, config, outcome, full, cassette = recorded_run(run, tmp_path)
+        problem, config, outcome, full, recording = recorded_run(run, tmp_path)
         for cut in range(len(full.events)) if cuts is None else cuts(full.events):
             partial = Transcript(full.run_id)
             partial.events = full.events[:cut]
             kept = list(partial.events)
             resumed_outcome, resumed = resume_from_transcript(
-                partial, ReplayBackend(cassette, skip_calls=partial.query_count()),
+                partial, ReplayBackend(recording, skip_calls=partial.query_count()),
                 problem=problem, config=config)
             assert resumed_outcome == outcome
             assert resumed.query_count() == full.query_count()
@@ -433,7 +436,7 @@ class TestResume:
         ConditionDiscarded("m2", 3), SufficiencyVerdict(1, True)])
     def test_resume_event_filed_under_another_round_is_corrupt(
             self, tmp_path, toy_problem, fast_config, event):
-        cassette, full = self._record_full_run(tmp_path, toy_problem, fast_config)
+        recording, full = self._record_full_run(tmp_path, toy_problem, fast_config)
         cut = next(i for i, e in enumerate(full.events)
                    if isinstance(e, SufficiencyVerdict) and e.round == 1)
         partial = Transcript(full.run_id)
@@ -444,7 +447,8 @@ class TestResume:
                                    config=fast_config)
 
     @pytest.mark.parametrize("tamper", ["edited prompt", "extra event", "extra call",
-                                        "fewer rounds", "other prompts"])
+                                        "fewer rounds", "other prompts",
+                                        "whitespace in a prompt"])
     def test_resume_a_transcript_the_rerun_does_not_repeat_is_corrupt(self, tamper, tmp_path):
         problem, config, _, full, _ = recorded_run("two-round", tmp_path)
         events = list(full.events[:-1])
@@ -459,6 +463,11 @@ class TestResume:
         elif tamper == "extra call":
             events.insert(where, events[where])
             where += 1
+        elif tamper == "whitespace in a prompt":
+            # Served, since the prompt matches up to whitespace; the re-run's
+            # own call differs from it all the same.
+            events[where] = dataclasses.replace(events[where],
+                                                prompt=events[where].prompt.replace(" ", "  "))
         elif tamper == "fewer rounds":
             config = dataclasses.replace(config, max_iterations=1)
             where = next(i for i, e in enumerate(events) if isinstance(e, SufficiencyVerdict)) + 1
@@ -489,6 +498,31 @@ class TestResume:
         with pytest.raises(TypeError, match="problem"):
             resume_from_transcript(Transcript("fresh"), two_round_script(),
                                    config=fast_config)
+
+
+@pytest.mark.parametrize("reader", ["replay", "resume"])
+@pytest.mark.parametrize("role, prompt, n, accepted", [
+    ("judge", "a  b\tc", 2, True), ("judge", "a b c", 2, True), ("judge", " a\u3000b\nc ", 2, True),
+    ("thinker", "a  b\tc", 2, False), ("judge", "a  b\tc", 1, False), ("judge", "a b d", 2, False)])
+def test_replay_and_resume_match_a_request_by_one_rule(reader, role, prompt, n, accepted,
+                                                       tmp_path):
+    """The same role, the prompt up to whitespace, and the same n."""
+    recorded = ChatRequest((ChatMessage("user", "a  b\tc"),), SamplingParams(n=2))
+    transcript = Transcript("t")
+    response = ChatResponse(("x", "y"), 3, 1)
+    transcript.append(AgentCall(**call_fields("judge", recorded, response, 0.0)))
+    if reader == "replay":
+        path = tmp_path / "t.jsonl"
+        write_transcript(transcript, path)
+        backend = ReplayBackend(path)
+    else:
+        backend = _TranscriptBackend(transcript.events, Transcript("t"), NeverCalled())
+    request = ChatRequest((ChatMessage("user", prompt),), SamplingParams(n=n))
+    if accepted:
+        assert backend.complete(request, role) == response
+    else:
+        with pytest.raises(CassetteMismatch):
+            backend.complete(request, role)
 
 
 class TestTranscriptShape:
