@@ -11,11 +11,12 @@ from macm.backend import ScriptedBackend
 from macm.demo import algebra_problem, algebra_trace_path
 from macm.domain import (
     AgentCall,
+    ConditionAccepted,
+    ConditionDiscarded,
     ConditionProposed,
     Final,
     RunConfig,
     SufficiencyVerdict,
-    VerdictEvent,
     outcome_to_dict,
 )
 from macm.orchestrator import solve
@@ -30,8 +31,8 @@ def main() -> None:
     for event in transcript.events:
         if isinstance(event, AgentCall):
             print(f"[call]    {event.role}: {event.raw_response.splitlines()[0][:70]}")
-        elif isinstance(event, VerdictEvent):
-            print(f"[verdict] {event.subject} -> {event.value}")
+        elif isinstance(event, (ConditionAccepted, ConditionDiscarded)) and event.round is not None:
+            print(f"[verdict] condition: {event.text} -> {isinstance(event, ConditionAccepted)}")
         elif isinstance(event, SufficiencyVerdict):
             print(f"[verdict] sufficient after round {event.round} -> {event.value}")
         elif not isinstance(event, (ConditionProposed, Final)):

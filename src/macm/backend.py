@@ -578,14 +578,21 @@ def call_fields(role: str, request: ChatRequest, response: ChatResponse,
 
 def replayable(call: dict) -> tuple[str, str, int, ChatResponse]:
     """(role, prompt, n, response) of an AgentCall's fields (its ``vars`` or
-    its agent_call line). A missing field raises KeyError; a call that
-    returned more choices than it records raises ValueError."""
-    more = call.get("more_choices", ())
-    if call.get("n_choices", 1) > 1 + len(more):
-        raise ValueError(f"the call returned {call['n_choices']} choices and records "
+    its agent_call line). A missing field raises KeyError, a field of the wrong
+    type TypeError; a call that returned more choices than it records raises
+    ValueError."""
+    role, prompt, raw = call["role"], call["prompt"], call["raw_response"]
+    tokens_in, tokens_out = call["tokens_in"], call["tokens_out"]
+    more, n, n_choices = call.get("more_choices", ()), call.get("n", 1), call.get("n_choices", 1)
+    if ((type(role), type(prompt), type(raw), type(tokens_in), type(tokens_out), type(n),
+         type(n_choices)) != (str, str, str, int, int, int, int)
+            or type(more) not in (list, tuple) or more and {*map(type, more)} != {str}):
+        raise TypeError("role, prompt, raw_response and more_choices must be text, "
+                        "tokens_in, tokens_out, n and n_choices integers")
+    if n_choices > 1 + len(more):
+        raise ValueError(f"the call returned {n_choices} choices and records "
                          f"{1 + len(more)}: its transcript predates recording every choice")
-    return (call["role"], call["prompt"], call.get("n", 1),
-            ChatResponse((call["raw_response"], *more), call["tokens_in"], call["tokens_out"]))
+    return role, prompt, n, ChatResponse((raw, *more), tokens_in, tokens_out)
 
 
 def replay(recorded: tuple, request: ChatRequest, role: str, where, k: int) -> ChatResponse:
@@ -636,7 +643,8 @@ class ReplayBackend:
     """Answers request k by ``replay`` from the k-th agent_call line of a JSON Lines
     file (a transcript, or a RecordingBackend's), past the first ``skip_calls``. The
     file is read here, other lines skipped; a line that is not JSON, has no ``event``
-    (an old cassette's) or lacks a field replay reads raises BackendFailure naming it."""
+    (an old cassette's) or lacks a field replay reads or types it wrong raises
+    BackendFailure naming it."""
 
     def __init__(self, path: str | Path, counter: QueryCounter | None = None,
                  skip_calls: int = 0):

@@ -5,7 +5,7 @@ from __future__ import annotations
 import time
 import unicodedata
 import uuid
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .errors import SOLVE_ERRORS
 
@@ -212,12 +212,6 @@ class ConditionProposed:
 
 
 @dataclass(frozen=True)
-class VerdictEvent:
-    subject: str
-    value: bool
-
-
-@dataclass(frozen=True)
 class ObjectiveSet:
     text: str
 
@@ -274,86 +268,47 @@ class Final:
     outcome: Outcome
 
 
-Event = (AgentCall | ConditionProposed | VerdictEvent | ObjectiveSet | ConditionAccepted
-         | ConditionDiscarded | DuplicateDropped | PlanDesigned | SufficiencyVerdict | Final)
+Event = (AgentCall | ConditionProposed | ObjectiveSet | ConditionAccepted | ConditionDiscarded
+         | DuplicateDropped | PlanDesigned | SufficiencyVerdict | Final)
 
 
-# The transcript codec: one JSON object per event. AgentCall,
-# ConditionProposed and VerdictEvent are written as their fields; the other
-# condition-list events as a "state_change" with their fields under "data".
-# The on-disk names, the "initial" provenance and the sufficiency subject
-# appear nowhere else.
-_KINDS = {AgentCall: "agent_call", ConditionProposed: "condition_proposed",
-          VerdictEvent: "verdict"}
-_STATE_CHANGES = {ObjectiveSet: "objective set", ConditionAccepted: "condition accepted",
-                  ConditionDiscarded: "condition discarded",
-                  DuplicateDropped: "duplicate condition dropped",
-                  PlanDesigned: "plan designed"}
-_CLASSES = {name: cls for cls, name in (_KINDS | _STATE_CHANGES).items()}
-_SUFFICIENCY_SUBJECT = "sufficiency round "
+# The transcript codec: every event is one JSON object, {"event": <kind>, **its
+# fields}, the kind being its class name in snake case; Final's outcome is
+# written as outcome_to_dict's object.
+_CLASSES = {"".join(f"_{c.lower()}" if c.isupper() else c for c in cls.__name__)[1:]: cls
+            for cls in Event.__args__}
+_KINDS = {cls: kind for kind, cls in _CLASSES.items()}
+_KEYS = {cls: {"event", *(f.name for f in fields(cls))} for cls in _KINDS}
 
 
 def event_to_dict(event: Event) -> dict:
-    kind = type(event)
-    if kind in _KINDS:
-        return {"event": _KINDS[kind], **event.__dict__}
-    if kind in _STATE_CHANGES:
-        data = dict(event.__dict__)
-        if kind is ObjectiveSet:
-            data = {"objective": event.text}
-        elif kind is ConditionAccepted and event.round is None:
-            data = {"text": event.text, "provenance": "initial"}
-        return {"event": "state_change", "description": _STATE_CHANGES[kind], "data": data}
-    if kind is SufficiencyVerdict:
-        return {"event": "verdict", "subject": f"{_SUFFICIENCY_SUBJECT}{event.round}",
-                "value": event.value}
-    if kind is Final:
+    if type(event) is Final:
         return {"event": "final", "outcome": outcome_to_dict(event.outcome)}
-    raise ValueError(f"not a transcript event: {event!r}")
+    return {"event": _KINDS[type(event)], **event.__dict__}
 
 
-def _decode(data: dict) -> Event:
-    kind = data["event"]
-    if kind == "final":
-        return Final(outcome_from_dict(data["outcome"]))
-    if kind == "state_change":
-        cls, fields = _CLASSES[data["description"]], data["data"]
-        if cls is ObjectiveSet:
-            return ObjectiveSet(fields["objective"])
-        if cls is ConditionAccepted:
-            return ConditionAccepted(fields["text"], fields.get("round"))
-        if cls is PlanDesigned:
-            return PlanDesigned(tuple(fields["steps"]))
-        return cls(**fields)
-    fields = {k: v for k, v in data.items() if k != "event"}
-    if kind == "agent_call" and "more_choices" in fields:
-        fields["more_choices"] = tuple(fields["more_choices"])
-    if kind == "verdict" and fields["subject"].startswith(_SUFFICIENCY_SUBJECT):
-        return SufficiencyVerdict(int(fields["subject"][len(_SUFFICIENCY_SUBJECT):]),
-                                  fields["value"])
-    return _CLASSES[kind](**fields)
-
-
-def _check_keys(data: dict, encoded: dict) -> None:
-    """Raise TypeError if ``data`` holds a key, at any depth, that the codec
-    would not write for the event it decodes to."""
-    extra = data.keys() - encoded.keys()
+def _only_keys(data: dict, keys) -> None:
+    extra = data.keys() - keys
     if extra:
         raise TypeError(f"unexpected keys {sorted(extra)}")
-    for key, value in data.items():
-        if isinstance(value, dict):
-            if not isinstance(encoded[key], dict):
-                raise TypeError(f"{key!r} is an object where the codec writes none")
-            _check_keys(value, encoded[key])
 
 
 def event_from_dict(data: dict) -> Event:
     """Decode one transcript line. A key may be missing where its field has a
-    default, but every key present must be one the codec writes: its event's
-    fields or the codec's own ("event", "description", "data", ...)."""
-    event = _decode(data)
-    _check_keys(data, event_to_dict(event))
-    return event
+    default, but every key present must be "event" or one of its kind's fields."""
+    cls = _CLASSES[data["event"]]
+    _only_keys(data, _KEYS[cls])
+    if cls is Final:
+        outcome = outcome_from_dict(data["outcome"])
+        _only_keys(data["outcome"], outcome_to_dict(outcome).keys())
+        return Final(outcome)
+    values = {k: v for k, v in data.items() if k != "event"}
+    for name in ("more_choices", "steps"):
+        if name in values:
+            if type(values[name]) not in (list, tuple):
+                raise TypeError(f"{name!r} must be a list, got {values[name]!r}")
+            values[name] = tuple(values[name])
+    return cls(**values)
 
 
 class Transcript:

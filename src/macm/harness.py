@@ -29,7 +29,6 @@ from .baselines import (
     solve_sc_cot,
 )
 from .domain import (
-    Event,
     Final,
     Outcome,
     Problem,
@@ -228,9 +227,9 @@ def write_transcript(transcript: Transcript, path: str | Path) -> None:
 
 def read_transcript(path: str | Path) -> Transcript:
     """Read a transcript file. A line that is not JSON or not an event (a
-    torn write, say) raises CorruptTranscript naming the file and line."""
-    run_id = None
-    events: list[Event] = []
+    torn write, say), a meta line other than the first, or an event after the
+    Final raises CorruptTranscript naming the file and line."""
+    transcript, first = Transcript(), True
     # Binary lines, so a write torn inside a UTF-8 sequence fails in json.loads.
     with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -238,16 +237,15 @@ def read_transcript(path: str | Path) -> Transcript:
                 continue
             try:
                 data = json.loads(line)
-                if data["event"] == "meta":
-                    run_id = data.get("run_id")
+                if first and data["event"] == "meta":
+                    transcript.run_id = data.get("run_id") or transcript.run_id
                 else:
-                    events.append(event_from_dict(data))
+                    transcript.append(event_from_dict(data))
             # JSONDecodeError and UnicodeDecodeError are ValueErrors.
             except (KeyError, TypeError, ValueError) as exc:
                 raise CorruptTranscript(
                     f"{path}, line {lineno}: not a transcript event ({exc!r})") from exc
-    transcript = Transcript(run_id)
-    transcript.events = events
+            first = False
     return transcript
 
 

@@ -33,7 +33,6 @@ from .domain import (
     SufficiencyVerdict,
     Transcript,
     Unsolvable,
-    VerdictEvent,
 )
 from .errors import BackendFailure, CorruptTranscript
 from .prompts import PromptCatalog
@@ -61,7 +60,6 @@ def _run(problem: Problem, config: RunConfig, backend, prompts: PromptCatalog,
                     log(DuplicateDropped(text, rnd))
                     continue
                 accepted = client.judge_condition(text, known).value
-                log(VerdictEvent(f"condition: {text}", accepted))
                 if accepted:
                     known.add(text)
                 log((ConditionAccepted if accepted else ConditionDiscarded)(text, rnd))

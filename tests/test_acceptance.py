@@ -27,7 +27,6 @@ from macm.domain import (
     Transcript,
     Unsolvable,
     Verdict,
-    VerdictEvent,
 )
 from macm.errors import ParseFailure
 from macm.harness import make_backend_factory, run_benchmark, sweep_queries
@@ -120,13 +119,12 @@ def test_gate_soundness_fuzz(capfd):
             else:
                 assert outcome == Unsolvable(5)
 
-            seen_true: set[str] = set()
-            for event in transcript.events:
-                if isinstance(event, VerdictEvent) and event.value \
-                        and event.subject.startswith("condition: "):
-                    seen_true.add(event.subject[len("condition: "):])
-                if isinstance(event, ConditionAccepted) and event.round is not None:
-                    assert event.text in seen_true
+            for call, event in zip(transcript.events, transcript.events[1:]):
+                if isinstance(event, (ConditionAccepted, ConditionDiscarded)) \
+                        and event.round is not None:
+                    assert call.role == "judge" and event.text in call.prompt
+                    assert parse_verdict(call.raw_response).value \
+                        is isinstance(event, ConditionAccepted)
 
             discard_points = [(i, e.text)
                               for i, e in enumerate(transcript.events)

@@ -1,4 +1,5 @@
 import base64
+import contextlib
 import email.utils
 import json
 import math
@@ -120,6 +121,10 @@ def record(path, calls, inner=None):
     """Record each (request, role) of ``calls`` to ``path``; the responses."""
     recorder = RecordingBackend(inner or Choices(), path)
     return [recorder.complete(req, role) for req, role in calls]
+
+
+_CALL_LINE = {"event": "agent_call", "role": "judge", "prompt": "q", "raw_response": "True",
+              "tokens_in": 0, "tokens_out": 0, "timestamp": 0.0}
 
 
 class TestRecordReplay:
@@ -270,7 +275,15 @@ class TestRecordReplay:
         ('{"event": "agent_call", "role": "solver", "prompt": "q", "raw_response": "a", '
          '"tokens_in": 0, "tokens_out": 0, "timestamp": 0.0, "n_choices": 3}',
          "predates recording every choice"),
-    ], ids=["old-cassette-line", "torn", "no-prompt", "not-an-object", "old-multi-choice-call"])
+        *((json.dumps({**_CALL_LINE, field: value}), "must be text") for field, value in [
+            ("prompt", 5), ("role", None), ("raw_response", ["a"]), ("more_choices", "ab"),
+            ("more_choices", [1])]),
+        *((json.dumps({**_CALL_LINE, field: value}), "integers") for field, value in [
+            ("tokens_in", "3"), ("tokens_out", 1.5), ("n", True), ("n_choices", "1")]),
+    ], ids=["old-cassette-line", "torn", "no-prompt", "not-an-object", "old-multi-choice-call",
+            "prompt-not-text", "role-not-text", "raw-response-not-text", "more-choices-text",
+            "more-choices-not-text", "tokens-in-text", "tokens-out-float", "n-bool",
+            "n-choices-text"])
     def test_unreadable_line_is_refused_naming_the_file_and_line(self, tmp_path, line, why):
         path = tmp_path / "run.jsonl"
         path.write_text('{"event": "meta", "run_id": "run"}\n\n' + line + "\n")
@@ -670,7 +683,13 @@ class TestHttpReplyFraming:
 
     def test_connection_close_replies_leave_no_descriptor_open(self, stub_server):
         def descriptors():
-            return len(os.listdir("/proc/self/fd"))
+            # Sockets only: a file another test's object closes meanwhile
+            # must not move the count.
+            links = []
+            for fd in os.listdir("/proc/self/fd"):
+                with contextlib.suppress(FileNotFoundError):  # closed since listed
+                    links.append(os.readlink(f"/proc/self/fd/{fd}"))
+            return sum(link.startswith("socket:") for link in links)
 
         before = descriptors()
         _StubHandler.script = [(200, None, {"Connection": "close"})] * 5 + [(200, None)]

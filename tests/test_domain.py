@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import re
 import sys
 import unicodedata
@@ -7,20 +9,27 @@ from hypothesis import given, strategies as st
 
 from macm.agents import EXECUTOR, JUDGE, MAX_TOKENS, THINKER
 from macm.domain import (
+    ERROR_KINDS,
     AgentCall,
     ConditionAccepted,
     ConditionDiscarded,
     ConditionList,
     ConditionProposed,
+    DuplicateDropped,
+    Event,
     Final,
     ObjectiveSet,
     PlanDesigned,
     Problem,
     RunConfig,
+    RunError,
     SamplingParams,
     Solved,
+    SufficiencyVerdict,
     Transcript,
     Unsolvable,
+    event_from_dict,
+    event_to_dict,
     normalize_condition_text,
 )
 from macm.orchestrator import solve
@@ -225,3 +234,39 @@ class TestTranscript:
                                     tokens_in=0, tokens_out=0, timestamp=0.0, n_choices=3))
         transcript.append(self._call())
         assert transcript.choice_count() == 4
+
+
+_TEXTS = st.text(min_size=1).filter(str.strip)
+_ROUNDS = st.integers(1, 50)
+_EVENTS = {
+    AgentCall: st.builds(
+        AgentCall, role=st.text(), prompt=st.text(), raw_response=st.text(),
+        tokens_in=st.integers(0, 10**6), tokens_out=st.integers(0, 10**6),
+        timestamp=st.floats(allow_nan=False, allow_infinity=False),
+        n_choices=st.integers(1, 4), more_choices=st.lists(st.text(), max_size=3).map(tuple),
+        n=st.integers(1, 4), temperature=st.none() | st.floats(0, 2),
+        max_tokens=st.none() | st.integers(1, 512)),
+    ConditionProposed: st.builds(ConditionProposed, _TEXTS, _ROUNDS),
+    ObjectiveSet: st.builds(ObjectiveSet, _TEXTS),
+    ConditionAccepted: st.builds(ConditionAccepted, _TEXTS, st.none() | _ROUNDS),
+    ConditionDiscarded: st.builds(ConditionDiscarded, _TEXTS, _ROUNDS),
+    DuplicateDropped: st.builds(DuplicateDropped, _TEXTS, _ROUNDS),
+    PlanDesigned: st.builds(PlanDesigned, st.lists(_TEXTS, min_size=1, max_size=4).map(tuple)),
+    SufficiencyVerdict: st.builds(SufficiencyVerdict, _ROUNDS, st.booleans()),
+    Final: st.builds(Final, st.one_of(
+        st.builds(Solved, st.text()), st.builds(Unsolvable, st.integers(0, 9)),
+        st.builds(RunError, st.sampled_from(ERROR_KINDS), st.text()))),
+}
+
+
+class TestEventCodec:
+    def test_every_event_kind_is_generated(self):
+        assert set(_EVENTS) == set(Event.__args__)
+
+    @given(st.one_of(*_EVENTS.values()))
+    def test_each_event_is_its_kind_and_its_fields(self, event):
+        data = event_to_dict(event)
+        assert data["event"] == re.sub(r"(?<!^)(?=[A-Z])", "_", type(event).__name__).lower()
+        assert data.keys() == {"event", *(f.name for f in dataclasses.fields(event))}
+        assert event_from_dict(data) == event
+        assert event_from_dict(json.loads(json.dumps(data))) == event

@@ -27,7 +27,6 @@ from macm.domain import (
     Solved,
     SufficiencyVerdict,
     Transcript,
-    VerdictEvent,
 )
 from macm.errors import CorruptTranscript, EmptyDataset, SchemaError
 from macm.harness import (
@@ -559,59 +558,86 @@ GOLDEN_TIMESTAMP = 1700000000.0
 
 class TestGoldenTranscriptFormat:
     """tests/data/algebra_transcript.jsonl is the bundled algebra trace's
-    transcript (run id "algebra", every timestamp 1700000000.0) as written
-    before state changes were typed events; the format must not move."""
+    transcript (run id "algebra", every timestamp 1700000000.0). Its format
+    moves only on purpose: the agent_call lines gained every choice and the
+    request's sampling when replay moved to transcripts, and every other line
+    took the one rule, {"event": <kind>, **its fields}, when the condition
+    verdict event went. These tests pin its bytes."""
 
     def test_decodes_to_typed_events(self):
         events = read_transcript(GOLDEN_ALGEBRA).events
         steps = [e for e in events if not isinstance(e, AgentCall)]
         assert [type(e) for e in steps] == [
             ObjectiveSet, ConditionAccepted, ConditionAccepted,
-            ConditionProposed, VerdictEvent, ConditionDiscarded, SufficiencyVerdict,
-            ConditionProposed, ConditionProposed, VerdictEvent, ConditionAccepted,
-            VerdictEvent, ConditionAccepted, SufficiencyVerdict, PlanDesigned, Final]
+            ConditionProposed, ConditionDiscarded, SufficiencyVerdict,
+            ConditionProposed, ConditionProposed, ConditionAccepted,
+            ConditionAccepted, SufficiencyVerdict, PlanDesigned, Final]
         assert steps[1] == ConditionAccepted(
             "The function (x^2 + 5x + α)/(x^2 + 7x - 44) must be expressible as a "
             "quotient of two linear functions.", None)
-        assert steps[5] == ConditionDiscarded("x^2 + 5x + α = k(x + 11)(x - 4)", 1)
-        assert steps[6] == SufficiencyVerdict(1, False)
-        assert steps[12] == ConditionAccepted("(4)^2 + 5×(4) + α₂ = 0", 2)
-        assert steps[13] == SufficiencyVerdict(2, True)
-        assert len(steps[14].steps) == 3
-        assert steps[15] == Final(Solved("-102"))
+        assert steps[4] == ConditionDiscarded("x^2 + 5x + α = k(x + 11)(x - 4)", 1)
+        assert steps[5] == SufficiencyVerdict(1, False)
+        assert steps[9] == ConditionAccepted("(4)^2 + 5×(4) + α₂ = 0", 2)
+        assert steps[10] == SufficiencyVerdict(2, True)
+        assert len(steps[11].steps) == 3
+        assert steps[12] == Final(Solved("-102"))
+
+    def test_file_without_a_meta_line_reads(self, tmp_path):
+        path = tmp_path / "algebra.jsonl"
+        path.write_bytes(GOLDEN_ALGEBRA.read_bytes().split(b"\n", 1)[1])
+        transcript = read_transcript(path)
+        assert transcript.events == read_transcript(GOLDEN_ALGEBRA).events
+        assert re.fullmatch(r"[0-9a-f]{32}", transcript.run_id)
 
     @pytest.mark.parametrize("mangle, line, cause", [
-        (lambda data: data[:-20], 27, json.JSONDecodeError),
+        (lambda data: data[:-20], 24, json.JSONDecodeError),
         (lambda data: data[:data.index("α".encode()) + 1], 2, UnicodeDecodeError),
         (lambda data: data.replace(b'"agent_call"', b'"bogus"', 1), 2, KeyError),
         (lambda data: data.replace(b'"agent_call",', b'"agent_call", "extra": 1,', 1), 2,
          TypeError),
-        (lambda data: data.replace(b'"final",', b'"final", "extra": 1,'), 27, TypeError),
-        (lambda data: data.replace(b'"sufficiency round 1",', b'"sufficiency round 1", "extra": 1,'),
-         12, TypeError),
-        (lambda data: data.replace(b'"objective set",', b'"objective set", "extra": 1,'), 3,
-         TypeError),
-        (lambda data: data.replace(b'"data": {"objective":', b'"data": {"extra": 1, "objective":'),
+        (lambda data: re.sub(rb'"objective_set", "text": "[^"]*"', b'"objective_set"', data),
          3, TypeError),
-        (lambda data: re.sub(rb'"steps": \[[^]]*\]', b'"steps": {"x": 1}', data), 25,
+        (lambda data: data.replace(b'"final",', b'"final", "extra": 1,'), 24, TypeError),
+        (lambda data: data.replace(b'"answer": "-102"', b'"answer": "-102", "extra": 1'), 24,
          TypeError),
-        (lambda data: re.sub(rb'("objective": )"[^"]*"', rb'\1" "', data, count=1), 3,
+        (lambda data: data.replace(b'"sufficiency_verdict",', b'"sufficiency_verdict", "extra": 1,',
+                                   1), 11, TypeError),
+        (lambda data: re.sub(rb'"steps": \[[^]]*\]', b'"steps": {"x": 1}', data), 22,
+         TypeError),
+        (lambda data: data.replace(b'"more_choices": []', b'"more_choices": "ab"', 1), 2,
+         TypeError),
+        (lambda data: re.sub(rb'("objective_set", "text": )"[^"]*"', rb'\1" "', data), 3,
          ValueError),
         (lambda data: re.sub(rb'("condition_proposed", "text": )"[^"]*"', rb'\1""', data,
                              count=1), 7, ValueError),
-        (lambda data: re.sub(rb'("condition accepted", "data": {"text": )"[^"]*"', rb'\1""',
+        (lambda data: re.sub(rb'("condition_accepted", "text": )"[^"]*"', rb'\1""',
                              data, count=1), 4, ValueError),
-        (lambda data: re.sub(rb'("condition discarded", "data": {"text": )"[^"]*"', rb'\1" "',
-                             data, count=1), 10, ValueError),
-        (lambda data: re.sub(rb'("condition accepted", "data": {"text": "[^"]*", "round": )\d+',
-                             rb'\g<1>0', data, count=1), 18, ValueError),
-        (lambda data: re.sub(rb'("condition discarded", "data": {"text": "[^"]*", "round": )\d+',
-                             rb'\g<1>0', data, count=1), 10, ValueError),
-        (lambda data: re.sub(rb'"steps": \[[^]]*\]', b'"steps": []', data), 25, ValueError),
-    ], ids=["torn", "torn-inside-a-character", "unknown-kind", "extra-key", "final-extra-key",
-            "sufficiency-extra-key", "state-change-extra-key", "state-change-data-extra-key",
-            "plan-steps-object", "blank-objective", "blank-proposed", "blank-accepted",
-            "blank-discarded", "accepted-round-0", "discarded-round-0", "no-steps"])
+        (lambda data: re.sub(rb'("condition_discarded", "text": )"[^"]*"', rb'\1" "',
+                             data, count=1), 9, ValueError),
+        (lambda data: re.sub(rb'("condition_accepted", "text": "[^"]*", "round": )\d+',
+                             rb'\g<1>0', data, count=1), 16, ValueError),
+        (lambda data: re.sub(rb'("condition_discarded", "text": "[^"]*", "round": )\d+',
+                             rb'\g<1>0', data, count=1), 9, ValueError),
+        (lambda data: re.sub(rb'"steps": \[[^]]*\]', b'"steps": []', data), 22, ValueError),
+        (lambda data: re.sub(rb'"event": "objective_set", "text": ("[^"]*")',
+                             rb'"event": "state_change", "description": "objective set", '
+                             rb'"data": {"objective": \1}', data), 3, KeyError),
+        (lambda data: data.replace(b'"event": "sufficiency_verdict", "round": 1,',
+                                   b'"event": "verdict", "subject": "sufficiency round 1",'),
+         11, KeyError),
+        (lambda data: data + b'{"event": "condition_proposed", "text": "x", "round": 3}\n'
+                             b'{"event": "final", "outcome": {"kind": "unsolvable", '
+                             b'"rounds_used": 3}}\n', 25, ValueError),
+        (lambda data: data + data.splitlines(keepends=True)[-1], 25, ValueError),
+        (lambda data: (lambda lines: b"".join([lines[1], lines[0], *lines[2:]]))(
+            data.splitlines(keepends=True)), 2, KeyError),
+        (lambda data: data.split(b"\n", 1)[0] + b"\n" + data, 2, KeyError),
+    ], ids=["torn", "torn-inside-a-character", "unknown-kind", "extra-key", "missing-field",
+            "final-extra-key", "final-outcome-extra-key", "sufficiency-extra-key",
+            "plan-steps-object", "more-choices-text", "blank-objective", "blank-proposed",
+            "blank-accepted", "blank-discarded", "accepted-round-0", "discarded-round-0",
+            "no-steps", "state-change-line", "old-verdict-line", "event-after-final",
+            "second-final", "meta-not-first", "meta-twice"])
     def test_bad_line_raises_corrupt_transcript(self, tmp_path, mangle, line, cause):
         path = tmp_path / "algebra.jsonl"
         path.write_bytes(mangle(GOLDEN_ALGEBRA.read_bytes()))
@@ -812,7 +838,9 @@ class TestRecordReplayBenchmark:
             "sampling": {"n": 2, "temperature": 0.7, "max_tokens": 512},
             "choices": ["Answer: 0", "Answer: 0"], "tokens_in": 0, "tokens_out": 0}),
             *lines[2:]], 2),
-    ], ids=["torn-last-line", "no-prompt", "old-cassette-line"])
+        (lambda lines: [lines[0], json.dumps({**json.loads(lines[1]), "prompt": 5}),
+                        *lines[2:]], 2),
+    ], ids=["torn-last-line", "no-prompt", "old-cassette-line", "prompt-not-text"])
     def test_corrupt_cassette_becomes_error_row(self, tmp_path, corrupt, line):
         problems = [Problem(id=f"p{i}", question=f"q{i}", gold_answer="0") for i in range(3)]
         script_path = tmp_path / "script.json"

@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from macm.agents import MAX_CANDIDATES
+from macm.agents import MAX_CANDIDATES, parse_verdict
 from macm.backend import (
     ChatMessage,
     ChatRequest,
@@ -34,7 +34,6 @@ from macm.domain import (
     SufficiencyVerdict,
     Transcript,
     Unsolvable,
-    VerdictEvent,
 )
 from macm.errors import (
     SOLVE_ERRORS,
@@ -221,9 +220,9 @@ class TestDedupAndRejudge:
             executor=["Answer: ok"])
         outcome, transcript = solve(toy_problem, fast_config, backend)
         assert outcome == Solved("ok")
-        verdicts = [e for e in transcript.events
-                    if isinstance(e, VerdictEvent) and e.subject == "condition: z = 9"]
-        assert [v.value for v in verdicts] == [False, True]
+        judged = [(type(e), e.round) for e in transcript.events
+                  if isinstance(e, (ConditionAccepted, ConditionDiscarded)) and e.text == "z = 9"]
+        assert judged == [(ConditionDiscarded, 1), (ConditionAccepted, 2)]
 
 
 class TestOrderInsensitivity:
@@ -254,14 +253,14 @@ class TestGateSoundnessFuzz:
         else:
             assert outcome == Unsolvable(5)
 
-        # Every accepted mined condition has a preceding True verdict.
-        seen_true: set[str] = set()
-        for event in transcript.events:
-            if isinstance(event, VerdictEvent) and event.value \
-                    and event.subject.startswith("condition: "):
-                seen_true.add(event.subject[len("condition: "):])
-            if isinstance(event, ConditionAccepted) and event.round is not None:
-                assert event.text in seen_true
+        # Every judged condition directly follows the Judge's call on it,
+        # and that call's reply is its verdict.
+        for call, event in zip(transcript.events, transcript.events[1:]):
+            if isinstance(event, (ConditionAccepted, ConditionDiscarded)) \
+                    and event.round is not None:
+                assert call.role == "judge" and event.text in call.prompt
+                assert parse_verdict(call.raw_response).value \
+                    is isinstance(event, ConditionAccepted)
 
         # Discarded texts never appear in later prompts.
         discard_points = [(i, e.text) for i, e in enumerate(transcript.events)
