@@ -18,7 +18,7 @@ from .domain import (
     Verdict,
     normalize_condition_text,
 )
-from .orchestrator import resume_from_transcript, solve
+from .orchestrator import solve
 
 __all__ = [
     "ConditionList",
@@ -32,6 +32,5 @@ __all__ = [
     "Unsolvable",
     "Verdict",
     "normalize_condition_text",
-    "resume_from_transcript",
     "solve",
 ]

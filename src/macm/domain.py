@@ -180,8 +180,8 @@ def _check_text(text, what: str) -> None:
 
 
 def _check_round(value) -> None:
-    if value is None or value < 1:
-        raise ValueError(f"round must be positive, got {value!r}")
+    if type(value) is not int or value < 1:
+        raise ValueError(f"round must be a positive integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -209,6 +209,7 @@ class ConditionProposed:
 
     def __post_init__(self):
         _check_text(self.text, "a proposed condition")
+        _check_round(self.round)
 
 
 @dataclass(frozen=True)
@@ -245,6 +246,10 @@ class DuplicateDropped:
     text: str
     round: int
 
+    def __post_init__(self):
+        _check_text(self.text, "a dropped condition")
+        _check_round(self.round)
+
 
 @dataclass(frozen=True)
 class PlanDesigned:
@@ -261,6 +266,11 @@ class PlanDesigned:
 class SufficiencyVerdict:
     round: int
     value: bool
+
+    def __post_init__(self):
+        _check_round(self.round)
+        if type(self.value) is not bool:
+            raise ValueError(f"a sufficiency verdict must be true or false, got {self.value!r}")
 
 
 @dataclass(frozen=True)
@@ -293,6 +303,15 @@ def _only_keys(data: dict, keys) -> None:
         raise TypeError(f"unexpected keys {sorted(extra)}")
 
 
+def _check_call(call: AgentCall) -> None:
+    """Refuse a decoded call whose fields are not of the types
+    backend.replayable checks; a live run builds its calls from typed values."""
+    if ({*map(type, (call.role, call.prompt, call.raw_response, *call.more_choices))} != {str}
+            or {*map(type, (call.tokens_in, call.tokens_out, call.n, call.n_choices))} != {int}):
+        raise TypeError("role, prompt, raw_response and more_choices must be text, "
+                        "tokens_in, tokens_out, n and n_choices integers")
+
+
 def event_from_dict(data: dict) -> Event:
     """Decode one transcript line. A key may be missing where its field has a
     default, but every key present must be "event" or one of its kind's fields."""
@@ -308,7 +327,10 @@ def event_from_dict(data: dict) -> Event:
             if type(values[name]) not in (list, tuple):
                 raise TypeError(f"{name!r} must be a list, got {values[name]!r}")
             values[name] = tuple(values[name])
-    return cls(**values)
+    event = cls(**values)
+    if cls is AgentCall:
+        _check_call(event)
+    return event
 
 
 class Transcript:

@@ -46,8 +46,8 @@ SOLVE_ERRORS = (ParseFailure, BackendFailure, BudgetExceeded, InternalError)
 
 
 class CorruptTranscript(MacmError):
-    """A transcript cannot be read (a line is not an event) or resumed
-    (already finalized, or not what a re-run of its calls logs)."""
+    """A transcript cannot be read (a line is not an event) or resume a run in
+    ``harness.solve_one`` (it is finalized, or not what a re-run logs)."""
 
 
 class SchemaError(MacmError):

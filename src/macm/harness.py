@@ -17,7 +17,8 @@ from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 from . import orchestrator
-from .backend import QueryCounter, ReplayBackend, ScriptedBackend, json_lines, open_fresh, write_all
+from .backend import (ChatResponse, QueryCounter, ReplayBackend, ScriptedBackend, json_lines,
+                      open_fresh, replay, replayable, write_all)
 from .baselines import (
     Method,
     MethodCoT,
@@ -29,6 +30,8 @@ from .baselines import (
     solve_sc_cot,
 )
 from .domain import (
+    AgentCall,
+    Event,
     Final,
     Outcome,
     Problem,
@@ -39,7 +42,7 @@ from .domain import (
     event_to_dict,
     outcome_to_dict,
 )
-from .errors import CorruptTranscript, EmptyDataset, SchemaError
+from .errors import BackendFailure, CorruptTranscript, EmptyDataset, SchemaError
 from .tasks import (
     Game24Instance,
     bounded_int,
@@ -227,8 +230,9 @@ def write_transcript(transcript: Transcript, path: str | Path) -> None:
 
 def read_transcript(path: str | Path) -> Transcript:
     """Read a transcript file. A line that is not JSON or not an event (a
-    torn write, say), a meta line other than the first, or an event after the
-    Final raises CorruptTranscript naming the file and line."""
+    torn write, say, or a field of the wrong type), a meta line other than the
+    first or without a run id, or an event after the Final raises
+    CorruptTranscript naming the file and line."""
     transcript, first = Transcript(), True
     # Binary lines, so a write torn inside a UTF-8 sequence fails in json.loads.
     with open(path, "rb") as fh:
@@ -238,7 +242,10 @@ def read_transcript(path: str | Path) -> Transcript:
             try:
                 data = json.loads(line)
                 if first and data["event"] == "meta":
-                    transcript.run_id = data.get("run_id") or transcript.run_id
+                    run_id = data["run_id"]
+                    if type(run_id) is not str or not run_id:
+                        raise ValueError(f"run_id must be nonempty text, got {run_id!r}")
+                    transcript.run_id = run_id
                 else:
                     transcript.append(event_from_dict(data))
             # JSONDecodeError and UnicodeDecodeError are ValueErrors.
@@ -359,29 +366,81 @@ def with_knobs(method: Method, knobs: Mapping[str, object]) -> Method:
     return method
 
 
-def solve_one(problem: Problem, method: Method, backend_factory) -> Transcript:
-    """Run one problem with the chosen method on ``backend_factory(problem.id)``;
-    always returns a finalized transcript, never raises. An exception, in
-    building the backend (say, a missing recording) or in the run, ends the
-    run as ``RunError.of`` it."""
+def _first_difference(recorded: list[Event], rerun: list[Event]) -> int | None:
+    """The index of the first recorded event the re-run does not repeat,
+    timestamps aside; None when the re-run begins with all of them."""
+    for i, event in enumerate(recorded):
+        if i == len(rerun) or event != (
+                replace(rerun[i], timestamp=event.timestamp)
+                if type(event) is AgentCall is type(rerun[i]) else rerun[i]):
+            return i
+    return None
+
+
+class _PrefixBackend:
+    """Answers the re-run's k-th request from the prefix's k-th AgentCall, by
+    ``backend.replay``'s rule. A request past them goes to ``backend``, once
+    the re-run has logged every event of the prefix."""
+
+    def __init__(self, recorded: list[Event], rerun: Transcript, backend):
+        self.recorded, self.rerun, self.backend = recorded, rerun, backend
+        self.calls = [e for e in recorded if isinstance(e, AgentCall)]
+        self._pos = 0
+
+    def complete(self, request, role: str) -> ChatResponse:
+        k, self._pos = self._pos, self._pos + 1  # a request that fails ends the re-run
+        if k < len(self.calls):
+            return replay(replayable(vars(self.calls[k])), request, role, "the transcript", k)
+        if k == len(self.calls) and _first_difference(self.recorded, self.rerun.events) is not None:
+            raise BackendFailure("the re-run differs from the transcript")
+        return self.backend.complete(request, role)
+
+
+def solve_one(problem: Problem, method: Method, backend_factory,
+              prefix: Transcript | None = None) -> Transcript:
+    """Run one problem with the chosen method on ``backend_factory(problem.id)``
+    and return its finalized transcript. An exception, in building the backend
+    (say, a missing recording) or in the run, ends the run as ``RunError.of`` it.
+
+    ``prefix``, an unfinished transcript of the same problem and method,
+    resumes that run: the method runs again from the start, request k answered
+    from the prefix's k-th AgentCall, and the backend serves the requests past
+    them. The prefix, its events and run id kept, gains the rest of the run and
+    is returned; an empty one is a fresh run. A prefix is the only way this
+    raises: CorruptTranscript when it is finalized, or when the re-run does not
+    repeat it (edited, say, or run with other settings), naming the first event
+    that differs."""
+    if prefix is not None and prefix.is_final:
+        raise CorruptTranscript("transcript already carries a Final event")
     transcript = Transcript(run_id=problem.id)
     try:
         backend = backend_factory(problem.id)
+        if prefix is not None:
+            backend = _PrefixBackend(prefix.events, transcript, backend)
+        # orchestrator.solve and the solvers are looked up by name on each
+        # call, so a wrapper set on one (perfbench's tracer) sees every run.
         if isinstance(method, MethodMACM):
-            return orchestrator.solve(problem, method.config, backend,
-                                      prompts=method.prompts, run_id=problem.id)[1]
-        if isinstance(method, MethodIO):
-            answer = solve_io(problem, method.sampling, backend, transcript)
-        elif isinstance(method, MethodCoT):
-            answer = solve_cot(problem, method.chain_length_l, method.sampling,
-                               backend, transcript)
+            orchestrator.solve(problem, method.config, backend, method.prompts, transcript)
         else:
-            answer = solve_sc_cot(problem, method.chain_length_l, method.voters_v,
-                                  method.sampling, backend, transcript)
-        transcript.append(Final(Solved(answer)))
+            if isinstance(method, MethodIO):
+                answer = solve_io(problem, method.sampling, backend, transcript)
+            elif isinstance(method, MethodCoT):
+                answer = solve_cot(problem, method.chain_length_l, method.sampling,
+                                   backend, transcript)
+            else:
+                answer = solve_sc_cot(problem, method.chain_length_l, method.voters_v,
+                                      method.sampling, backend, transcript)
+            transcript.append(Final(Solved(answer)))
     except Exception as exc:
         transcript.append(Final(RunError.of(exc)))
-    return transcript
+    if prefix is None:
+        return transcript
+    i = _first_difference(prefix.events, transcript.events)
+    if i is not None:
+        raise CorruptTranscript(f"event {i} of the transcript, {prefix.events[i]!r:.200}, "
+                                f"differs from the re-run's {transcript.events[i]!r:.200}")
+    prefix.events.extend(transcript.events[len(prefix.events):])
+    return prefix
 
 
 def run_benchmark(problems: list[Problem], method: Method, backend_factory,

@@ -4,6 +4,7 @@ import email.utils
 import json
 import math
 import os
+import re
 import socket
 import subprocess
 import sys
@@ -43,6 +44,7 @@ from macm.errors import (
     BackendFailure,
     CassetteExhausted,
     CassetteMismatch,
+    CorruptTranscript,
     ScriptExhausted,
     ScriptMismatch,
 )
@@ -291,6 +293,10 @@ class TestRecordReplay:
             ReplayBackend(path)
         assert str(info.value).startswith(f"{path}, line 3: not a recorded call (")
         assert why in str(info.value)
+        # read_transcript refuses the same lines, an old multi-choice call aside.
+        if why != "predates recording every choice":
+            with pytest.raises(CorruptTranscript, match=rf"^{re.escape(str(path))}, line 3:"):
+                read_transcript(path)
 
     def test_old_multi_choice_call_reads_but_does_not_replay(self, tmp_path):
         # A transcript written before every choice was recorded: the call

@@ -94,7 +94,8 @@ class TestConditionInvariants:
 
     def test_empty_text_rejected(self):
         for make in (ObjectiveSet, lambda t: ConditionProposed(t, 1), ConditionAccepted,
-                     lambda t: ConditionDiscarded(t, 1), lambda t: PlanDesigned(("a", t))):
+                     lambda t: ConditionDiscarded(t, 1), lambda t: DuplicateDropped(t, 1),
+                     lambda t: PlanDesigned(("a", t))):
             for text in ("", "   ", "\n\t"):
                 with pytest.raises(ValueError):
                     make(text)
@@ -102,10 +103,16 @@ class TestConditionInvariants:
             PlanDesigned(())
 
     def test_round_must_be_positive(self):
-        for make in (ConditionAccepted, ConditionDiscarded):
-            for bad in (0, -1):
+        for make in (ConditionAccepted, ConditionDiscarded, ConditionProposed, DuplicateDropped,
+                     lambda text, rnd: SufficiencyVerdict(rnd, True)):
+            for bad in (0, -1, True, "2", 1.0):
                 with pytest.raises(ValueError):
                     make("x", bad)
+
+    def test_sufficiency_verdict_must_be_a_bool(self):
+        for bad in (1, "yes", None):
+            with pytest.raises(ValueError):
+                SufficiencyVerdict(1, bad)
 
 
 class TestConditionList:

@@ -632,12 +632,33 @@ class TestGoldenTranscriptFormat:
         (lambda data: (lambda lines: b"".join([lines[1], lines[0], *lines[2:]]))(
             data.splitlines(keepends=True)), 2, KeyError),
         (lambda data: data.split(b"\n", 1)[0] + b"\n" + data, 2, KeyError),
+        (lambda data: re.sub(rb'"condition_discarded", "text": "[^"]*"',
+                             b'"duplicate_dropped", "text": ""', data), 9, ValueError),
+        (lambda data: re.sub(rb'"condition_discarded", ("text": "[^"]*"), "round": 1',
+                             rb'"duplicate_dropped", \1, "round": -3', data), 9, ValueError),
+        (lambda data: data.replace(b'"round": 1}', b'"round": "two"}', 1), 7, ValueError),
+        (lambda data: re.sub(rb'("condition_accepted", "text": "[^"]*", "round": )\d+',
+                             rb'\g<1>true', data, count=1), 16, ValueError),
+        (lambda data: data.replace(b'"sufficiency_verdict", "round": 1,',
+                                   b'"sufficiency_verdict", "round": 0,'), 11, ValueError),
+        (lambda data: data.replace(b'"round": 1, "value": false', b'"round": 1, "value": "yes"'),
+         11, ValueError),
+        (lambda data: data.replace(b'"run_id": "algebra"', b'"run_id": ""'), 1, ValueError),
+        (lambda data: data.replace(b', "run_id": "algebra"', b''), 1, KeyError),
+        (lambda data: data.replace(b'"role": "thinker"', b'"role": 5', 1), 2, TypeError),
+        (lambda data: data.replace(b'"tokens_in": 0', b'"tokens_in": "many"', 1), 2, TypeError),
+        (lambda data: data.replace(b'"more_choices": []', b'"more_choices": [1]', 1), 2,
+         TypeError),
     ], ids=["torn", "torn-inside-a-character", "unknown-kind", "extra-key", "missing-field",
             "final-extra-key", "final-outcome-extra-key", "sufficiency-extra-key",
             "plan-steps-object", "more-choices-text", "blank-objective", "blank-proposed",
             "blank-accepted", "blank-discarded", "accepted-round-0", "discarded-round-0",
             "no-steps", "state-change-line", "old-verdict-line", "event-after-final",
-            "second-final", "meta-not-first", "meta-twice"])
+            "second-final", "meta-not-first", "meta-twice", "blank-dropped",
+            "dropped-round-negative", "proposed-round-text", "accepted-round-bool",
+            "sufficiency-round-0", "sufficiency-value-text", "meta-blank-run-id",
+            "meta-no-run-id", "call-role-number", "call-tokens-in-text",
+            "call-more-choices-not-text"])
     def test_bad_line_raises_corrupt_transcript(self, tmp_path, mangle, line, cause):
         path = tmp_path / "algebra.jsonl"
         path.write_bytes(mangle(GOLDEN_ALGEBRA.read_bytes()))
@@ -659,7 +680,8 @@ class TestGoldenTranscriptFormat:
 
         monkeypatch.setattr(agents, "now", lambda: GOLDEN_TIMESTAMP)
         _, transcript = solve(algebra_problem(), RunConfig(),
-                              ScriptedBackend.from_file(algebra_trace_path()), run_id="algebra")
+                              ScriptedBackend.from_file(algebra_trace_path()),
+                              transcript=Transcript("algebra"))
         path = tmp_path / "algebra.jsonl"
         write_transcript(transcript, path)
         assert path.read_bytes() == GOLDEN_ALGEBRA.read_bytes()

@@ -15,7 +15,7 @@ from macm.backend import (
     ScriptEntry,
     call_fields,
 )
-from macm.baselines import MethodIO
+from macm.baselines import MethodCoT, MethodIO, MethodMACM, MethodSCCoT
 from macm.demo import algebra_problem, algebra_trace_path
 from macm.domain import (
     ERROR_KINDS,
@@ -46,8 +46,8 @@ from macm.errors import (
     ScriptExhausted,
     ScriptMismatch,
 )
-from macm.harness import read_transcript, solve_one, write_transcript
-from macm.orchestrator import _TranscriptBackend, resume_from_transcript, solve
+from macm.harness import _PrefixBackend, read_transcript, solve_one, write_transcript
+from macm.orchestrator import solve
 from macm.prompts import PromptCatalog
 
 from conftest import extraction_reply, mining_reply, random_script, scripted
@@ -309,27 +309,41 @@ def format_retry_script():
         executor=["Answer: 99"])
 
 
+# The baseline runs the resume tests cut, by name: a method and the solver's
+# scripted replies, enough for several calls.
+BASELINE_RUNS = {
+    "io": (MethodIO(), ["Answer: 4"]),
+    "io-n3": (MethodIO(SamplingParams(n=3)), ["Answer: 4", "Answer: 4"]),
+    "cot": (MethodCoT(chain_length_l=3), ["First, 2 + 2.", "That is 4.", "Answer: 4"]),
+    "sc-cot": (MethodSCCoT(chain_length_l=2, voters_v=2),
+               ["2 + 2 is 4.", "Answer: 4", "Answer: 4", "4"]),
+}
+
+
 def recorded_run(run, tmp_path):
-    """Run one named or random scripted run; returns its problem, config,
-    outcome, transcript and the path it was written to."""
-    config = RunConfig(format_retries=0)
+    """Run one named or random scripted run through solve_one; returns its
+    problem, method, transcript and the path it was written to."""
+    method = MethodMACM(RunConfig(format_retries=0))
+    problem = Problem(id="toy-1", question="Compute 1+1.")
     if run == "algebra":
-        problem, config = algebra_problem(), RunConfig()
+        problem, method = algebra_problem(), MethodMACM()
         backend = ScriptedBackend.from_file(algebra_trace_path())
+    elif run in BASELINE_RUNS:
+        problem = Problem(id="sum-1", question="What is 2 + 2?")
+        method, replies = BASELINE_RUNS[run]
+        backend = scripted(solver=replies)
+    elif run == "two-round":
+        backend = two_round_script()
+    elif run == "duplicate":
+        backend = duplicate_script()
+    elif run == "format-retry":
+        backend, method = format_retry_script(), MethodMACM(RunConfig(format_retries=1))
     else:
-        problem = Problem(id="toy-1", question="Compute 1+1.")
-        if run == "two-round":
-            backend = two_round_script()
-        elif run == "duplicate":
-            backend = duplicate_script()
-        elif run == "format-retry":
-            backend, config = format_retry_script(), RunConfig(format_retries=1)
-        else:
-            backend, _ = random_script(run)
-    outcome, full = solve(problem, config, backend)
+        backend, _ = random_script(run)
+    full = solve_one(problem, method, lambda _: backend)
     path = tmp_path / "run.jsonl"
     write_transcript(full, path)
-    return problem, config, outcome, full, path
+    return problem, method, full, path
 
 
 class NeverCalled:
@@ -355,10 +369,10 @@ class TestResume:
         partial.events = list(full.events[: cut + 1])
         calls_done = partial.query_count()
 
-        outcome, resumed = resume_from_transcript(
-            partial, ReplayBackend(recording, skip_calls=calls_done), problem=toy_problem,
-            config=fast_config)
-        assert outcome == full.outcome
+        resumed = solve_one(toy_problem, MethodMACM(fast_config),
+                            lambda _: ReplayBackend(recording, skip_calls=calls_done),
+                            prefix=partial)
+        assert resumed.outcome == full.outcome
         assert resumed.query_count() == full.query_count()
         assert accepted_mined(resumed) == accepted_mined(full)
 
@@ -369,32 +383,39 @@ class TestResume:
                   if type(e).__name__ == "ConditionProposed" and e.round == 2)
         partial = Transcript(full.run_id)
         partial.events = list(full.events[: cut + 1])
-        outcome, resumed = resume_from_transcript(
-            partial, ReplayBackend(recording, skip_calls=partial.query_count()),
-            problem=toy_problem, config=fast_config)
-        assert outcome == full.outcome
+        resumed = solve_one(
+            toy_problem, MethodMACM(fast_config),
+            lambda _: ReplayBackend(recording, skip_calls=partial.query_count()), prefix=partial)
+        assert resumed.outcome == full.outcome
 
     def _resume_matches(self, run, tmp_path, cuts=None):
-        problem, config, outcome, full, recording = recorded_run(run, tmp_path)
+        problem, method, full, recording = recorded_run(run, tmp_path)
         for cut in range(len(full.events)) if cuts is None else cuts(full.events):
-            partial = Transcript(full.run_id)
+            partial = Transcript("the-cut-run")
             partial.events = full.events[:cut]
             kept = list(partial.events)
-            resumed_outcome, resumed = resume_from_transcript(
-                partial, ReplayBackend(recording, skip_calls=partial.query_count()),
-                problem=problem, config=config)
-            assert resumed_outcome == outcome
+            resumed = solve_one(
+                problem, method,
+                lambda _: ReplayBackend(recording, skip_calls=partial.query_count()),
+                prefix=partial)
+            assert resumed.outcome == full.outcome
             assert resumed.query_count() == full.query_count()
             assert without_timestamps(resumed.events) == without_timestamps(full.events)
             assert resumed.events[:cut] == kept
+            assert resumed.run_id == "the-cut-run"
 
     @settings(max_examples=30, deadline=None)
     @given(run=st.one_of(st.integers(0, 499),
-                         st.sampled_from(["two-round", "duplicate", "algebra", "format-retry"])))
+                         st.sampled_from(["two-round", "duplicate", "algebra", "format-retry",
+                                          *BASELINE_RUNS])))
     @example(run="two-round")
     @example(run="duplicate")
     @example(run="algebra")
     @example(run="format-retry")
+    @example(run="io")
+    @example(run="io-n3")
+    @example(run="cot")
+    @example(run="sc-cot")
     def test_resume_from_every_cut_matches_uninterrupted_run(self, run, tmp_path_factory):
         """Cut a recorded run after every event; resuming the prefix replays
         to the same run."""
@@ -428,7 +449,8 @@ class TestResume:
         transcript.events = transcript.events[:-1]  # drop the Final, as a crash would
         with pytest.raises(CorruptTranscript,
                            match=r"event 5 of the transcript, ConditionProposed\(.*round=3\)"):
-            resume_from_transcript(transcript, NeverCalled(), problem=algebra_problem())
+            solve_one(algebra_problem(), MethodMACM(), lambda _: NeverCalled(),
+                      prefix=transcript)
 
     @pytest.mark.parametrize("event", [
         ConditionProposed("m2", 1), DuplicateDropped("m2", 3), ConditionAccepted("m2", 1),
@@ -442,17 +464,17 @@ class TestResume:
         partial.events = full.events[: cut + 1] + [event]
         with pytest.raises(CorruptTranscript,
                            match=rf"event {cut + 1} of the transcript, {type(event).__name__}"):
-            resume_from_transcript(partial, NeverCalled(), problem=toy_problem,
-                                   config=fast_config)
+            solve_one(toy_problem, MethodMACM(fast_config), lambda _: NeverCalled(),
+                      prefix=partial)
 
     @pytest.mark.parametrize("tamper", ["edited prompt", "extra event", "extra call",
                                         "fewer rounds", "other prompts",
                                         "whitespace in a prompt"])
     def test_resume_a_transcript_the_rerun_does_not_repeat_is_corrupt(self, tamper, tmp_path):
-        problem, config, _, full, _ = recorded_run("two-round", tmp_path)
+        problem, method, full, _ = recorded_run("two-round", tmp_path)
         events = list(full.events[:-1])
         calls = [i for i, e in enumerate(events) if isinstance(e, AgentCall)]
-        prompts, where = None, calls[2]
+        where = calls[2]
         if tamper == "edited prompt":
             events[where] = dataclasses.replace(events[where],
                                                 prompt=events[where].prompt + " (edited)")
@@ -468,35 +490,55 @@ class TestResume:
             events[where] = dataclasses.replace(events[where],
                                                 prompt=events[where].prompt.replace(" ", "  "))
         elif tamper == "fewer rounds":
-            config = dataclasses.replace(config, max_iterations=1)
+            method = MethodMACM(dataclasses.replace(method.config, max_iterations=1))
             where = next(i for i, e in enumerate(events) if isinstance(e, SufficiencyVerdict)) + 1
         else:
             prompts = dataclasses.replace(PromptCatalog(), mine="Mine: {conditions} {objective}")
+            method = MethodMACM(method.config, prompts)
             where = calls[1]
         partial = Transcript(full.run_id)
         partial.events = events
         with pytest.raises(CorruptTranscript, match=rf"^event {where} of the transcript"):
-            resume_from_transcript(partial, NeverCalled(), problem=problem, config=config,
-                                   prompts=prompts)
+            solve_one(problem, method, lambda _: NeverCalled(), prefix=partial)
+
+    @pytest.mark.parametrize("tamper", ["edited chain prompt", "extra call"])
+    def test_resume_a_baseline_transcript_the_rerun_does_not_repeat_is_corrupt(
+            self, tamper, tmp_path):
+        problem, method, full, _ = recorded_run("sc-cot", tmp_path)
+        events = list(full.events[:-1])
+        where = 1  # the call for the second link of the first chain
+        if tamper == "edited chain prompt":
+            events[where] = dataclasses.replace(events[where],
+                                                prompt=events[where].prompt + " (edited)")
+        else:
+            events.insert(where, events[where])
+            where += 1
+        partial = Transcript(full.run_id)
+        partial.events = events
+        with pytest.raises(CorruptTranscript, match=rf"^event {where} of the transcript"):
+            solve_one(problem, method, lambda _: NeverCalled(), prefix=partial)
 
     def test_resume_finalized_transcript_is_corrupt(self, toy_problem, fast_config):
         transcript = Transcript("done")
         transcript.append(Final(Solved("1")))
         with pytest.raises(CorruptTranscript):
-            resume_from_transcript(transcript, two_round_script(), problem=toy_problem,
-                                   config=fast_config)
+            solve_one(toy_problem, MethodMACM(fast_config), lambda _: two_round_script(),
+                      prefix=transcript)
 
     def test_resume_empty_transcript_is_fresh_solve(self, toy_problem, fast_config):
-        outcome, transcript = resume_from_transcript(
-            Transcript("fresh"), two_round_script(), problem=toy_problem,
-            config=fast_config)
-        assert outcome == Solved("99")
+        transcript = solve_one(toy_problem, MethodMACM(fast_config),
+                               lambda _: two_round_script(), prefix=Transcript("fresh"))
+        assert transcript.outcome == Solved("99")
         assert transcript.query_count() == 9
+        assert transcript.run_id == "fresh"
 
-    def test_resume_without_problem_is_refused(self, fast_config):
-        with pytest.raises(TypeError, match="problem"):
-            resume_from_transcript(Transcript("fresh"), two_round_script(),
-                                   config=fast_config)
+    def test_resume_with_another_problem_is_corrupt(self, tmp_path):
+        _, method, full, _ = recorded_run("two-round", tmp_path)
+        partial = Transcript(full.run_id)
+        partial.events = full.events[:-1]
+        other = Problem(id="toy-1", question="Compute 2+2.")
+        with pytest.raises(CorruptTranscript, match=r"^event 0 of the transcript, AgentCall"):
+            solve_one(other, method, lambda _: NeverCalled(), prefix=partial)
 
 
 @pytest.mark.parametrize("reader", ["replay", "resume"])
@@ -515,7 +557,7 @@ def test_replay_and_resume_match_a_request_by_one_rule(reader, role, prompt, n, 
         write_transcript(transcript, path)
         backend = ReplayBackend(path)
     else:
-        backend = _TranscriptBackend(transcript.events, Transcript("t"), NeverCalled())
+        backend = _PrefixBackend(transcript.events, Transcript("t"), NeverCalled())
     request = ChatRequest((ChatMessage("user", prompt),), SamplingParams(n=n))
     if accepted:
         assert backend.complete(request, role) == response
@@ -534,7 +576,8 @@ class TestTranscriptShape:
 
     def test_determinism_modulo_timestamps(self, toy_problem, fast_config):
         def run():
-            _, t = solve(toy_problem, fast_config, two_round_script(), run_id="fixed")
+            _, t = solve(toy_problem, fast_config, two_round_script(),
+                         transcript=Transcript("fixed"))
             return without_timestamps(t.events)
 
         assert run() == run()
