@@ -20,19 +20,17 @@ from macm.domain import (
     ConditionDiscarded,
     ConditionProposed,
     Final,
-    RunConfig,
     SufficiencyVerdict,
     Transcript,
     outcome_to_dict,
 )
 from macm.harness import solve_one, write_transcript
-from macm.orchestrator import solve
 
 
 def main() -> None:
     problem = algebra_problem()
-    backend = ScriptedBackend.from_file(algebra_trace_path())
-    outcome, transcript = solve(problem, RunConfig(), backend)
+    transcript = solve_one(problem, MethodMACM(),
+                           lambda _: ScriptedBackend.from_file(algebra_trace_path()))
 
     print(f"question: {problem.question}\n")
     for event in transcript.events:
@@ -44,7 +42,7 @@ def main() -> None:
             print(f"[verdict] sufficient after round {event.round} -> {event.value}")
         elif not isinstance(event, (ConditionProposed, Final)):
             print(f"[state]   {type(event).__name__}: {getattr(event, 'text', '')}")
-    print(f"\noutcome: {json.dumps(outcome_to_dict(outcome))}")
+    print(f"\noutcome: {json.dumps(outcome_to_dict(transcript.outcome))}")
     print(f"queries: {transcript.query_count()}")
 
     # Keep the run up to round 1's verdict, as a crash there would, and

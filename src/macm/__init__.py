@@ -18,7 +18,6 @@ from .domain import (
     Verdict,
     normalize_condition_text,
 )
-from .orchestrator import solve
 
 __all__ = [
     "ConditionList",
@@ -32,5 +31,4 @@ __all__ = [
     "Unsolvable",
     "Verdict",
     "normalize_condition_text",
-    "solve",
 ]

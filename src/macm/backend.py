@@ -23,7 +23,7 @@ from json.encoder import c_make_encoder, encode_basestring
 from pathlib import Path
 from urllib.parse import unquote, urlsplit
 
-from .domain import SamplingParams, normalize_condition_text, now
+from .domain import SamplingParams, check_call_types, normalize_condition_text, now
 from .errors import (BackendFailure, CassetteExhausted, CassetteMismatch, ScriptExhausted,
                      ScriptMismatch)
 
@@ -584,11 +584,7 @@ def replayable(call: dict) -> tuple[str, str, int, ChatResponse]:
     role, prompt, raw = call["role"], call["prompt"], call["raw_response"]
     tokens_in, tokens_out = call["tokens_in"], call["tokens_out"]
     more, n, n_choices = call.get("more_choices", ()), call.get("n", 1), call.get("n_choices", 1)
-    if ((type(role), type(prompt), type(raw), type(tokens_in), type(tokens_out), type(n),
-         type(n_choices)) != (str, str, str, int, int, int, int)
-            or type(more) not in (list, tuple) or more and {*map(type, more)} != {str}):
-        raise TypeError("role, prompt, raw_response and more_choices must be text, "
-                        "tokens_in, tokens_out, n and n_choices integers")
+    check_call_types(role, prompt, raw, tokens_in, tokens_out, n, n_choices, more)
     if n_choices > 1 + len(more):
         raise ValueError(f"the call returned {n_choices} choices and records "
                          f"{1 + len(more)}: its transcript predates recording every choice")

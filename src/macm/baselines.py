@@ -1,6 +1,8 @@
 """Baseline prompting pipelines over the same backend: I-O, CoT, and SC-CoT.
 
-Each solver logs every request to the run's transcript, so
+Each solver has the shape of ``orchestrator.solve``: it takes its Method,
+logs every request to the run's transcript and returns ``Solved``, raising on
+failure; ``harness.solve_one`` appends the ``Final``. So
 ``transcript.query_count()`` is its exact request count: IO uses 1 request
 (2 when n > 1, for the select-best pass), CoT uses one request per chain
 link, SC-CoT uses v chains plus one vote.
@@ -12,7 +14,7 @@ from dataclasses import dataclass, field, replace
 
 from .agents import _ANSWER_MARKER, extract_answer, logged_request
 from .backend import ChatMessage, ChatRequest, ROLE_ASSISTANT, ROLE_USER
-from .domain import Problem, RunConfig, SamplingParams, Transcript
+from .domain import Problem, RunConfig, SamplingParams, Solved, Transcript
 from .errors import ParseFailure
 from .prompts import PromptCatalog
 
@@ -79,55 +81,53 @@ class MethodMACM:
 Method = MethodIO | MethodCoT | MethodSCCoT | MethodMACM
 
 
-def solve_io(problem: Problem, sampling: SamplingParams, backend,
-             transcript: Transcript) -> str:
+def solve_io(problem: Problem, method: MethodIO, backend, transcript: Transcript) -> Solved:
     """Direct question-answer prompting.
 
     With n > 1 the model first generates n responses, then a second request
     selects the best one.
     """
+    sampling = method.sampling
     prompt = IO_PROMPT.format(question=problem.question)
     response = logged_request(backend, SOLVER, ChatRequest(
         (ChatMessage(ROLE_USER, prompt),), sampling), transcript)
     if sampling.n == 1:
-        return extract_answer(response.text)
+        return Solved(extract_answer(response.text))
     listing = "\n".join(f"{i}. {extract_answer(c)}"
                         for i, c in enumerate(response.choices, start=1))
     select_prompt = SELECT_PROMPT.format(n=len(response.choices), answers=listing)
     selected = logged_request(backend, SOLVER, ChatRequest(
         (ChatMessage(ROLE_USER, select_prompt),), replace(sampling, n=1)), transcript)
-    return extract_answer(selected.text)
+    return Solved(extract_answer(selected.text))
 
 
-def solve_cot(problem: Problem, l: int, sampling: SamplingParams, backend,
-              transcript: Transcript) -> str:
+def solve_cot(problem: Problem, method: MethodCoT, backend, transcript: Transcript) -> Solved:
     """Stepwise chain-of-thought: one request per chain link, up to l links,
     stopping early when the reply carries the Answer marker."""
-    if l < 1:
-        raise ValueError("chain length must be >= 1")
     messages = (ChatMessage(ROLE_USER, COT_START.format(question=problem.question)),)
-    for _ in range(l):
-        response = logged_request(backend, SOLVER, ChatRequest(messages, sampling), transcript)
+    for _ in range(method.chain_length_l):
+        response = logged_request(backend, SOLVER, ChatRequest(messages, method.sampling),
+                                  transcript)
         if _ANSWER_MARKER.search(response.text):
-            return extract_answer(response.text)
+            return Solved(extract_answer(response.text))
         messages = messages + (ChatMessage(ROLE_ASSISTANT, response.text),
                                ChatMessage(ROLE_USER, COT_CONTINUE))
-    raise ParseFailure(f"no Answer marker within {l} chain links")
+    raise ParseFailure(f"no Answer marker within {method.chain_length_l} chain links")
 
 
-def solve_sc_cot(problem: Problem, l: int, v: int, sampling: SamplingParams, backend,
-                 transcript: Transcript) -> str:
+def solve_sc_cot(problem: Problem, method: MethodSCCoT, backend,
+                 transcript: Transcript) -> Solved:
     """Self-consistency: v independent CoT chains plus one model vote among
     the final answers; a vote matching several chains returns the earliest."""
-    if v < 1:
-        raise ValueError("voter count must be >= 1")
-    finals = [solve_cot(problem, l, sampling, backend, transcript) for _ in range(v)]
+    chain = MethodCoT(method.chain_length_l, method.sampling)
+    finals = [solve_cot(problem, chain, backend, transcript).answer
+              for _ in range(method.voters_v)]
     listing = "\n".join(f"{i}. {a}" for i, a in enumerate(finals, start=1))
-    vote_prompt = VOTE_PROMPT.format(v=v, answers=listing)
+    vote_prompt = VOTE_PROMPT.format(v=method.voters_v, answers=listing)
     response = logged_request(backend, SOLVER, ChatRequest(
-        (ChatMessage(ROLE_USER, vote_prompt),), replace(sampling, n=1)), transcript)
+        (ChatMessage(ROLE_USER, vote_prompt),), replace(method.sampling, n=1)), transcript)
     voted = response.text.strip()
     for answer in finals:
         if voted == answer.strip():
-            return answer
+            return Solved(answer)
     raise ParseFailure(f"vote {voted!r} is not among the candidate answers {finals!r}")

@@ -303,11 +303,15 @@ def _only_keys(data: dict, keys) -> None:
         raise TypeError(f"unexpected keys {sorted(extra)}")
 
 
-def _check_call(call: AgentCall) -> None:
-    """Refuse a decoded call whose fields are not of the types
-    backend.replayable checks; a live run builds its calls from typed values."""
-    if ({*map(type, (call.role, call.prompt, call.raw_response, *call.more_choices))} != {str}
-            or {*map(type, (call.tokens_in, call.tokens_out, call.n, call.n_choices))} != {int}):
+def check_call_types(role, prompt, raw_response, tokens_in, tokens_out, n, n_choices,
+                     more_choices) -> None:
+    """Refuse a recorded call's fields unless they are of their AgentCall types:
+    text, integers, and a list or tuple of text. Transcript reading and replay
+    both check so; a live run builds its calls from typed values."""
+    if ((type(role), type(prompt), type(raw_response), type(tokens_in), type(tokens_out),
+         type(n), type(n_choices)) != (str, str, str, int, int, int, int)
+            or type(more_choices) not in (list, tuple)
+            or more_choices and {*map(type, more_choices)} != {str}):
         raise TypeError("role, prompt, raw_response and more_choices must be text, "
                         "tokens_in, tokens_out, n and n_choices integers")
 
@@ -329,7 +333,8 @@ def event_from_dict(data: dict) -> Event:
             values[name] = tuple(values[name])
     event = cls(**values)
     if cls is AgentCall:
-        _check_call(event)
+        check_call_types(event.role, event.prompt, event.raw_response, event.tokens_in,
+                         event.tokens_out, event.n, event.n_choices, event.more_choices)
     return event
 
 

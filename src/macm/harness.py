@@ -379,60 +379,60 @@ def _first_difference(recorded: list[Event], rerun: list[Event]) -> int | None:
 
 class _PrefixBackend:
     """Answers the re-run's k-th request from the prefix's k-th AgentCall, by
-    ``backend.replay``'s rule. A request past them goes to ``backend``, once
-    the re-run has logged every event of the prefix."""
+    ``backend.replay``'s rule. A request past them goes to the backend
+    ``build()`` returns, built then, once the re-run has logged every event
+    of the prefix."""
 
-    def __init__(self, recorded: list[Event], rerun: Transcript, backend):
-        self.recorded, self.rerun, self.backend = recorded, rerun, backend
+    def __init__(self, recorded: list[Event], rerun: Transcript, build: Callable[[], object]):
+        self.recorded, self.rerun, self.build = recorded, rerun, build
         self.calls = [e for e in recorded if isinstance(e, AgentCall)]
+        self.backend = None
         self._pos = 0
 
     def complete(self, request, role: str) -> ChatResponse:
         k, self._pos = self._pos, self._pos + 1  # a request that fails ends the re-run
         if k < len(self.calls):
             return replay(replayable(vars(self.calls[k])), request, role, "the transcript", k)
-        if k == len(self.calls) and _first_difference(self.recorded, self.rerun.events) is not None:
-            raise BackendFailure("the re-run differs from the transcript")
+        if k == len(self.calls):
+            if _first_difference(self.recorded, self.rerun.events) is not None:
+                raise BackendFailure("the re-run differs from the transcript")
+            self.backend = self.build()
         return self.backend.complete(request, role)
 
 
 def solve_one(problem: Problem, method: Method, backend_factory,
               prefix: Transcript | None = None) -> Transcript:
     """Run one problem with the chosen method on ``backend_factory(problem.id)``
-    and return its finalized transcript. An exception, in building the backend
-    (say, a missing recording) or in the run, ends the run as ``RunError.of`` it.
+    and return its transcript, finalized with the run's outcome. Each solver
+    returns that outcome or raises; an exception, in building the backend (say,
+    a missing recording) or in the run, ends the run as ``RunError.of`` it.
 
     ``prefix``, an unfinished transcript of the same problem and method,
     resumes that run: the method runs again from the start, request k answered
-    from the prefix's k-th AgentCall, and the backend serves the requests past
-    them. The prefix, its events and run id kept, gains the rest of the run and
-    is returned; an empty one is a fresh run. A prefix is the only way this
-    raises: CorruptTranscript when it is finalized, or when the re-run does not
-    repeat it (edited, say, or run with other settings), naming the first event
-    that differs."""
+    from the prefix's k-th AgentCall, and the backend, built only when the
+    first request past them comes, serves the rest. The prefix, its events and
+    run id kept, gains the rest of the run and is returned; an empty one is a
+    fresh run. A prefix is the only way this raises: CorruptTranscript when it
+    is finalized, or when the re-run does not repeat it (edited, say, or run
+    with other settings), naming the first event that differs."""
     if prefix is not None and prefix.is_final:
         raise CorruptTranscript("transcript already carries a Final event")
     transcript = Transcript(run_id=problem.id)
     try:
-        backend = backend_factory(problem.id)
-        if prefix is not None:
-            backend = _PrefixBackend(prefix.events, transcript, backend)
-        # orchestrator.solve and the solvers are looked up by name on each
-        # call, so a wrapper set on one (perfbench's tracer) sees every run.
-        if isinstance(method, MethodMACM):
-            orchestrator.solve(problem, method.config, backend, method.prompts, transcript)
+        if prefix is None:
+            backend = backend_factory(problem.id)
         else:
-            if isinstance(method, MethodIO):
-                answer = solve_io(problem, method.sampling, backend, transcript)
-            elif isinstance(method, MethodCoT):
-                answer = solve_cot(problem, method.chain_length_l, method.sampling,
-                                   backend, transcript)
-            else:
-                answer = solve_sc_cot(problem, method.chain_length_l, method.voters_v,
-                                      method.sampling, backend, transcript)
-            transcript.append(Final(Solved(answer)))
+            backend = _PrefixBackend(prefix.events, transcript,
+                                     lambda: backend_factory(problem.id))
+        # The solvers are looked up by name on each call, so a wrapper set on
+        # one (perfbench's tracer) sees every run.
+        solver = (orchestrator.solve if isinstance(method, MethodMACM)
+                  else solve_io if isinstance(method, MethodIO)
+                  else solve_cot if isinstance(method, MethodCoT) else solve_sc_cot)
+        outcome = solver(problem, method, backend, transcript)
     except Exception as exc:
-        transcript.append(Final(RunError.of(exc)))
+        outcome = RunError.of(exc)
+    transcript.append(Final(outcome))
     if prefix is None:
         return transcript
     i = _first_difference(prefix.events, transcript.events)

@@ -7,7 +7,9 @@ import random
 import pytest
 
 from macm.backend import QueryCounter, ScriptedBackend, ScriptEntry
+from macm.baselines import MethodMACM
 from macm.domain import Problem, RunConfig, SamplingParams
+from macm.harness import solve_one
 
 
 @pytest.fixture
@@ -25,6 +27,12 @@ def scripted(thinker=(), judge=(), executor=(), solver=(), counter=None) -> Scri
             roles[name] = [e if isinstance(e, ScriptEntry) else ScriptEntry(reply=e)
                            for e in entries]
     return ScriptedBackend(roles, counter=counter or QueryCounter())
+
+
+def run_macm(problem: Problem, config: RunConfig, backend):
+    """One MACM run over ``backend`` through harness.solve_one: (outcome, transcript)."""
+    transcript = solve_one(problem, MethodMACM(config), lambda _: backend)
+    return transcript.outcome, transcript
 
 
 def extraction_reply(conditions: list[str], objective: str) -> str:

@@ -32,9 +32,7 @@ from macm.domain import (
     event_to_dict,
     normalize_condition_text,
 )
-from macm.orchestrator import solve
-
-from conftest import extraction_reply, mining_reply, scripted
+from conftest import extraction_reply, mining_reply, run_macm, scripted
 
 
 class TestNormalizeConditionText:
@@ -131,7 +129,7 @@ class TestConditionList:
         backend = scripted(thinker=[extraction_reply(["keep"], "goal"), mining_reply(["drop"]),
                                     "1. go"],
                            judge=["False", "True"], executor=["Answer: ok"])
-        outcome, transcript = solve(toy_problem, fast_config, backend)
+        outcome, transcript = run_macm(toy_problem, fast_config, backend)
         assert outcome == Solved("ok")
         assert [e.text for e in transcript.events if isinstance(e, ConditionAccepted)] == ["keep"]
         assert "drop" not in transcript.agent_calls()[-1].prompt
@@ -140,7 +138,7 @@ class TestConditionList:
         backend = scripted(thinker=[extraction_reply(["y = 2"], "goal"), mining_reply(["x = 1"]),
                                     mining_reply(["x = 1"]), "1. go"],
                            judge=["False", "False", "True", "True"], executor=["Answer: ok"])
-        outcome, transcript = solve(toy_problem, fast_config, backend)
+        outcome, transcript = run_macm(toy_problem, fast_config, backend)
         assert outcome == Solved("ok")
         assert ConditionDiscarded("x = 1", 1) in transcript.events
         assert [e.text for e in transcript.events if isinstance(e, ConditionAccepted)] \

@@ -48,7 +48,7 @@ from macm.harness import (
     write_transcript,
 )
 
-from conftest import extraction_reply, mining_reply, scripted
+from conftest import extraction_reply, mining_reply, run_macm, scripted
 
 
 class TestLoadProblems:
@@ -503,11 +503,10 @@ class TestTranscriptFiles:
         assert lines[-1]["event"] == "final"
 
     def test_round_trip(self, tmp_path, toy_problem, fast_config):
-        from macm.orchestrator import solve
         backend = scripted(
             thinker=[extraction_reply(["c"], "obj"), mining_reply(["m"]), "1. s"],
             judge=["True", "True"], executor=["Answer: 2"])
-        _, transcript = solve(toy_problem, fast_config, backend)
+        _, transcript = run_macm(toy_problem, fast_config, backend)
         path = tmp_path / "t.jsonl"
         write_transcript(transcript, path)
         loaded = read_transcript(path)
@@ -676,12 +675,10 @@ class TestGoldenTranscriptFormat:
         from macm import agents
         from macm.backend import ScriptedBackend
         from macm.demo import algebra_problem, algebra_trace_path
-        from macm.orchestrator import solve
 
         monkeypatch.setattr(agents, "now", lambda: GOLDEN_TIMESTAMP)
-        _, transcript = solve(algebra_problem(), RunConfig(),
-                              ScriptedBackend.from_file(algebra_trace_path()),
-                              transcript=Transcript("algebra"))
+        _, transcript = run_macm(dataclasses.replace(algebra_problem(), id="algebra"),
+                                 RunConfig(), ScriptedBackend.from_file(algebra_trace_path()))
         path = tmp_path / "algebra.jsonl"
         write_transcript(transcript, path)
         assert path.read_bytes() == GOLDEN_ALGEBRA.read_bytes()

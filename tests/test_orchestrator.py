@@ -47,10 +47,9 @@ from macm.errors import (
     ScriptMismatch,
 )
 from macm.harness import _PrefixBackend, read_transcript, solve_one, write_transcript
-from macm.orchestrator import solve
 from macm.prompts import PromptCatalog
 
-from conftest import extraction_reply, mining_reply, random_script, scripted
+from conftest import extraction_reply, mining_reply, random_script, run_macm, scripted
 
 
 def accepted_mined(transcript):
@@ -70,7 +69,7 @@ def without_timestamps(events):
 class TestAlgebraTraceReplay:
     def test_full_trace(self):
         backend = ScriptedBackend.from_file(algebra_trace_path())
-        outcome, transcript = solve(algebra_problem(), RunConfig(), backend)
+        outcome, transcript = run_macm(algebra_problem(), RunConfig(), backend)
         assert outcome == Solved("-102")
         assert len(discarded(transcript)) == 1
         assert discarded(transcript)[0].text == "x^2 + 5x + α = k(x + 11)(x - 4)"
@@ -80,7 +79,7 @@ class TestAlgebraTraceReplay:
 
     def test_rejected_condition_never_reappears_in_prompts(self):
         backend = ScriptedBackend.from_file(algebra_trace_path())
-        _, transcript = solve(algebra_problem(), RunConfig(), backend)
+        _, transcript = run_macm(algebra_problem(), RunConfig(), backend)
         discard_index = next(i for i, e in enumerate(transcript.events)
                              if isinstance(e, ConditionDiscarded))
         bad = "x^2 + 5x + α = k(x + 11)(x - 4)"
@@ -95,7 +94,7 @@ class TestTermination:
             thinker=[extraction_reply(["c0"], "obj")]
             + [mining_reply([f"c{r}"]) for r in range(1, 6)],
             judge=["True", "False"] * 5)
-        outcome, transcript = solve(toy_problem, fast_config, backend)
+        outcome, transcript = run_macm(toy_problem, fast_config, backend)
         assert outcome == Unsolvable(5)
         mining_rounds = {e.round for e in transcript.events
                          if type(e).__name__ == "ConditionProposed"}
@@ -108,7 +107,7 @@ class TestTermination:
         config = RunConfig(max_iterations=1, format_retries=0)
         backend = scripted(thinker=[extraction_reply(["c0"], "obj"), mining_reply(["c1"])],
                            judge=["True", "False"])
-        outcome, _ = solve(toy_problem, config, backend)
+        outcome, _ = run_macm(toy_problem, config, backend)
         assert outcome == Unsolvable(1)
 
 
@@ -131,7 +130,7 @@ class TestErrorPropagation:
         config = RunConfig(format_retries=0)
         backend = scripted(thinker=[extraction_reply(["c0"], "obj"), mining_reply(["c1"])],
                            judge=["Maybe"])
-        outcome, transcript = solve(toy_problem, config, backend)
+        outcome, transcript = run_macm(toy_problem, config, backend)
         assert isinstance(outcome, RunError)
         assert outcome.kind == "ParseFailure"
         assert transcript.is_final
@@ -148,8 +147,8 @@ class TestErrorPropagation:
             failing_backend(error, "solver", tmp_path / "a").complete(
                 ChatRequest((ChatMessage("user", "q"),), SamplingParams()), "solver")
 
-        outcome, transcript = solve(toy_problem, fast_config,
-                                    failing_backend(error, "thinker", tmp_path / "b"))
+        outcome, transcript = run_macm(toy_problem, fast_config,
+                                       failing_backend(error, "thinker", tmp_path / "b"))
         assert isinstance(outcome, RunError) and outcome.kind == "BackendFailure"
         assert transcript.is_final
 
@@ -183,7 +182,7 @@ class TestErrorPropagation:
                     raise ZeroDivisionError("division by zero")
                 return self.inner.complete(request, role)
 
-        outcome, transcript = solve(toy_problem, fast_config, Buggy())
+        outcome, transcript = run_macm(toy_problem, fast_config, Buggy())
         assert outcome == RunError("InternalError", "ZeroDivisionError: division by zero")
         assert transcript.query_count() == 1 and transcript.outcome == outcome
         assert ObjectiveSet("obj") in transcript.events
@@ -193,7 +192,7 @@ class TestErrorPropagation:
         backend = scripted(
             thinker=[extraction_reply(["c0"], "obj"), mining_reply(["c1"])],
             judge=["True", "True"])
-        outcome, transcript = solve(toy_problem, config, backend)
+        outcome, transcript = run_macm(toy_problem, config, backend)
         assert isinstance(outcome, RunError)
         assert outcome.kind == "BudgetExceeded"
         assert transcript.query_count() == 2
@@ -201,7 +200,7 @@ class TestErrorPropagation:
 
 class TestDedupAndRejudge:
     def test_duplicate_accepted_condition_not_judged_again(self, toy_problem, fast_config):
-        outcome, transcript = solve(toy_problem, fast_config, duplicate_script())
+        outcome, transcript = run_macm(toy_problem, fast_config, duplicate_script())
         assert outcome == Solved("done")
         dups = [e for e in transcript.events if isinstance(e, DuplicateDropped)]
         assert len(dups) == 1 and dups[0].text == "x = 1"
@@ -218,7 +217,7 @@ class TestDedupAndRejudge:
             judge=["False", "False",   # round 1: reject, insufficient
                    "True", "True"],    # round 2: same text accepted, sufficient
             executor=["Answer: ok"])
-        outcome, transcript = solve(toy_problem, fast_config, backend)
+        outcome, transcript = run_macm(toy_problem, fast_config, backend)
         assert outcome == Solved("ok")
         judged = [(type(e), e.round) for e in transcript.events
                   if isinstance(e, (ConditionAccepted, ConditionDiscarded)) and e.text == "z = 9"]
@@ -234,7 +233,7 @@ class TestOrderInsensitivity:
                 thinker=[extraction_reply(["c0"], "obj"), mining_reply(list(order)), "1. go"],
                 judge=verdicts + ["True"],
                 executor=["Answer: fin"])
-            outcome, transcript = solve(toy_problem, fast_config, backend)
+            outcome, transcript = run_macm(toy_problem, fast_config, backend)
             assert outcome == Solved("fin")
             return {e.text for e in accepted_mined(transcript)}
 
@@ -247,7 +246,7 @@ class TestGateSoundnessFuzz:
     @pytest.mark.parametrize("seed", range(40))
     def test_random_scripts(self, seed, toy_problem, fast_config):
         backend, expected = random_script(seed)
-        outcome, transcript = solve(toy_problem, fast_config, backend)
+        outcome, transcript = run_macm(toy_problem, fast_config, backend)
         if expected["solved"]:
             assert outcome == Solved(f"answer-{seed}")
         else:
@@ -320,27 +319,34 @@ BASELINE_RUNS = {
 }
 
 
-def recorded_run(run, tmp_path):
-    """Run one named or random scripted run through solve_one; returns its
-    problem, method, transcript and the path it was written to."""
+def scripted_run(run):
+    """The problem, the method and a function making new scripted backends of one
+    named or random scripted run."""
     method = MethodMACM(RunConfig(format_retries=0))
     problem = Problem(id="toy-1", question="Compute 1+1.")
     if run == "algebra":
         problem, method = algebra_problem(), MethodMACM()
-        backend = ScriptedBackend.from_file(algebra_trace_path())
+        build = lambda: ScriptedBackend.from_file(algebra_trace_path())  # noqa: E731
     elif run in BASELINE_RUNS:
         problem = Problem(id="sum-1", question="What is 2 + 2?")
         method, replies = BASELINE_RUNS[run]
-        backend = scripted(solver=replies)
+        build = lambda: scripted(solver=replies)  # noqa: E731
     elif run == "two-round":
-        backend = two_round_script()
+        build = two_round_script
     elif run == "duplicate":
-        backend = duplicate_script()
+        build = duplicate_script
     elif run == "format-retry":
-        backend, method = format_retry_script(), MethodMACM(RunConfig(format_retries=1))
+        build, method = format_retry_script, MethodMACM(RunConfig(format_retries=1))
     else:
-        backend, _ = random_script(run)
-    full = solve_one(problem, method, lambda _: backend)
+        build = lambda: random_script(run)[0]  # noqa: E731
+    return problem, method, build
+
+
+def recorded_run(run, tmp_path):
+    """Run one named or random scripted run through solve_one; returns its
+    problem, method, transcript and the path it was written to."""
+    problem, method, build = scripted_run(run)
+    full = solve_one(problem, method, lambda _: build())
     path = tmp_path / "run.jsonl"
     write_transcript(full, path)
     return problem, method, full, path
@@ -353,9 +359,49 @@ class NeverCalled:
         pytest.fail("the continuation backend was called")
 
 
+class FailAt:
+    """Passes each request to ``inner``, but raises ``error`` for request k
+    (from 0) instead."""
+
+    def __init__(self, inner, k, error):
+        self.inner, self.k, self.error, self.requests = inner, k, error, 0
+
+    def complete(self, request, role):
+        k, self.requests = self.requests, self.requests + 1
+        if k == self.k:
+            raise self.error
+        return self.inner.complete(request, role)
+
+
+class TestEveryMethodEndsOneWay:
+    @settings(max_examples=40, deadline=None)
+    @given(run=st.one_of(st.integers(0, 499),
+                         st.sampled_from(["two-round", "algebra", "format-retry",
+                                          *BASELINE_RUNS])),
+           error=st.sampled_from([BackendFailure, RuntimeError]), at=st.integers(0, 99))
+    @example(run="io", error=BackendFailure, at=0)
+    @example(run="io-n3", error=RuntimeError, at=1)
+    @example(run="cot", error=BackendFailure, at=2)
+    @example(run="sc-cot", error=RuntimeError, at=4)
+    @example(run="two-round", error=BackendFailure, at=8)
+    def test_a_request_that_raises_ends_the_run_in_one_run_error(self, run, error, at):
+        """A backend that raises at request k: the run keeps the clean run's
+        events before its k-th call and ends in one Final, the error's RunError."""
+        problem, method, build = scripted_run(run)
+        clean = solve_one(problem, method, lambda _: build())
+        calls = [i for i, e in enumerate(clean.events) if isinstance(e, AgentCall)]
+        k = at % len(calls)
+        failed = solve_one(problem, method, lambda _: FailAt(build(), k, error("injected")))
+        assert without_timestamps(failed.events[:-1]) == \
+            without_timestamps(clean.events[:calls[k]])
+        assert [e for e in failed.events if isinstance(e, Final)] == [failed.events[-1]]
+        assert failed.outcome == (RunError("BackendFailure", "injected") if error is BackendFailure
+                                  else RunError("InternalError", "RuntimeError: injected"))
+
+
 class TestResume:
     def _record_full_run(self, tmp_path, problem, config):
-        outcome, transcript = solve(problem, config, two_round_script())
+        outcome, transcript = run_macm(problem, config, two_round_script())
         assert outcome == Solved("99")
         path = tmp_path / "run.jsonl"
         write_transcript(transcript, path)
@@ -518,6 +564,38 @@ class TestResume:
         with pytest.raises(CorruptTranscript, match=rf"^event {where} of the transcript"):
             solve_one(problem, method, lambda _: NeverCalled(), prefix=partial)
 
+    @pytest.mark.parametrize("run", ["two-round", "algebra", *BASELINE_RUNS])
+    def test_resume_cut_before_the_final_never_calls_the_factory(self, run, tmp_path):
+        problem, method, full, _ = recorded_run(run, tmp_path)
+        partial = Transcript(full.run_id)
+        partial.events = full.events[:-1]
+        asked = []
+
+        def factory(problem_id):
+            asked.append(problem_id)
+            raise RuntimeError("no continuation backend")
+
+        resumed = solve_one(problem, method, factory, prefix=partial)
+        assert resumed.outcome == full.outcome
+        assert without_timestamps(resumed.events) == without_timestamps(full.events)
+        assert asked == []
+
+    def test_resume_with_a_missing_continuation_recording_is_a_backend_failure(
+            self, tmp_path, toy_problem, fast_config):
+        _, full = self._record_full_run(tmp_path, toy_problem, fast_config)
+        cut = next(i for i, e in enumerate(full.events)
+                   if isinstance(e, SufficiencyVerdict) and e.round == 1)
+        partial = Transcript(full.run_id)
+        partial.events = full.events[: cut + 1]
+        kept = list(partial.events)
+        missing = tmp_path / "missing" / "toy-1.jsonl"
+        resumed = solve_one(toy_problem, MethodMACM(fast_config),
+                            lambda _: ReplayBackend(missing), prefix=partial)
+        assert resumed.events[:-1] == kept
+        assert isinstance(resumed.outcome, RunError)
+        assert resumed.outcome.kind == "BackendFailure"
+        assert str(missing) in resumed.outcome.detail
+
     def test_resume_finalized_transcript_is_corrupt(self, toy_problem, fast_config):
         transcript = Transcript("done")
         transcript.append(Final(Solved("1")))
@@ -557,7 +635,7 @@ def test_replay_and_resume_match_a_request_by_one_rule(reader, role, prompt, n, 
         write_transcript(transcript, path)
         backend = ReplayBackend(path)
     else:
-        backend = _PrefixBackend(transcript.events, Transcript("t"), NeverCalled())
+        backend = _PrefixBackend(transcript.events, Transcript("t"), NeverCalled)
     request = ChatRequest((ChatMessage("user", prompt),), SamplingParams(n=n))
     if accepted:
         assert backend.complete(request, role) == response
@@ -569,15 +647,14 @@ def test_replay_and_resume_match_a_request_by_one_rule(reader, role, prompt, n, 
 class TestTranscriptShape:
     def test_exactly_one_final_and_it_is_last(self, toy_problem, fast_config):
         backend, _ = random_script(7)
-        _, transcript = solve(toy_problem, fast_config, backend)
+        _, transcript = run_macm(toy_problem, fast_config, backend)
         finals = [e for e in transcript.events if isinstance(e, Final)]
         assert len(finals) == 1
         assert isinstance(transcript.events[-1], Final)
 
     def test_determinism_modulo_timestamps(self, toy_problem, fast_config):
         def run():
-            _, t = solve(toy_problem, fast_config, two_round_script(),
-                         transcript=Transcript("fixed"))
+            _, t = run_macm(toy_problem, fast_config, two_round_script())
             return without_timestamps(t.events)
 
         assert run() == run()
