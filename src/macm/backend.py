@@ -24,8 +24,7 @@ from pathlib import Path
 from urllib.parse import unquote, urlsplit
 
 from .domain import SamplingParams, check_call_types, normalize_condition_text, now
-from .errors import (BackendFailure, CassetteExhausted, CassetteMismatch, ScriptExhausted,
-                     ScriptMismatch)
+from .errors import BackendFailure
 
 ROLE_SYSTEM = "system"
 ROLE_USER = "user"
@@ -104,7 +103,7 @@ class ScriptedBackend:
     """Serves pre-written replies from per-role FIFO queues.
 
     Queues are consumed strictly in order; consuming past the end raises
-    :class:`ScriptExhausted`. Entries may assert that the incoming prompt
+    :class:`BackendFailure`. Entries may assert that the incoming prompt
     contains an expected substring.
     """
 
@@ -129,11 +128,11 @@ class ScriptedBackend:
         queue = self._queues.get(role)
         pos = self._cursor.get(role, 0)
         if queue is None or pos >= len(queue):
-            raise ScriptExhausted(f"no scripted reply left for role {role!r} (consumed {pos})")
+            raise BackendFailure(f"no scripted reply left for role {role!r} (consumed {pos})")
         entry = queue[pos]
         prompt = request.prompt_text()
         if entry.expect_substring is not None and entry.expect_substring not in prompt:
-            raise ScriptMismatch(
+            raise BackendFailure(
                 f"role {role!r} entry {pos}: expected substring {entry.expect_substring!r} "
                 f"not found in prompt")
         self._cursor[role] = pos + 1
@@ -162,7 +161,8 @@ def _retry_after_s(headers: dict) -> float:
     ``MAX_RETRY_AFTER_S``; 0 when absent or unparseable."""
     value = headers.get("retry-after", "").strip()
     if value.isascii() and value.isdigit():
-        return min(int(value), MAX_RETRY_AFTER_S)
+        # Ten significant digits are past the cap; int() refuses over 4300.
+        return min(int(value.lstrip("0")[:10] or 0), MAX_RETRY_AFTER_S)
     # Imported here: only a retryable response needs the date parser, and
     # email.utils loads some twenty modules.
     from datetime import datetime, timezone
@@ -207,6 +207,10 @@ def _peer_closed(sock) -> bool:
 # http.client's limits on a reply's head.
 MAX_LINE = 65536
 MAX_HEADERS = 100
+# A body or chunk length of a gigabyte or more is refused as a bad reply:
+# read() would fail on it (OverflowError, or MemoryError where it cannot be
+# allocated) rather than read it.
+MAX_LENGTH_DIGITS = 9
 
 
 def _read_line(fp, what: str) -> bytes:
@@ -245,7 +249,7 @@ def _read_chunked(fp) -> bytes:
             size = int(line.split(b";", 1)[0], 16)  # extensions follow a ";"
         except ValueError:
             size = -1
-        if size < 0:
+        if not 0 <= size < 10 ** MAX_LENGTH_DIGITS:
             raise http.client.IncompleteRead(b"".join(parts))
         if not size:
             break
@@ -265,8 +269,9 @@ def _read_response(fp) -> tuple[int, dict, bytes, bool]:
 
     Interim 1xx replies are skipped. The body is framed by
     ``Transfer-Encoding: chunked``, else by ``Content-Length``, else by the
-    connection closing; 204 and 304 replies have none. A reset, a short body
-    or a malformed head raises OSError or http.client.HTTPException.
+    connection closing; 204 and 304 replies have none. A reset, a short body,
+    a malformed head or a length of more than MAX_LENGTH_DIGITS digits raises
+    OSError or http.client.HTTPException.
     """
     import http.client
 
@@ -292,7 +297,7 @@ def _read_response(fp) -> tuple[int, dict, bytes, bool]:
     length = headers.get("content-length")
     if length is None:
         return status, headers, fp.read(), False
-    if not (length.isascii() and length.isdigit()):
+    if not (length.isascii() and length.isdigit()) or len(length) > MAX_LENGTH_DIGITS:
         raise http.client.HTTPException(f"malformed Content-Length {length[:80]!r}")
     body = fp.read(int(length))
     if len(body) < int(length):
@@ -594,7 +599,7 @@ def replayable(call: dict) -> tuple[str, str, int, ChatResponse]:
 def replay(recorded: tuple, request: ChatRequest, role: str, where, k: int) -> ChatResponse:
     """The response of ``recorded``, ``replayable`` call k (from 0) at ``where``,
     if ``request``, sent for ``role``, has its role, its prompt up to whitespace
-    and its ``n``; else CassetteMismatch. Replay and resume both match so."""
+    and its ``n``; else BackendFailure. Replay and resume both match so."""
     recorded_role, prompt, n, response = recorded
     got = request.prompt_text()
     # Equal strings normalise equal; normalise only when they differ.
@@ -606,7 +611,7 @@ def replay(recorded: tuple, request: ChatRequest, role: str, where, k: int) -> C
         reason = f"n={request.sampling.n} != recorded n={n}"
     else:
         return response
-    raise CassetteMismatch(f"{where}, call {k + 1}: {reason}")
+    raise BackendFailure(f"{where}, call {k + 1}: {reason}")
 
 
 class RecordingBackend:
@@ -671,7 +676,7 @@ class ReplayBackend:
     def complete(self, request: ChatRequest, role: str) -> ChatResponse:
         k = self._pos
         if k >= len(self._calls):
-            raise CassetteExhausted(f"{self.path} records only {len(self._calls)} calls")
+            raise BackendFailure(f"{self.path} records only {len(self._calls)} calls")
         response = replay(self._calls[k], request, role, self.path, k)
         self._pos = k + 1
         self.counter.record(len(response.choices))

@@ -137,13 +137,23 @@ def cmd_sweep(args) -> int:
     if grid_text.startswith("@"):
         grid_text = Path(grid_text[1:]).read_text(encoding="utf-8")
     grid = json.loads(grid_text)
-    factory = harness.make_backend_factory(args.backend)
+    kind, _, target = args.backend.partition(":")
+    if kind == "replay" and Path(target).is_dir():
+        # A sweep's --out: each point replays from its own bench directory.
+        def point_factory(point: str):
+            return harness.make_backend_factory(f"replay:{Path(target, point, 'transcripts')}")
+    else:
+        factory = harness.make_backend_factory(args.backend)
+
+        def point_factory(point: str):
+            return factory
     out_dir = Path(args.out or "sweep_out")
-    points = harness.sweep_queries(problems, _method(args), grid, factory, out_dir,
+    points = harness.sweep_queries(problems, _method(args), grid, point_factory, out_dir,
                                    task=args.task)
-    for point in points:
-        print(f"{point.settings} -> mean_queries={point.mean_queries:.2f} "
-              f"corrected={point.corrected_fraction:.3f}")
+    for settings, report in points:
+        agg = report.aggregates
+        print(f"{settings} -> mean_queries={agg['mean_choices']:.2f} "
+              f"corrected={agg['accuracy']:.3f}")
     return EXIT_OK
 
 

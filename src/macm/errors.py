@@ -12,27 +12,11 @@ class ParseFailure(MacmError):
 class BackendFailure(MacmError):
     """A chat backend could not serve a request: transport, auth, or HTTP
     error after retries, or a scripted or replayed backend that cannot
-    answer (the subclasses below)."""
+    answer."""
 
 
 class BudgetExceeded(MacmError):
     """The per-run query cap was hit."""
-
-
-class ScriptExhausted(BackendFailure):
-    """A scripted reply queue was consumed past its end."""
-
-
-class ScriptMismatch(BackendFailure):
-    """A scripted entry's expected-prompt-substring assertion failed."""
-
-
-class CassetteMismatch(BackendFailure):
-    """A replayed request did not match the recorded one."""
-
-
-class CassetteExhausted(BackendFailure):
-    """More calls were replayed than the recording holds."""
 
 
 class InternalError(MacmError):

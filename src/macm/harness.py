@@ -582,26 +582,16 @@ def filter_wrong(problems: list[Problem], report_path: str | Path) -> list[Probl
 # Query-count sweeps
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SweepPoint:
-    settings: dict
-    mean_queries: float
-    corrected_fraction: float
-
-    def __post_init__(self):
-        if not 0 <= self.corrected_fraction <= 1:
-            raise ValueError("corrected_fraction must be in [0, 1]")
-
-
 def sweep_queries(problems: list[Problem], method: Method, knob_grid: dict,
-                  backend_factory, out_dir: str | Path,
-                  task: str = "math") -> list[SweepPoint]:
+                  point_factory, out_dir: str | Path,
+                  task: str = "math") -> list[tuple[dict, Report]]:
     """Run one benchmark per knob setting of the grid, each applied to ``method`` by
-    with_knobs before the first runs, and record (mean choice count, fraction corrected):
-    a request for n responses counts n. A grid point whose method equals an earlier one's
-    (say, temperature 0 after 0.0) raises ValueError. Writes sweep.csv under out_dir.
-    A factory from make_backend_factory replays each point from that point's transcripts
-    (<dir>/point_n3/transcripts/<id>.jsonl); any other factory is used as is."""
+    with_knobs before the first runs: run_benchmark then write_report, as bench does,
+    into <out_dir>/point_<knobs> (say point_n3), with the per-problem backend factory
+    ``point_factory(<point dir name>)``. A grid point whose method equals an earlier
+    one's (say, temperature 0 after 0.0) raises ValueError. Writes sweep.csv under
+    out_dir, from each point's mean choice count (a request for n responses counts n)
+    and accuracy, and returns each point's (settings, report)."""
     if not problems:
         raise EmptyDataset("sweep requires at least one problem")
     if not isinstance(knob_grid, dict) or not knob_grid:
@@ -617,26 +607,20 @@ def sweep_queries(problems: list[Problem], method: Method, knob_grid: dict,
     for i, point_method in enumerate(point_methods):
         if point_method in point_methods[:i]:
             raise ValueError(f"grid point {grid[i]} repeats an earlier point's settings")
-    points: list[SweepPoint] = []
+    points = []
     for settings, point_method in zip(grid, point_methods):
         point_dir = out_dir / ("point_" + "_".join(f"{k}{v}" for k, v in settings.items()))
-        point_factory = backend_factory
-        if isinstance(backend_factory, BackendFactory):
-            point_factory = replace(backend_factory, subdir=f"{point_dir.name}/transcripts")
-        report = run_benchmark(problems, point_method, point_factory, point_dir, task=task)
-        points.append(SweepPoint(
-            settings=settings,
-            mean_queries=report.aggregates["mean_choices"],
-            corrected_fraction=report.aggregates["accuracy"],
-        ))
+        report = run_benchmark(problems, point_method, point_factory(point_dir.name),
+                               point_dir, task=task)
+        write_report(report, point_dir)
+        points.append((settings, report))
 
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(keys + ["mean_queries", "corrected_fraction"])
-    for point in points:
-        writer.writerow([point.settings.get(k, "") for k in keys]
-                        + [point.mean_queries, point.corrected_fraction])
-    out_dir.mkdir(parents=True, exist_ok=True)
+    for settings, report in points:
+        writer.writerow([settings[k] for k in keys] + [report.aggregates["mean_choices"],
+                                                       report.aggregates["accuracy"]])
     _atomic_write(out_dir / "sweep.csv", buf.getvalue())
     return points
 
@@ -645,36 +629,22 @@ def sweep_queries(problems: list[Problem], method: Method, knob_grid: dict,
 # Backend factories
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BackendFactory:
-    """Builds each problem's backend. ``build`` takes <subdir>/<problem
-    id>.jsonl, the path of its recording under a replay directory; sweeps
-    set ``subdir`` to each grid point's transcripts directory."""
-
-    build: Callable[[str], object]
-    subdir: str = ""
-
-    def __call__(self, problem_id: str):
-        return self.build(os.path.join(self.subdir, f"{problem_id}.jsonl"))
-
-
-def make_backend_factory(selector: str, counter: QueryCounter | None = None) -> BackendFactory:
-    """Build a per-problem backend factory from a CLI selector:
+def make_backend_factory(selector: str, counter: QueryCounter | None = None):
+    """A per-problem backend factory, problem id -> backend, from a CLI selector:
     "http", "scripted:<file>", or "replay:<dir-or-file>". A replay directory
-    holds a transcript <id>.jsonl per problem (a bench's <out>/transcripts;
-    a sweep's point reads <dir>/<point dir>/transcripts)."""
+    holds a transcript <id>.jsonl per problem (a bench's <out>/transcripts);
+    a replay file serves every problem."""
     if selector == "http":
         from .backend import HttpBackend
         shared = HttpBackend(counter=counter)
-        return BackendFactory(lambda recording: shared)
+        return lambda problem_id: shared
     if selector.startswith("scripted:"):
         path = selector.split(":", 1)[1]
         with open(path, encoding="utf-8") as fh:
             script_data = json.load(fh)
-        return BackendFactory(
-            lambda recording: ScriptedBackend.from_dict(script_data, counter=counter))
+        return lambda problem_id: ScriptedBackend.from_dict(script_data, counter=counter)
     if selector.startswith("replay:"):
         target = Path(selector.split(":", 1)[1])
-        return BackendFactory(lambda recording: ReplayBackend(
-            target / recording if target.is_dir() else target, counter=counter))
+        return lambda problem_id: ReplayBackend(
+            target / f"{problem_id}.jsonl" if target.is_dir() else target, counter=counter)
     raise ValueError(f"unknown backend selector {selector!r}")

@@ -218,8 +218,9 @@ def test_query_accounting(capfd):
 
         import tempfile
         with tempfile.TemporaryDirectory() as out_dir:
-            points = sweep_queries([problem], MethodIO(), {"n": [1, 3]}, factory, out_dir)
-        swept = sum(int(p.mean_queries * 1) for p in points)
+            points = sweep_queries([problem], MethodIO(), {"n": [1, 3]}, lambda _: factory,
+                                   out_dir)
+        swept = sum(int(report.aggregates["mean_choices"] * 1) for _, report in points)
         assert swept == global_counter.choices == 5
 
 

@@ -40,14 +40,7 @@ from macm.domain import (
     event_to_dict,
 )
 from macm.harness import read_transcript, write_transcript
-from macm.errors import (
-    BackendFailure,
-    CassetteExhausted,
-    CassetteMismatch,
-    CorruptTranscript,
-    ScriptExhausted,
-    ScriptMismatch,
-)
+from macm.errors import BackendFailure, CorruptTranscript
 
 import macm.backend
 
@@ -84,18 +77,21 @@ class TestScriptedBackend:
 
     def test_exhaustion(self):
         backend = ScriptedBackend({"judge": []})
-        with pytest.raises(ScriptExhausted):
+        with pytest.raises(BackendFailure,
+                           match=r"^no scripted reply left for role 'judge' \(consumed 0\)$"):
             backend.complete(request(), "judge")
 
     def test_unknown_role_is_exhausted(self):
         backend = ScriptedBackend({})
-        with pytest.raises(ScriptExhausted):
+        with pytest.raises(BackendFailure,
+                           match=r"^no scripted reply left for role 'thinker' \(consumed 0\)$"):
             backend.complete(request(), "thinker")
 
     def test_expected_substring_mismatch(self):
         backend = ScriptedBackend(
             {"judge": [ScriptEntry("True", expect_substring="the candidate")]})
-        with pytest.raises(ScriptMismatch):
+        with pytest.raises(BackendFailure, match=r"^role 'judge' entry 0: expected substring "
+                                                 r"'the candidate' not found in prompt$"):
             backend.complete(request("something else"), "judge")
 
     def test_counter_one_request_n_choices(self):
@@ -156,14 +152,16 @@ class TestRecordReplay:
         player = ReplayBackend(path)
         assert player.complete(request("q1", n=2), "solver").choices == ("solver-0", "solver-1")
         assert player.complete(request("q2"), "judge").choices == ("judge-0",)
-        with pytest.raises(CassetteExhausted):
+        with pytest.raises(BackendFailure) as info:
             player.complete(request("q3"), "judge")
+        assert str(info.value) == f"{path} records only 2 calls"
 
     def test_prompt_mismatch(self, tmp_path):
         cassette = tmp_path / "run.jsonl"
         record(cassette, [(request("original"), "judge")])
-        with pytest.raises(CassetteMismatch):
+        with pytest.raises(BackendFailure) as info:
             ReplayBackend(cassette).complete(request("altered"), "judge")
+        assert str(info.value) == f"{cassette}, call 1: prompt differs from the recording"
 
     def test_whitespace_insensitive_match(self, tmp_path):
         cassette = tmp_path / "run.jsonl"
@@ -176,13 +174,14 @@ class TestRecordReplay:
         player = ReplayBackend(cassette)
         player.complete(request("q1"), "judge")
         player.complete(request("q2"), "judge")
-        with pytest.raises(CassetteExhausted):
+        with pytest.raises(BackendFailure) as info:
             player.complete(request("q3"), "judge")
+        assert str(info.value) == f"{cassette} records only 2 calls"
 
     def test_role_mismatch(self, tmp_path):
         cassette = tmp_path / "run.jsonl"
         record(cassette, [(request("q"), "judge")])
-        with pytest.raises(CassetteMismatch) as info:
+        with pytest.raises(BackendFailure) as info:
             ReplayBackend(cassette).complete(request("q"), "thinker")
         assert str(info.value) == f"{cassette}, call 1: role 'thinker' != recorded 'judge'"
 
@@ -217,7 +216,7 @@ class TestRecordReplay:
     def test_non_whitespace_difference_message(self, tmp_path):
         cassette = tmp_path / "run.jsonl"
         record(cassette, [(request("a  b"), "judge")])
-        with pytest.raises(CassetteMismatch) as info:
+        with pytest.raises(BackendFailure) as info:
             ReplayBackend(cassette).complete(request("a  c"), "judge")
         assert str(info.value) == f"{cassette}, call 1: prompt differs from the recording"
 
@@ -225,7 +224,7 @@ class TestRecordReplay:
         cassette = tmp_path / "run.jsonl"
         record(cassette, [(request("q", n=3), "solver")], ScriptedBackend(
             {"solver": [ScriptEntry("ok")]}))
-        with pytest.raises(CassetteMismatch) as info:
+        with pytest.raises(BackendFailure) as info:
             ReplayBackend(cassette).complete(request("q", n=1), "solver")
         assert str(info.value) == f"{cassette}, call 1: n=1 != recorded n=3"
         assert ReplayBackend(cassette).complete(request("q", n=3), "solver").choices == ("ok",) * 3
@@ -686,6 +685,26 @@ class TestHttpReplyFraming:
         assert len(_StubHandler.seen) == 4
         assert counter.requests == 1
         assert no_sleep == [1, 2, 4]
+
+    @pytest.mark.parametrize("reply, slept", [
+        (_raw(f"HTTP/1.1 200 OK\r\nContent-Length: {'9' * 30}\r\n\r\n", b"{}"), 1),
+        (_raw("HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n",
+              b"f" * 30 + b"\r\n{}\r\n0\r\n\r\n"), 1),
+        ((429, {"error": "busy"}, {"Retry-After": "9" * 5000}), macm.backend.MAX_RETRY_AFTER_S),
+        ((429, {"error": "busy"}, {"Retry-After": "0" * 5000 + "5"}), 5),
+    ], ids=["content-length", "chunk-size", "retry-after", "retry-after-leading-zeros"])
+    def test_a_number_too_large_to_read_is_retried(self, stub_server, no_sleep, reply, slept):
+        # int() of these raises OverflowError when read, or ValueError past
+        # 4300 digits: each must be a bad reply, not an escape from complete().
+        _StubHandler.script = [reply, (200, None), (200, None)]
+        counter = QueryCounter()
+        backend = _backend(stub_server, counter=counter)
+        assert backend.complete(request(), "thinker").choices == ("choice-0",)
+        assert counter.requests == 1
+        assert no_sleep == [slept]
+        assert backend.complete(request(), "thinker").choices == ("choice-0",)
+        assert counter.requests == 2
+        assert len(_StubHandler.seen) == 3
 
     def test_connection_close_replies_leave_no_descriptor_open(self, stub_server):
         def descriptors():

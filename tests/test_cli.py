@@ -536,6 +536,59 @@ class TestSweep:
             assert sorted(p.name for p in (rec / point / "transcripts").iterdir()) == \
                 [f"p{i}.jsonl" for i in range(6)]
 
+    @pytest.mark.parametrize("method, grid, replies", [
+        ("io", {"n": [1, 3]}, ["Answer: 4", "Answer: 4"]),
+        ("sc-cot", {"temperature": [0, 0.7]}, ["Answer: 4"] * 5 + ["4"]),
+    ], ids=["io-n", "sc-cot-temperature"])
+    def test_each_point_is_the_bench_with_its_knobs(self, tmp_path, capsys, method, grid,
+                                                    replies):
+        dataset = tmp_path / "d.jsonl"
+        write_jsonl(dataset, [{"id": "p1", "question": "What is 2 + 2?", "answer": "4"},
+                              {"id": "p2", "question": "What is 3 + 3?", "answer": "6"}])
+        script = tmp_path / "s.json"
+        solver_script(script, replies)
+        common = ["--method", method, "--dataset", str(dataset)]
+        sweep = ["sweep", *common, "--grid", json.dumps(grid)]
+        assert main(sweep + ["--backend", f"scripted:{script}",
+                             "--out", str(tmp_path / "rec")]) == 0
+        assert main(sweep + ["--backend", f"replay:{tmp_path / 'rec'}",
+                             "--out", str(tmp_path / "rep")]) == 0
+        ((knob, values),) = grid.items()
+        for value in values:
+            bench = tmp_path / f"bench_{value}"
+            assert main(["bench", *common, f"--{knob}", str(value),
+                         "--backend", f"scripted:{script}", "--out", str(bench)]) == 0
+            expected = (bench / "report.csv").read_bytes()
+            assert len(expected.splitlines()) == 3
+            for out in ("rec", "rep"):
+                point = tmp_path / out / f"point_{knob}{value}"
+                assert (point / "report.csv").read_bytes() == expected
+                assert {p.name for p in point.iterdir()} == \
+                    {"report.csv", "report.json", "summary.md", "transcripts"}
+
+    def test_bench_filters_the_wrong_rows_of_a_point(self, tmp_path, capsys):
+        dataset = tmp_path / "d.jsonl"
+        write_jsonl(dataset, [{"id": f"p{i}", "question": f"What is {i} + {i}?",
+                               "answer": answer} for i, answer in enumerate("4642")])
+        script = tmp_path / "s.json"
+        solver_script(script, ["Answer: 4", "Answer: 4"])
+        rec = tmp_path / "rec"
+        assert main(["sweep", "--method", "io", "--dataset", str(dataset), "--grid",
+                     '{"n": [1, 3]}', "--backend", f"scripted:{script}", "--out", str(rec)]) == 0
+        point = rec / "point_n1"
+        rows = json.loads((point / "report.json").read_text())["rows"]
+        wrong = [row["id"] for row in rows if not row["correct"]]
+        assert wrong == ["p1", "p3"]
+        out = tmp_path / "wrong"
+        assert main(["bench", "--method", "io", "--dataset", str(dataset),
+                     "--filter-wrong-from", str(point / "report.json"),
+                     "--backend", f"replay:{point / 'transcripts'}", "--out", str(out)]) == 0
+        assert [row["id"] for row in json.loads((out / "report.json").read_text())["rows"]] \
+            == wrong
+        header, *point_rows = (point / "report.csv").read_text().splitlines()
+        assert (out / "report.csv").read_text().splitlines() == \
+            [header] + [row for row in point_rows if row.split(",")[0] in wrong]
+
     def test_bad_grid_json_exit_code(self, tmp_path, capsys):
         dataset = tmp_path / "d.jsonl"
         write_jsonl(dataset, [{"id": "p0", "question": "q"}])

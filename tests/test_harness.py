@@ -707,8 +707,8 @@ class TestSweep:
         def factory(pid):
             return scripted(solver=["Answer: 7", "Answer: 7"], counter=counter)
 
-        points = sweep_queries(problems, MethodIO(), {"n": [1, 3]}, factory, tmp_path)
-        assert [p.mean_queries for p in points] == [1, 4]
+        points = sweep_queries(problems, MethodIO(), {"n": [1, 3]}, lambda _: factory, tmp_path)
+        assert [report.aggregates["mean_choices"] for _, report in points] == [1, 4]
         csv_text = (tmp_path / "sweep.csv").read_text()
         assert csv_text.splitlines()[0] == "n,mean_queries,corrected_fraction"
 
@@ -724,8 +724,9 @@ class TestSweep:
                 judge=["True", "False"] * 5)
 
         points = sweep_queries([toy_problem], MethodMACM(), {"max_iterations": [1, 5]},
-                               factory, tmp_path)
-        assert points[0].mean_queries <= points[1].mean_queries
+                               lambda _: factory, tmp_path)
+        (_, first), (_, second) = points
+        assert first.aggregates["mean_choices"] <= second.aggregates["mean_choices"]
 
     def test_grid_applies_to_the_base_method_and_sampling(self):
         base = MethodMACM(config=RunConfig(format_retries=0, query_budget=9))

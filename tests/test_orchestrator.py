@@ -1,4 +1,5 @@
 import dataclasses
+import re
 from pathlib import Path
 
 import pytest
@@ -39,12 +40,8 @@ from macm.errors import (
     SOLVE_ERRORS,
     BackendFailure,
     BudgetExceeded,
-    CassetteExhausted,
-    CassetteMismatch,
     CorruptTranscript,
     ParseFailure,
-    ScriptExhausted,
-    ScriptMismatch,
 )
 from macm.harness import _PrefixBackend, read_transcript, solve_one, write_transcript
 from macm.prompts import PromptCatalog
@@ -111,18 +108,32 @@ class TestTermination:
         assert outcome == Unsolvable(1)
 
 
-def failing_backend(error, role, tmp_path):
-    """A scripted or replay backend whose first call for ``role`` raises ``error``."""
-    if error is ScriptExhausted:
+# Each way a scripted or replay backend cannot answer, and its BackendFailure's message.
+BACKEND_FAILURES = {
+    "ScriptExhausted": "^no scripted reply left for role ",
+    "ScriptMismatch": "expected substring 'absent' not found in prompt$",
+    "CassetteExhausted": "cassette.jsonl records only 0 calls$",
+    "CassetteMismatch": "cassette.jsonl, call 1: prompt differs from the recording$",
+}
+
+
+def failing_backend(failure, role, tmp_path):
+    """A scripted or replay backend whose first call for ``role`` fails as
+    ``failure``, a key of BACKEND_FAILURES, says."""
+    if failure == "ScriptExhausted":
         return scripted()
-    if error is ScriptMismatch:
+    if failure == "ScriptMismatch":
         return scripted(**{role: [ScriptEntry("x", expect_substring="absent")]})
     cassette = tmp_path / "cassette.jsonl"
     recording = RecordingBackend(scripted(**{role: ["x"]}), cassette)
-    if error is CassetteMismatch:
+    if failure == "CassetteMismatch":
         recording.complete(ChatRequest((ChatMessage("user", "another prompt"),),
                                        SamplingParams()), role)
     return ReplayBackend(cassette)
+
+
+class SubclassOfBackendFailure(BackendFailure):
+    """A backend's own error class: a run it ends is named by the kind it subclasses."""
 
 
 class TestErrorPropagation:
@@ -137,29 +148,29 @@ class TestErrorPropagation:
         # Partial transcript intact: the failed judging call is recorded.
         assert transcript.agent_calls()[-1].role == "judge"
 
-    @pytest.mark.parametrize(
-        "error", [ScriptExhausted, ScriptMismatch, CassetteExhausted, CassetteMismatch],
-        ids=lambda error: error.__name__)
-    def test_backend_errors_end_as_backend_failure(self, error, toy_problem, fast_config,
+    @pytest.mark.parametrize("failure", list(BACKEND_FAILURES))
+    def test_backend_errors_end_as_backend_failure(self, failure, toy_problem, fast_config,
                                                    tmp_path):
-        assert issubclass(error, BackendFailure)
-        with pytest.raises(error):
-            failing_backend(error, "solver", tmp_path / "a").complete(
+        message = BACKEND_FAILURES[failure]
+        with pytest.raises(BackendFailure, match=message):
+            failing_backend(failure, "solver", tmp_path / "a").complete(
                 ChatRequest((ChatMessage("user", "q"),), SamplingParams()), "solver")
 
         outcome, transcript = run_macm(toy_problem, fast_config,
-                                       failing_backend(error, "thinker", tmp_path / "b"))
+                                       failing_backend(failure, "thinker", tmp_path / "b"))
         assert isinstance(outcome, RunError) and outcome.kind == "BackendFailure"
+        assert re.search(message, outcome.detail)
         assert transcript.is_final
 
         transcript = solve_one(toy_problem, MethodIO(),
-                               lambda pid: failing_backend(error, "solver", tmp_path / "c"))
+                               lambda pid: failing_backend(failure, "solver", tmp_path / "c"))
         assert isinstance(transcript.outcome, RunError)
         assert transcript.outcome.kind == "BackendFailure"
+        assert re.search(message, transcript.outcome.detail)
 
     @pytest.mark.parametrize("error, kind", [
         (ParseFailure, "ParseFailure"), (BackendFailure, "BackendFailure"),
-        (BudgetExceeded, "BudgetExceeded"), (CassetteMismatch, "BackendFailure"),
+        (BudgetExceeded, "BudgetExceeded"), (SubclassOfBackendFailure, "BackendFailure"),
         (OSError, "BackendFailure")], ids=lambda v: getattr(v, "__name__", v))
     def test_run_error_of_names_the_error_kind(self, error, kind):
         assert [cls.__name__ for cls in SOLVE_ERRORS] == list(ERROR_KINDS)
@@ -640,7 +651,7 @@ def test_replay_and_resume_match_a_request_by_one_rule(reader, role, prompt, n, 
     if accepted:
         assert backend.complete(request, role) == response
     else:
-        with pytest.raises(CassetteMismatch):
+        with pytest.raises(BackendFailure, match=r", call 1: (role|prompt|n=)"):
             backend.complete(request, role)
 
 
