@@ -9,7 +9,6 @@ from .domain import (
     ConditionList,
     Outcome,
     Problem,
-    RunConfig,
     RunError,
     SamplingParams,
     Solved,
@@ -23,7 +22,6 @@ __all__ = [
     "ConditionList",
     "Outcome",
     "Problem",
-    "RunConfig",
     "RunError",
     "SamplingParams",
     "Solved",

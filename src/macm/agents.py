@@ -10,7 +10,8 @@ is raised.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .backend import (ChatMessage, ChatRequest, ChatResponse, ROLE_ASSISTANT, ROLE_SYSTEM,
                       ROLE_USER, call_fields)
@@ -18,7 +19,6 @@ from .domain import (
     AgentCall,
     ConditionList,
     Problem,
-    RunConfig,
     SamplingParams,
     Transcript,
     Verdict,
@@ -26,7 +26,9 @@ from .domain import (
     now,
 )
 from .errors import BudgetExceeded, ParseFailure
-from .prompts import PromptCatalog
+
+if TYPE_CHECKING:  # baselines imports this module
+    from .baselines import MethodMACM
 
 THINKER = "thinker"
 JUDGE = "judge"
@@ -167,14 +169,14 @@ def logged_request(backend, role: str, request: ChatRequest,
 @dataclass
 class AgentClient:
     """Stateless request builder + parser over one backend, logging every
-    request to the run's transcript."""
+    request to the run's transcript, with ``method``'s settings and prompts."""
 
     backend: object
-    config: RunConfig
+    method: MethodMACM
     transcript: Transcript
-    prompts: PromptCatalog = field(default_factory=PromptCatalog)
 
     def __post_init__(self):
+        self.prompts = self.method.prompts
         systems = {THINKER: self.prompts.thinker_system,
                    JUDGE: self.prompts.judge_system,
                    EXECUTOR: self.prompts.executor_system}
@@ -182,11 +184,11 @@ class AgentClient:
         # temperature, capped at the role's reply length.
         self._roles = {
             role: (ChatMessage(ROLE_SYSTEM, systems[role]),
-                   SamplingParams(temperature=self.config.temperature, max_tokens=cap))
+                   SamplingParams(temperature=self.method.temperature, max_tokens=cap))
             for role, cap in MAX_TOKENS.items()}
 
     def _call(self, role: str, messages: list[ChatMessage], sampling: SamplingParams) -> str:
-        budget = self.config.query_budget
+        budget = self.method.query_budget
         if budget is not None and self.transcript.query_count() >= budget:
             raise BudgetExceeded(f"query budget of {budget} requests reached")
         request = ChatRequest(messages=tuple(messages), sampling=sampling)
@@ -195,7 +197,7 @@ class AgentClient:
     def _call_parsed(self, role: str, user_prompt: str, parser):
         system, sampling = self._roles[role]
         messages = [system, ChatMessage(ROLE_USER, user_prompt)]
-        retries = self.config.format_retries
+        retries = self.method.format_retries
         for attempt in range(retries + 1):
             reply = self._call(role, messages, sampling)
             try:

@@ -104,20 +104,33 @@ class ScriptedBackend:
 
     Queues are consumed strictly in order; consuming past the end raises
     :class:`BackendFailure`. Entries may assert that the incoming prompt
-    contains an expected substring.
+    contains an expected substring. ``queues`` is never changed, so another
+    backend may serve the same script from its start.
     """
 
     def __init__(self, roles: dict[str, list[ScriptEntry]], counter: QueryCounter | None = None):
-        self._queues = {role: list(entries) for role, entries in roles.items()}
-        self._cursor = {role: 0 for role in self._queues}
+        self.queues = {role: list(entries) for role, entries in roles.items()}
+        self._cursor = {role: 0 for role in self.queues}
         self.counter = counter or QueryCounter()
 
     @classmethod
     def from_dict(cls, data: dict, counter: QueryCounter | None = None) -> "ScriptedBackend":
-        roles = {role: [ScriptEntry(e) if isinstance(e, str)
-                        else ScriptEntry(e["reply"], e.get("expect_substring")) for e in entries]
-                 for role, entries in data.get("roles", {}).items()}
-        return cls(roles, counter=counter)
+        """The backend of a script {"roles": {role: [entry, ...]}}, each entry a
+        reply text or {"reply": text, "expect_substring": text}; anything else
+        raises ValueError naming the role and the entry."""
+        roles = data.get("roles", {}) if isinstance(data, dict) else None
+        if not isinstance(roles, dict) or not all(isinstance(e, list) for e in roles.values()):
+            raise ValueError(f'a script is {{"roles": {{role: [entry, ...]}}}}, not {data!r:.80}')
+        queues = {role: [] for role in roles}
+        for role, entries in roles.items():
+            for i, e in enumerate(entries):
+                e = {"reply": e} if isinstance(e, str) else e
+                if not (isinstance(e, dict) and isinstance(e.get("reply"), str)
+                        and isinstance(e.get("expect_substring"), (str, type(None)))):
+                    raise ValueError(f"role {role!r} entry {i} is not a reply text or "
+                                     f'{{"reply": text}}: {e!r:.80}')
+                queues[role].append(ScriptEntry(e["reply"], e.get("expect_substring")))
+        return cls(queues, counter=counter)
 
     @classmethod
     def from_file(cls, path: str | Path, counter: QueryCounter | None = None) -> "ScriptedBackend":
@@ -125,7 +138,7 @@ class ScriptedBackend:
             return cls.from_dict(json.load(fh), counter=counter)
 
     def complete(self, request: ChatRequest, role: str) -> ChatResponse:
-        queue = self._queues.get(role)
+        queue = self.queues.get(role)
         pos = self._cursor.get(role, 0)
         if queue is None or pos >= len(queue):
             raise BackendFailure(f"no scripted reply left for role {role!r} (consumed {pos})")
@@ -170,7 +183,7 @@ def _retry_after_s(headers: dict) -> float:
 
     try:
         when = parsedate_to_datetime(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):  # Overflow: a year or offset out of range
         return 0
     if when.tzinfo is None:
         # HTTP dates are GMT; the asctime form carries no zone.
@@ -514,7 +527,8 @@ class HttpBackend:
                 usage = payload.get("usage") or {}
                 tokens_in = int(usage.get("prompt_tokens", 0))
                 tokens_out = int(usage.get("completion_tokens", 0))
-            except (ValueError, KeyError, TypeError, AttributeError) as exc:
+            # OverflowError: a token count json.loads read as infinity.
+            except (ValueError, KeyError, TypeError, AttributeError, OverflowError) as exc:
                 self.counter.record(request.sampling.n)
                 raise BackendFailure(f"malformed response body: {exc}") from exc
             if not choices:

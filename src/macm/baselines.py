@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 
 from .agents import _ANSWER_MARKER, extract_answer, logged_request
 from .backend import ChatMessage, ChatRequest, ROLE_ASSISTANT, ROLE_USER
-from .domain import Problem, RunConfig, SamplingParams, Solved, Transcript
+from .domain import Problem, SamplingParams, Solved, Transcript
 from .errors import ParseFailure
 from .prompts import PromptCatalog
 
@@ -41,41 +41,61 @@ VOTE_PROMPT = (
 )
 
 
-# Method selectors for the harness. Each carries its own sampling, as
-# MethodMACM does through its config.
+# Method selectors for the harness. A Method is its knobs: each field but
+# MethodMACM's prompts is one, named as its flag (--l, --v, --n, ...).
 
 @dataclass(frozen=True)
 class MethodIO:
-    sampling: SamplingParams = SamplingParams()
+    n: int = 1
+    temperature: float = 0.7
+
+    def __post_init__(self):
+        SamplingParams(self.n, self.temperature)  # checks n and temperature
 
 
 @dataclass(frozen=True)
 class MethodCoT:
-    chain_length_l: int = 5
-    sampling: SamplingParams = SamplingParams()
+    l: int = 5  # the chain length, the paper's l
+    n: int = 1
+    temperature: float = 0.7
 
     def __post_init__(self):
-        if self.chain_length_l < 1:
+        SamplingParams(self.n, self.temperature)  # checks n and temperature
+        if self.l < 1:
             raise ValueError("chain length must be >= 1")
 
 
 @dataclass(frozen=True)
 class MethodSCCoT:
-    chain_length_l: int = 5
-    voters_v: int = 5
-    sampling: SamplingParams = SamplingParams()
+    l: int = 5
+    v: int = 5  # the voters, the paper's v
+    n: int = 1
+    temperature: float = 0.7
 
     def __post_init__(self):
-        if self.chain_length_l < 1:
+        SamplingParams(self.n, self.temperature)  # checks n and temperature
+        if self.l < 1:
             raise ValueError("chain length must be >= 1")
-        if self.voters_v < 1:
+        if self.v < 1:
             raise ValueError("voter count must be >= 1")
 
 
 @dataclass(frozen=True)
 class MethodMACM:
-    config: RunConfig = field(default_factory=RunConfig)
+    temperature: float = 0.7
+    max_iterations: int = 5
+    format_retries: int = 2
+    query_budget: int | None = None
     prompts: PromptCatalog = field(default_factory=PromptCatalog)
+
+    def __post_init__(self):
+        SamplingParams(temperature=self.temperature)  # checks the temperature
+        if self.max_iterations < 1:
+            raise ValueError("max_iterations must be >= 1")
+        if self.format_retries < 0:
+            raise ValueError("format_retries must be >= 0")
+        if self.query_budget is not None and self.query_budget < 1:
+            raise ValueError("query_budget must be >= 1")
 
 
 Method = MethodIO | MethodCoT | MethodSCCoT | MethodMACM
@@ -87,11 +107,11 @@ def solve_io(problem: Problem, method: MethodIO, backend, transcript: Transcript
     With n > 1 the model first generates n responses, then a second request
     selects the best one.
     """
-    sampling = method.sampling
+    sampling = SamplingParams(method.n, method.temperature)
     prompt = IO_PROMPT.format(question=problem.question)
     response = logged_request(backend, SOLVER, ChatRequest(
         (ChatMessage(ROLE_USER, prompt),), sampling), transcript)
-    if sampling.n == 1:
+    if method.n == 1:
         return Solved(extract_answer(response.text))
     listing = "\n".join(f"{i}. {extract_answer(c)}"
                         for i, c in enumerate(response.choices, start=1))
@@ -105,27 +125,26 @@ def solve_cot(problem: Problem, method: MethodCoT, backend, transcript: Transcri
     """Stepwise chain-of-thought: one request per chain link, up to l links,
     stopping early when the reply carries the Answer marker."""
     messages = (ChatMessage(ROLE_USER, COT_START.format(question=problem.question)),)
-    for _ in range(method.chain_length_l):
-        response = logged_request(backend, SOLVER, ChatRequest(messages, method.sampling),
-                                  transcript)
+    sampling = SamplingParams(method.n, method.temperature)
+    for _ in range(method.l):
+        response = logged_request(backend, SOLVER, ChatRequest(messages, sampling), transcript)
         if _ANSWER_MARKER.search(response.text):
             return Solved(extract_answer(response.text))
         messages = messages + (ChatMessage(ROLE_ASSISTANT, response.text),
                                ChatMessage(ROLE_USER, COT_CONTINUE))
-    raise ParseFailure(f"no Answer marker within {method.chain_length_l} chain links")
+    raise ParseFailure(f"no Answer marker within {method.l} chain links")
 
 
 def solve_sc_cot(problem: Problem, method: MethodSCCoT, backend,
                  transcript: Transcript) -> Solved:
     """Self-consistency: v independent CoT chains plus one model vote among
     the final answers; a vote matching several chains returns the earliest."""
-    chain = MethodCoT(method.chain_length_l, method.sampling)
-    finals = [solve_cot(problem, chain, backend, transcript).answer
-              for _ in range(method.voters_v)]
+    chain = MethodCoT(method.l, method.n, method.temperature)
+    finals = [solve_cot(problem, chain, backend, transcript).answer for _ in range(method.v)]
     listing = "\n".join(f"{i}. {a}" for i, a in enumerate(finals, start=1))
-    vote_prompt = VOTE_PROMPT.format(v=method.voters_v, answers=listing)
+    vote_prompt = VOTE_PROMPT.format(v=method.v, answers=listing)
     response = logged_request(backend, SOLVER, ChatRequest(
-        (ChatMessage(ROLE_USER, vote_prompt),), replace(method.sampling, n=1)), transcript)
+        (ChatMessage(ROLE_USER, vote_prompt),), SamplingParams(1, method.temperature)), transcript)
     voted = response.text.strip()
     for answer in finals:
         if voted == answer.strip():

@@ -101,9 +101,10 @@ def cmd_solve(args) -> int:
         if not problems:
             raise EmptyDataset(f"no problems in {args.problem_file}")
         problem = problems[0]
+    factory = harness.make_backend_factory(args.backend)  # refuses a malformed script
     if args.out:  # before any model call, so an --out that cannot be made costs none
         Path(args.out).mkdir(parents=True, exist_ok=True)
-    transcript = harness.solve_one(problem, method, harness.make_backend_factory(args.backend))
+    transcript = harness.solve_one(problem, method, factory)
     outcome = transcript.outcome
     print(json.dumps({"outcome": outcome_to_dict(outcome),
                       "queries": transcript.query_count(),

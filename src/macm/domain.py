@@ -1,4 +1,4 @@
-"""Shared vocabulary: problems, conditions, objectives, configs, transcripts, outcomes."""
+"""Shared vocabulary: problems, conditions, objectives, sampling, transcripts, outcomes."""
 
 from __future__ import annotations
 
@@ -80,27 +80,6 @@ class SamplingParams:
             raise ValueError("n, max_tokens must be positive")
         if not 0 <= self.temperature < float("inf"):
             raise ValueError(f"temperature must be finite and >= 0, got {self.temperature}")
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """A MACM run's settings. Every role samples one choice at
-    ``temperature``; each role's reply cap is in ``agents.MAX_TOKENS``."""
-
-    max_iterations: int = 5
-    format_retries: int = 2
-    temperature: float = 0.7
-    query_budget: int | None = None
-
-    def __post_init__(self):
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
-        if self.format_retries < 0:
-            raise ValueError("format_retries must be >= 0")
-        if not 0 <= self.temperature < float("inf"):
-            raise ValueError(f"temperature must be finite and >= 0, got {self.temperature}")
-        if self.query_budget is not None and self.query_budget < 1:
-            raise ValueError("query_budget must be >= 1")
 
 
 @dataclass(frozen=True)

@@ -335,22 +335,16 @@ def compute_aggregates(rows: list[ReportRow]) -> dict:
 
 METHODS = {"io": MethodIO, "cot": MethodCoT, "sc-cot": MethodSCCoT, "macm": MethodMACM}
 _LABELS = {cls: name for name, cls in METHODS.items()}
-# The knobs each method takes, named as grid keys (a flag spells _ as -), and
-# the fields each one sets, from the method down. KNOBS gives each knob's type.
-_SAMPLING_KNOBS = {"n": ("sampling", "n"), "temperature": ("sampling", "temperature")}
-METHOD_KNOBS = {
-    MethodIO: _SAMPLING_KNOBS,
-    MethodCoT: {"l": ("chain_length_l",), **_SAMPLING_KNOBS},
-    MethodSCCoT: {"l": ("chain_length_l",), "v": ("voters_v",), **_SAMPLING_KNOBS},
-    MethodMACM: {k: ("config", k) for k in
-                 ("temperature", "max_iterations", "format_retries", "query_budget")},
-}
+# The knobs each method takes: its fields but the prompts, each named as its grid
+# key (a flag spells _ as -). KNOBS gives each knob's type.
+METHOD_KNOBS = {cls: tuple(f.name for f in fields(cls) if f.name != "prompts")
+                for cls in METHODS.values()}
 KNOBS = {k: float if k == "temperature" else int for knobs in METHOD_KNOBS.values() for k in knobs}
 
 
 def with_knobs(method: Method, knobs: Mapping[str, object]) -> Method:
-    """``method`` with each knob set where METHOD_KNOBS says. A knob the
-    method does not take, or a value not of the knob's type, raises ValueError."""
+    """``method`` with each knob, a field of it, set. A knob the method does not
+    take, or a value not of the knob's type or out of its range, raises ValueError."""
     taken = METHOD_KNOBS[type(method)]
     for knob, value in knobs.items():
         if knob not in taken:
@@ -358,12 +352,7 @@ def with_knobs(method: Method, knobs: Mapping[str, object]) -> Method:
                              f"it takes {', '.join(taken)}")
         if type(value) not in (int, KNOBS[knob]):
             raise ValueError(f"{knob} must be of type {KNOBS[knob].__name__}, not {value!r}")
-        field_name, *inner = taken[knob]
-        value = KNOBS[knob](value)
-        if inner:
-            value = replace(getattr(method, field_name), **{inner[0]: value})
-        method = replace(method, **{field_name: value})
-    return method
+    return replace(method, **{knob: KNOBS[knob](value) for knob, value in knobs.items()})
 
 
 def _first_difference(recorded: list[Event], rerun: list[Event]) -> int | None:
@@ -631,18 +620,17 @@ def sweep_queries(problems: list[Problem], method: Method, knob_grid: dict,
 
 def make_backend_factory(selector: str, counter: QueryCounter | None = None):
     """A per-problem backend factory, problem id -> backend, from a CLI selector:
-    "http", "scripted:<file>", or "replay:<dir-or-file>". A replay directory
-    holds a transcript <id>.jsonl per problem (a bench's <out>/transcripts);
-    a replay file serves every problem."""
+    "http", "scripted:<file>" (read here: ValueError if not a script), or
+    "replay:<dir-or-file>". A replay directory holds a transcript <id>.jsonl per
+    problem (a bench's <out>/transcripts); a replay file serves every problem."""
     if selector == "http":
         from .backend import HttpBackend
         shared = HttpBackend(counter=counter)
         return lambda problem_id: shared
     if selector.startswith("scripted:"):
-        path = selector.split(":", 1)[1]
-        with open(path, encoding="utf-8") as fh:
-            script_data = json.load(fh)
-        return lambda problem_id: ScriptedBackend.from_dict(script_data, counter=counter)
+        with open(selector.split(":", 1)[1], encoding="utf-8") as fh:
+            script = ScriptedBackend.from_dict(json.load(fh))  # a malformed one is refused here
+        return lambda problem_id: ScriptedBackend(script.queues, counter=counter)
     if selector.startswith("replay:"):
         target = Path(selector.split(":", 1)[1])
         return lambda problem_id: ReplayBackend(

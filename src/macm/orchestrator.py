@@ -35,9 +35,7 @@ def solve(problem: Problem, method: MethodMACM, backend,
     """Run the full mining loop on one problem, logging into ``transcript``,
     and return its outcome: Solved, or Unsolvable after ``max_iterations``
     rounds without a sufficient condition list."""
-    config = method.config
-    client = AgentClient(backend=backend, config=config, transcript=transcript,
-                         prompts=method.prompts)
+    client = AgentClient(backend, method, transcript)
     log = transcript.append
     texts, objective = client.thinker_extract(problem)
     log(ObjectiveSet(objective))
@@ -46,7 +44,7 @@ def solve(problem: Problem, method: MethodMACM, backend,
         if not known.is_duplicate(text):
             known.add(text)
             log(ConditionAccepted(text))
-    for rnd in range(1, config.max_iterations + 1):
+    for rnd in range(1, method.max_iterations + 1):
         candidates = client.thinker_mine(known)
         for text in candidates:
             log(ConditionProposed(text, rnd))
@@ -64,4 +62,4 @@ def solve(problem: Problem, method: MethodMACM, backend,
             plan = client.thinker_design_steps(known)
             log(PlanDesigned(plan))
             return Solved(client.executor_compute(known, plan))
-    return Unsolvable(config.max_iterations)
+    return Unsolvable(method.max_iterations)

@@ -8,7 +8,7 @@ import pytest
 
 from macm.backend import QueryCounter, ScriptedBackend, ScriptEntry
 from macm.baselines import MethodMACM
-from macm.domain import Problem, RunConfig, SamplingParams
+from macm.domain import Problem
 from macm.harness import solve_one
 
 
@@ -29,9 +29,9 @@ def scripted(thinker=(), judge=(), executor=(), solver=(), counter=None) -> Scri
     return ScriptedBackend(roles, counter=counter or QueryCounter())
 
 
-def run_macm(problem: Problem, config: RunConfig, backend):
+def run_macm(problem: Problem, method: MethodMACM, backend):
     """One MACM run over ``backend`` through harness.solve_one: (outcome, transcript)."""
-    transcript = solve_one(problem, MethodMACM(config), lambda _: backend)
+    transcript = solve_one(problem, method, lambda _: backend)
     return transcript.outcome, transcript
 
 
@@ -79,10 +79,5 @@ def random_script(seed: int, max_rounds: int = 5, candidate_cap: int = 8):
 
 
 @pytest.fixture
-def fast_config() -> RunConfig:
-    return RunConfig(format_retries=0)
-
-
-@pytest.fixture
-def default_sampling() -> SamplingParams:
-    return SamplingParams()
+def fast_macm() -> MethodMACM:
+    return MethodMACM(format_retries=0)

@@ -13,15 +13,13 @@ import pytest
 
 from macm.agents import MAX_CANDIDATES, extract_answer, parse_candidates, parse_verdict
 from macm.backend import QueryCounter, ScriptedBackend
-from macm.baselines import MethodIO, MethodSCCoT, solve_sc_cot
+from macm.baselines import MethodIO, MethodMACM, MethodSCCoT, solve_sc_cot
 from macm.demo import algebra_problem, algebra_trace_path
 from macm.domain import (
     AgentCall,
     ConditionAccepted,
     ConditionDiscarded,
     Problem,
-    RunConfig,
-    SamplingParams,
     Solved,
     SufficiencyVerdict,
     Transcript,
@@ -74,7 +72,7 @@ def discarded(transcript):
 def test_algebra_trace_replay(capfd):
     with criterion(capfd, "algebra trace replay", 1.0):
         backend = ScriptedBackend.from_file(algebra_trace_path())
-        outcome, transcript = run_macm(algebra_problem(), RunConfig(), backend)
+        outcome, transcript = run_macm(algebra_problem(), MethodMACM(), backend)
 
         # Gold derived independently: both roots of (x+11)(x-4) must satisfy
         # x^2 + 5x + alpha = 0, so alpha1 = -((-11)**2 + 5*(-11)) and
@@ -97,7 +95,7 @@ def test_termination_after_five_rounds(capfd):
             thinker=[extraction_reply(["c0"], "obj")]
             + [mining_reply([f"c{r}"]) for r in range(1, 6)],
             judge=["True", "False"] * 5)
-        outcome, transcript = run_macm(problem, RunConfig(format_retries=0), backend)
+        outcome, transcript = run_macm(problem, MethodMACM(format_retries=0), backend)
         assert outcome == Unsolvable(5)
         mining_rounds = sorted({e.round for e in transcript.events
                                 if type(e).__name__ == "ConditionProposed"})
@@ -109,10 +107,10 @@ def test_termination_after_five_rounds(capfd):
 def test_gate_soundness_fuzz(capfd):
     with criterion(capfd, "gate soundness over 500 random scripts", 30.0):
         problem = Problem(id="f", question="q")
-        config = RunConfig(format_retries=0)
+        method = MethodMACM(format_retries=0)
         for seed in range(500):
             backend, expected = random_script(seed)
-            outcome, transcript = run_macm(problem, config, backend)
+            outcome, transcript = run_macm(problem, method, backend)
             if expected["solved"]:
                 assert outcome == Solved(f"answer-{seed}")
             else:
@@ -197,7 +195,7 @@ def test_query_accounting(capfd):
         counter = QueryCounter()
         backend = scripted(solver=["step", "Answer: 4"] * 5 + ["4"], counter=counter)
         transcript = Transcript("sc-cot")
-        solve_sc_cot(problem, MethodSCCoT(5, 5, SamplingParams()), backend, transcript)
+        solve_sc_cot(problem, MethodSCCoT(5, 5), backend, transcript)
         assert transcript.query_count() == 5 * 2 + 1
         assert counter.requests == 5 * 2 + 1
 
@@ -206,7 +204,7 @@ def test_query_accounting(capfd):
         backend = scripted(
             thinker=[extraction_reply(["c"], "obj"), mining_reply(["m"]), "1. go"],
             judge=["True", "True"], executor=["Answer: 4"], counter=counter)
-        _, transcript = run_macm(problem, RunConfig(format_retries=0), backend)
+        _, transcript = run_macm(problem, MethodMACM(format_retries=0), backend)
         calls = [e for e in transcript.events if isinstance(e, AgentCall)]
         assert transcript.query_count() == len(calls) == counter.requests == 6
 

@@ -12,7 +12,8 @@ from macm.agents import (
     parse_steps,
     parse_verdict,
 )
-from macm.domain import ConditionList, RunConfig, Transcript, Verdict
+from macm.baselines import MethodMACM
+from macm.domain import ConditionList, Transcript, Verdict
 from macm.errors import ParseFailure
 from macm.prompts import EXECUTOR_SYSTEM, JUDGE_SYSTEM, THINKER_SYSTEM, PromptCatalog
 
@@ -142,9 +143,8 @@ class TestExtractAnswer:
             extract_answer("  \n ")
 
 
-def make_client(backend, config=None):
-    return AgentClient(backend=backend, config=config or RunConfig(format_retries=0),
-                       transcript=Transcript("test"))
+def make_client(backend):
+    return AgentClient(backend, MethodMACM(format_retries=0), Transcript("test"))
 
 
 def known_with(texts, objective="the goal"):
@@ -166,7 +166,7 @@ class TestAgentOps:
         client = AgentClient(
             backend=scripted(thinker=["no structure here",
                                       "1. one plus one\nObjective: compute 1+1"]),
-            config=RunConfig(format_retries=1), transcript=Transcript("t"))
+            method=MethodMACM(format_retries=1), transcript=Transcript("t"))
         _, objective = client.thinker_extract(toy_problem)
         assert objective == "compute 1+1"
         assert client.transcript.query_count() == 2
@@ -174,7 +174,7 @@ class TestAgentOps:
     def test_extract_retry_exhaustion(self, toy_problem):
         client = AgentClient(
             backend=scripted(thinker=["garbled", "still garbled"]),
-            config=RunConfig(format_retries=1), transcript=Transcript("t"))
+            method=MethodMACM(format_retries=1), transcript=Transcript("t"))
         with pytest.raises(ParseFailure):
             client.thinker_extract(toy_problem)
         assert client.transcript.query_count() == 2
@@ -183,7 +183,7 @@ class TestAgentOps:
         client = AgentClient(
             backend=scripted(thinker=["no structure here",
                                       "1. one plus one\nObjective: compute 1+1"]),
-            config=RunConfig(format_retries=1), transcript=Transcript("t"))
+            method=MethodMACM(format_retries=1), transcript=Transcript("t"))
         gc.collect()
         gc.disable()
         try:

@@ -102,6 +102,20 @@ class TestScriptedBackend:
         assert counter.requests == 1
         assert counter.choices == 3
 
+    @pytest.mark.parametrize("script, message", [
+        ([], "^a script is "),
+        ({"roles": []}, "^a script is "),
+        ({"roles": {"judge": "True"}}, "^a script is "),
+        ({"roles": {"judge": ["True", {"expect_substring": "x"}]}}, "^role 'judge' entry 1 "),
+        ({"roles": {"solver": [{"reply": 5}]}}, "^role 'solver' entry 0 "),
+        ({"roles": {"solver": [{"reply": "ok", "expect_substring": 5}]}},
+         "^role 'solver' entry 0 "),
+    ], ids=["not-an-object", "roles-not-an-object", "entries-not-a-list", "no-reply",
+            "reply-not-text", "expect-substring-not-text"])
+    def test_a_malformed_script_is_refused(self, script, message):
+        with pytest.raises(ValueError, match=message):
+            ScriptedBackend.from_dict(script)
+
     def test_queues_consumed_in_order(self):
         backend = ScriptedBackend({"judge": [ScriptEntry("True"), ScriptEntry("False")]})
         assert backend.complete(request(), "judge").text == "True"
@@ -707,14 +721,19 @@ class TestHttpReplyFraming:
         assert len(_StubHandler.seen) == 3
 
     def test_connection_close_replies_leave_no_descriptor_open(self, stub_server):
+        port = stub_server.server_address[1]
+
         def descriptors():
-            # Sockets only: a file another test's object closes meanwhile
-            # must not move the count.
-            links = []
+            # This process's sockets at either end of the stub's port only: a
+            # socket another test's object closes meanwhile must not move the count.
+            inodes = set()
             for fd in os.listdir("/proc/self/fd"):
                 with contextlib.suppress(FileNotFoundError):  # closed since listed
-                    links.append(os.readlink(f"/proc/self/fd/{fd}"))
-            return sum(link.startswith("socket:") for link in links)
+                    inodes.add(os.readlink(f"/proc/self/fd/{fd}"))
+            with open("/proc/self/net/tcp") as fh:
+                rows = [line.split() for line in fh.readlines()[1:]]
+            return sum(f"socket:[{row[9]}]" in inodes
+                       and port in (int(row[1][-4:], 16), int(row[2][-4:], 16)) for row in rows)
 
         before = descriptors()
         _StubHandler.script = [(200, None, {"Connection": "close"})] * 5 + [(200, None)]
@@ -727,6 +746,31 @@ class TestHttpReplyFraming:
         del backend
         _wait_for(lambda: descriptors() == before)
         assert len(_StubHandler.opened) == 6
+
+    @pytest.mark.parametrize("retry_after", [
+        "1 Jan 99999999999 00:00:00", "Mon, 01 Jan 2024 00:00:00 +99999999999999999999",
+    ], ids=["year", "zone-offset"])
+    def test_a_date_out_of_range_waits_the_backoff(self, stub_server, no_sleep, retry_after):
+        # parsedate_to_datetime raises OverflowError on these: each is read as
+        # an unparseable date, not an escape from complete().
+        _StubHandler.script = [(429, {"error": "busy"}, {"Retry-After": retry_after}),
+                               (200, None)]
+        counter = QueryCounter()
+        backend = _backend(stub_server, counter=counter)
+        assert backend.complete(request(), "thinker").choices == ("choice-0",)
+        assert no_sleep == [1]
+        assert counter.requests == 1
+
+    def test_an_infinite_token_count_is_a_malformed_body(self, stub_server, no_sleep):
+        # json.loads reads 1e400 as infinity, and int() of it raises OverflowError.
+        _StubHandler.script = [(200, b'{"choices": [{"message": {"content": "ok"}}], '
+                                     b'"usage": {"prompt_tokens": 1e400}}')]
+        counter = QueryCounter()
+        with pytest.raises(BackendFailure, match="malformed response body"):
+            _backend(stub_server, counter=counter).complete(request(), "thinker")
+        assert len(_StubHandler.seen) == 1
+        assert no_sleep == []
+        assert counter.requests == 1
 
 
 class TestHttpKeepAlive:

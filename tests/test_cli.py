@@ -5,7 +5,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from macm.cli import EXIT_FOR_ERROR, main
+from macm import harness
+from macm.cli import EXIT_FOR_ERROR, _method, build_parser, main
 from macm.demo import ALGEBRA_GOLD, ALGEBRA_QUESTION, algebra_trace_path
 from macm.domain import ERROR_KINDS, RunError, Unsolvable
 from macm.harness import read_transcript
@@ -113,12 +114,12 @@ class TestSolve:
 
     def test_out_that_cannot_be_made_is_refused_before_any_call(self, tmp_path, capsys,
                                                                 monkeypatch):
-        from macm import harness
-
-        def no_backend(*args, **kwargs):
+        def no_backend(problem_id):
             pytest.fail("a backend was built")
 
-        monkeypatch.setattr(harness, "make_backend_factory", no_backend)
+        # The factory is made first, so a malformed script is refused before
+        # --out is; no backend is built from it.
+        monkeypatch.setattr(harness, "make_backend_factory", lambda *args: no_backend)
         out = tmp_path / "outfile"
         out.write_text("not a directory\n")
         code = main(["solve", "--question", ALGEBRA_QUESTION,
@@ -466,7 +467,7 @@ def test_replaying_a_bench_reproduces_its_report_and_calls(run, seed, tmp_path_f
     rng = random.Random(seed)
     if run == "macm":
         backend, _ = random_script(seed)
-        roles = {role: [e.reply for e in entries] for role, entries in backend._queues.items()}
+        roles = {role: [e.reply for e in entries] for role, entries in backend.queues.items()}
         # A malformed verdict somewhere: its retry, or a ParseFailure, replays too.
         roles["judge"].insert(rng.randrange(len(roles["judge"]) + 1), "Maybe")
     else:
@@ -693,6 +694,58 @@ def test_non_finite_temperature_is_refused(command, method, value, tmp_path, cap
     assert _knob_run(command, method, "temperature", float(value), tmp_path) == 2
     assert "temperature must be finite and >= 0" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("script, message", [
+    ([], "a script is "),
+    ({"roles": {"solver": [{"expect_substring": "q"}]}}, "role 'solver' entry 0"),
+    ({"roles": {"solver": ["Answer: 7", {"reply": 5}]}}, "role 'solver' entry 1"),
+], ids=["not-an-object", "no-reply", "reply-not-text"])
+@pytest.mark.parametrize("command", ["solve", "bench", "sweep"])
+def test_a_malformed_script_is_refused_before_anything_is_written(command, script, message,
+                                                                  tmp_path, capsys):
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(script))
+    dataset = tmp_path / "d.jsonl"
+    write_jsonl(dataset, [{"id": "p0", "question": "q", "answer": "7"}])
+    out = tmp_path / "out"
+    assert main([command, *dataset_flags(command, dataset, '{"n": [1]}'), "--method", "io",
+                 "--backend", f"scripted:{path}", "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+# In-range values of each knob; temperature also as an integer, which a grid may give.
+_KNOB_DRAWS = {"n": st.integers(1, 9), "l": st.integers(1, 9), "v": st.integers(1, 9),
+               "temperature": st.integers(0, 2) | st.floats(0, 2),
+               "max_iterations": st.integers(1, 9), "format_retries": st.integers(0, 4),
+               "query_budget": st.integers(1, 99)}
+
+
+@pytest.mark.parametrize("method", list(TAKES))
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_a_knob_is_a_field_of_its_method(method, data):
+    cls = harness.METHODS[method]
+    chosen = data.draw(st.lists(st.sampled_from(sorted(TAKES[method])), unique=True))
+    knobs = {knob: data.draw(_KNOB_DRAWS[knob], label=knob) for knob in chosen}
+    expected = cls(**{knob: harness.KNOBS[knob](value) for knob, value in knobs.items()})
+    assert harness.with_knobs(cls(), knobs) == expected
+    flags = [f"--{knob.replace('_', '-')}={value}" for knob, value in knobs.items()]
+    args = build_parser().parse_args(["bench", "--dataset", "d.jsonl", "--backend", "http",
+                                      "--method", method, *flags])
+    assert _method(args) == expected
+
+
+def test_every_field_but_the_prompts_is_a_knob_with_a_flag():
+    for cls in harness.METHODS.values():
+        for field in dataclasses.fields(cls):
+            if field.name == "prompts":
+                continue
+            kind = harness.KNOBS[field.name]
+            args = build_parser().parse_args(["bench", "--dataset", "d.jsonl", "--backend",
+                                              "http", f"--{field.name.replace('_', '-')}=1"])
+            assert getattr(args, field.name) == kind(1) and type(getattr(args, field.name)) is kind
 
 
 @pytest.mark.parametrize("method, grid, named", [

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from macm.agents import EXECUTOR, JUDGE, MAX_TOKENS, THINKER
+from macm.baselines import MethodMACM
 from macm.domain import (
     ERROR_KINDS,
     AgentCall,
@@ -21,7 +22,6 @@ from macm.domain import (
     ObjectiveSet,
     PlanDesigned,
     Problem,
-    RunConfig,
     RunError,
     SamplingParams,
     Solved,
@@ -125,20 +125,20 @@ class TestConditionList:
             known.add(text)
         assert known.texts == ["c1", "c2", "c3"]
 
-    def test_discarded_not_in_accepted(self, toy_problem, fast_config):
+    def test_discarded_not_in_accepted(self, toy_problem, fast_macm):
         backend = scripted(thinker=[extraction_reply(["keep"], "goal"), mining_reply(["drop"]),
                                     "1. go"],
                            judge=["False", "True"], executor=["Answer: ok"])
-        outcome, transcript = run_macm(toy_problem, fast_config, backend)
+        outcome, transcript = run_macm(toy_problem, fast_macm, backend)
         assert outcome == Solved("ok")
         assert [e.text for e in transcript.events if isinstance(e, ConditionAccepted)] == ["keep"]
         assert "drop" not in transcript.agent_calls()[-1].prompt
 
-    def test_discarded_text_can_be_reaccepted(self, toy_problem, fast_config):
+    def test_discarded_text_can_be_reaccepted(self, toy_problem, fast_macm):
         backend = scripted(thinker=[extraction_reply(["y = 2"], "goal"), mining_reply(["x = 1"]),
                                     mining_reply(["x = 1"]), "1. go"],
                            judge=["False", "False", "True", "True"], executor=["Answer: ok"])
-        outcome, transcript = run_macm(toy_problem, fast_config, backend)
+        outcome, transcript = run_macm(toy_problem, fast_macm, backend)
         assert outcome == Solved("ok")
         assert ConditionDiscarded("x = 1", 1) in transcript.events
         assert [e.text for e in transcript.events if isinstance(e, ConditionAccepted)] \
@@ -164,25 +164,25 @@ class TestConfigs:
     def test_role_max_tokens_defaults(self):
         assert MAX_TOKENS == {THINKER: 512, JUDGE: 4, EXECUTOR: 256}
 
-    def test_run_config_temperature(self):
-        assert RunConfig().temperature == 0.7
+    def test_macm_temperature(self):
+        assert MethodMACM().temperature == 0.7
         with pytest.raises(ValueError):
-            RunConfig(temperature=-0.1)
+            MethodMACM(temperature=-0.1)
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_temperature_rejected(self, value):
-        for make in (RunConfig, SamplingParams):
+        for make in (MethodMACM, SamplingParams):
             with pytest.raises(ValueError, match="temperature must be finite and >= 0"):
                 make(temperature=value)
 
-    def test_run_config_defaults(self):
-        config = RunConfig()
-        assert config.max_iterations == 5
-        assert config.format_retries == 2
+    def test_macm_defaults(self):
+        method = MethodMACM()
+        assert method.max_iterations == 5
+        assert method.format_retries == 2
 
     def test_invalid_configs_rejected(self):
         with pytest.raises(ValueError):
-            RunConfig(max_iterations=0)
+            MethodMACM(max_iterations=0)
         with pytest.raises(ValueError):
             SamplingParams(n=0)
         with pytest.raises(ValueError):
@@ -191,8 +191,8 @@ class TestConfigs:
     @pytest.mark.parametrize("budget", [0, -1])
     def test_query_budget_below_one_rejected(self, budget):
         with pytest.raises(ValueError, match="query_budget must be >= 1"):
-            RunConfig(query_budget=budget)
-        assert RunConfig(query_budget=1).query_budget == 1
+            MethodMACM(query_budget=budget)
+        assert MethodMACM(query_budget=1).query_budget == 1
 
     def test_problem_validation(self):
         with pytest.raises(ValueError):

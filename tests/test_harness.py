@@ -21,9 +21,7 @@ from macm.domain import (
     ObjectiveSet,
     PlanDesigned,
     Problem,
-    RunConfig,
     RunError,
-    SamplingParams,
     Solved,
     SufficiencyVerdict,
     Transcript,
@@ -308,7 +306,7 @@ class TestRunBenchmark:
                 judge=["True", "True"],
                 executor=["Answer: 2"]),
         }, counter)
-        method = MethodMACM(config=RunConfig(format_retries=0))
+        method = MethodMACM(format_retries=0)
         report = run_benchmark([toy_problem], method, factory, tmp_path)
         assert report.rows[0].correct
         assert report.rows[0].queries == 6
@@ -318,7 +316,7 @@ class TestRunBenchmark:
         problems = self._three_problems()
         counter = QueryCounter()
         scripts = {p.id: {"solver": ["step", f"Answer: {p.id[-1]}"]} for p in problems}
-        report = run_benchmark(problems, MethodCoT(chain_length_l=5),
+        report = run_benchmark(problems, MethodCoT(l=5),
                                per_problem_factory(scripts, counter), tmp_path)
         assert sum(r.queries for r in report.rows) == counter.requests
 
@@ -502,11 +500,11 @@ class TestTranscriptFiles:
         lines = [json.loads(l) for l in path.read_text().splitlines() if l.strip()]
         assert lines[-1]["event"] == "final"
 
-    def test_round_trip(self, tmp_path, toy_problem, fast_config):
+    def test_round_trip(self, tmp_path, toy_problem, fast_macm):
         backend = scripted(
             thinker=[extraction_reply(["c"], "obj"), mining_reply(["m"]), "1. s"],
             judge=["True", "True"], executor=["Answer: 2"])
-        _, transcript = run_macm(toy_problem, fast_config, backend)
+        _, transcript = run_macm(toy_problem, fast_macm, backend)
         path = tmp_path / "t.jsonl"
         write_transcript(transcript, path)
         loaded = read_transcript(path)
@@ -531,7 +529,7 @@ class TestTranscriptFiles:
             self, tmp_path, monkeypatch, toy_problem):
         from macm import agents
         monkeypatch.setattr(agents, "now", lambda: GOLDEN_TIMESTAMP)
-        short = MethodMACM(config=RunConfig(query_budget=2))
+        short = MethodMACM(query_budget=2)
 
         def run(method, out):
             script = scripted(thinker=[extraction_reply(["c"], "obj"), mining_reply(["m"]),
@@ -678,7 +676,7 @@ class TestGoldenTranscriptFormat:
 
         monkeypatch.setattr(agents, "now", lambda: GOLDEN_TIMESTAMP)
         _, transcript = run_macm(dataclasses.replace(algebra_problem(), id="algebra"),
-                                 RunConfig(), ScriptedBackend.from_file(algebra_trace_path()))
+                                 MethodMACM(), ScriptedBackend.from_file(algebra_trace_path()))
         path = tmp_path / "algebra.jsonl"
         write_transcript(transcript, path)
         assert path.read_bytes() == GOLDEN_ALGEBRA.read_bytes()
@@ -729,13 +727,12 @@ class TestSweep:
         assert first.aggregates["mean_choices"] <= second.aggregates["mean_choices"]
 
     def test_grid_applies_to_the_base_method_and_sampling(self):
-        base = MethodMACM(config=RunConfig(format_retries=0, query_budget=9))
+        base = MethodMACM(format_retries=0, query_budget=9)
         method = with_knobs(base, {"max_iterations": 2})
-        assert method.config == RunConfig(max_iterations=2, format_retries=0, query_budget=9)
+        assert method == MethodMACM(max_iterations=2, format_retries=0, query_budget=9)
         assert method.prompts is base.prompts
-        cot = MethodCoT(chain_length_l=2, sampling=SamplingParams(temperature=0.0))
-        assert with_knobs(cot, {"n": 3}) == MethodCoT(
-            chain_length_l=2, sampling=SamplingParams(n=3, temperature=0.0))
+        cot = MethodCoT(l=2, temperature=0.0)
+        assert with_knobs(cot, {"n": 3}) == MethodCoT(l=2, n=3, temperature=0.0)
         for target, knobs in ((base, {"max_iterations": 2, "n": 3}),
                               (cot, {"n": 3, "max_iterations": 2}), (cot, {"v": 4})):
             with pytest.raises(ValueError, match="does not take"):
@@ -744,8 +741,7 @@ class TestSweep:
     def test_temperature_is_stored_as_a_float(self):
         for method in (MethodIO(), MethodMACM()):
             tuned = with_knobs(method, {"temperature": 0})
-            holder = tuned.sampling if isinstance(tuned, MethodIO) else tuned.config
-            assert holder.temperature == 0 and type(holder.temperature) is float
+            assert tuned.temperature == 0 and type(tuned.temperature) is float
 
     @pytest.mark.parametrize("knobs", [{"n": True}, {"n": 1.5}, {"n": "2"}, {"n": None},
                                        {"temperature": "hot"}, {"temperature": False}])
@@ -810,7 +806,7 @@ class TestRecordReplayBenchmark:
         problems = [Problem(id=f"p{i}", question=f"q{i}", gold_answer="7") for i in range(4)]
         script_path = tmp_path / "script.json"
         script_path.write_text(json.dumps({"roles": {"solver": ["Answer: 7", "Answer: 7"]}}))
-        method = MethodIO(SamplingParams(n=2))
+        method = MethodIO(n=2)
         out = tmp_path / "out"
         write_report(run_benchmark(problems, method,
                                    make_backend_factory(f"scripted:{script_path}"), out), out)
@@ -865,7 +861,7 @@ class TestRecordReplayBenchmark:
         problems = [Problem(id=f"p{i}", question=f"q{i}", gold_answer="0") for i in range(3)]
         script_path = tmp_path / "script.json"
         script_path.write_text(json.dumps({"roles": {"solver": ["Answer: 0", "Answer: 0"]}}))
-        method = MethodIO(SamplingParams(n=2))  # two requests: n choices, then a select
+        method = MethodIO(n=2)  # two requests: n choices, then a select
         recorded = run_benchmark(
             problems, method, make_backend_factory(f"scripted:{script_path}", QueryCounter()),
             tmp_path / "rec")

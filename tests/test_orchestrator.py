@@ -28,7 +28,6 @@ from macm.domain import (
     Final,
     ObjectiveSet,
     Problem,
-    RunConfig,
     RunError,
     SamplingParams,
     Solved,
@@ -66,7 +65,7 @@ def without_timestamps(events):
 class TestAlgebraTraceReplay:
     def test_full_trace(self):
         backend = ScriptedBackend.from_file(algebra_trace_path())
-        outcome, transcript = run_macm(algebra_problem(), RunConfig(), backend)
+        outcome, transcript = run_macm(algebra_problem(), MethodMACM(), backend)
         assert outcome == Solved("-102")
         assert len(discarded(transcript)) == 1
         assert discarded(transcript)[0].text == "x^2 + 5x + α = k(x + 11)(x - 4)"
@@ -76,7 +75,7 @@ class TestAlgebraTraceReplay:
 
     def test_rejected_condition_never_reappears_in_prompts(self):
         backend = ScriptedBackend.from_file(algebra_trace_path())
-        _, transcript = run_macm(algebra_problem(), RunConfig(), backend)
+        _, transcript = run_macm(algebra_problem(), MethodMACM(), backend)
         discard_index = next(i for i, e in enumerate(transcript.events)
                              if isinstance(e, ConditionDiscarded))
         bad = "x^2 + 5x + α = k(x + 11)(x - 4)"
@@ -86,12 +85,12 @@ class TestAlgebraTraceReplay:
 
 
 class TestTermination:
-    def test_unsolvable_after_five_rounds(self, toy_problem, fast_config):
+    def test_unsolvable_after_five_rounds(self, toy_problem, fast_macm):
         backend = scripted(
             thinker=[extraction_reply(["c0"], "obj")]
             + [mining_reply([f"c{r}"]) for r in range(1, 6)],
             judge=["True", "False"] * 5)
-        outcome, transcript = run_macm(toy_problem, fast_config, backend)
+        outcome, transcript = run_macm(toy_problem, fast_macm, backend)
         assert outcome == Unsolvable(5)
         mining_rounds = {e.round for e in transcript.events
                          if type(e).__name__ == "ConditionProposed"}
@@ -101,10 +100,10 @@ class TestTermination:
         assert not any(v.value for v in sufficiency)
 
     def test_max_iterations_one(self, toy_problem):
-        config = RunConfig(max_iterations=1, format_retries=0)
+        method = MethodMACM(max_iterations=1, format_retries=0)
         backend = scripted(thinker=[extraction_reply(["c0"], "obj"), mining_reply(["c1"])],
                            judge=["True", "False"])
-        outcome, _ = run_macm(toy_problem, config, backend)
+        outcome, _ = run_macm(toy_problem, method, backend)
         assert outcome == Unsolvable(1)
 
 
@@ -138,10 +137,10 @@ class SubclassOfBackendFailure(BackendFailure):
 
 class TestErrorPropagation:
     def test_judge_off_vocabulary_aborts(self, toy_problem):
-        config = RunConfig(format_retries=0)
+        method = MethodMACM(format_retries=0)
         backend = scripted(thinker=[extraction_reply(["c0"], "obj"), mining_reply(["c1"])],
                            judge=["Maybe"])
-        outcome, transcript = run_macm(toy_problem, config, backend)
+        outcome, transcript = run_macm(toy_problem, method, backend)
         assert isinstance(outcome, RunError)
         assert outcome.kind == "ParseFailure"
         assert transcript.is_final
@@ -149,14 +148,14 @@ class TestErrorPropagation:
         assert transcript.agent_calls()[-1].role == "judge"
 
     @pytest.mark.parametrize("failure", list(BACKEND_FAILURES))
-    def test_backend_errors_end_as_backend_failure(self, failure, toy_problem, fast_config,
+    def test_backend_errors_end_as_backend_failure(self, failure, toy_problem, fast_macm,
                                                    tmp_path):
         message = BACKEND_FAILURES[failure]
         with pytest.raises(BackendFailure, match=message):
             failing_backend(failure, "solver", tmp_path / "a").complete(
                 ChatRequest((ChatMessage("user", "q"),), SamplingParams()), "solver")
 
-        outcome, transcript = run_macm(toy_problem, fast_config,
+        outcome, transcript = run_macm(toy_problem, fast_macm,
                                        failing_backend(failure, "thinker", tmp_path / "b"))
         assert isinstance(outcome, RunError) and outcome.kind == "BackendFailure"
         assert re.search(message, outcome.detail)
@@ -181,7 +180,7 @@ class TestErrorPropagation:
         assert RunError.of(error("detail")) == RunError(
             "InternalError", f"{error.__name__}: {error('detail')}")
 
-    def test_bug_in_a_backend_ends_the_run_with_its_transcript(self, toy_problem, fast_config):
+    def test_bug_in_a_backend_ends_the_run_with_its_transcript(self, toy_problem, fast_macm):
         class Buggy:
             """Answers the extraction, then fails at the second call."""
 
@@ -193,25 +192,25 @@ class TestErrorPropagation:
                     raise ZeroDivisionError("division by zero")
                 return self.inner.complete(request, role)
 
-        outcome, transcript = run_macm(toy_problem, fast_config, Buggy())
+        outcome, transcript = run_macm(toy_problem, fast_macm, Buggy())
         assert outcome == RunError("InternalError", "ZeroDivisionError: division by zero")
         assert transcript.query_count() == 1 and transcript.outcome == outcome
         assert ObjectiveSet("obj") in transcript.events
 
     def test_query_budget(self, toy_problem):
-        config = RunConfig(format_retries=0, query_budget=2)
+        method = MethodMACM(format_retries=0, query_budget=2)
         backend = scripted(
             thinker=[extraction_reply(["c0"], "obj"), mining_reply(["c1"])],
             judge=["True", "True"])
-        outcome, transcript = run_macm(toy_problem, config, backend)
+        outcome, transcript = run_macm(toy_problem, method, backend)
         assert isinstance(outcome, RunError)
         assert outcome.kind == "BudgetExceeded"
         assert transcript.query_count() == 2
 
 
 class TestDedupAndRejudge:
-    def test_duplicate_accepted_condition_not_judged_again(self, toy_problem, fast_config):
-        outcome, transcript = run_macm(toy_problem, fast_config, duplicate_script())
+    def test_duplicate_accepted_condition_not_judged_again(self, toy_problem, fast_macm):
+        outcome, transcript = run_macm(toy_problem, fast_macm, duplicate_script())
         assert outcome == Solved("done")
         dups = [e for e in transcript.events if isinstance(e, DuplicateDropped)]
         assert len(dups) == 1 and dups[0].text == "x = 1"
@@ -219,7 +218,7 @@ class TestDedupAndRejudge:
         texts = [e.text for e in accepted_mined(transcript)]
         assert texts == ["x = 1", "y = 2"]
 
-    def test_discarded_condition_is_rejudged_on_reproposal(self, toy_problem, fast_config):
+    def test_discarded_condition_is_rejudged_on_reproposal(self, toy_problem, fast_macm):
         backend = scripted(
             thinker=[extraction_reply(["c0"], "obj"),
                      mining_reply(["z = 9"]),
@@ -228,7 +227,7 @@ class TestDedupAndRejudge:
             judge=["False", "False",   # round 1: reject, insufficient
                    "True", "True"],    # round 2: same text accepted, sufficient
             executor=["Answer: ok"])
-        outcome, transcript = run_macm(toy_problem, fast_config, backend)
+        outcome, transcript = run_macm(toy_problem, fast_macm, backend)
         assert outcome == Solved("ok")
         judged = [(type(e), e.round) for e in transcript.events
                   if isinstance(e, (ConditionAccepted, ConditionDiscarded)) and e.text == "z = 9"]
@@ -236,7 +235,7 @@ class TestDedupAndRejudge:
 
 
 class TestOrderInsensitivity:
-    def test_permuting_candidates_keeps_accepted_set(self, toy_problem, fast_config):
+    def test_permuting_candidates_keeps_accepted_set(self, toy_problem, fast_macm):
         # Judge verdict is a function of candidate text: "good-*" -> True.
         def run(order):
             verdicts = ["True" if t.startswith("good") else "False" for t in order]
@@ -244,7 +243,7 @@ class TestOrderInsensitivity:
                 thinker=[extraction_reply(["c0"], "obj"), mining_reply(list(order)), "1. go"],
                 judge=verdicts + ["True"],
                 executor=["Answer: fin"])
-            outcome, transcript = run_macm(toy_problem, fast_config, backend)
+            outcome, transcript = run_macm(toy_problem, fast_macm, backend)
             assert outcome == Solved("fin")
             return {e.text for e in accepted_mined(transcript)}
 
@@ -255,9 +254,9 @@ class TestOrderInsensitivity:
 
 class TestGateSoundnessFuzz:
     @pytest.mark.parametrize("seed", range(40))
-    def test_random_scripts(self, seed, toy_problem, fast_config):
+    def test_random_scripts(self, seed, toy_problem, fast_macm):
         backend, expected = random_script(seed)
-        outcome, transcript = run_macm(toy_problem, fast_config, backend)
+        outcome, transcript = run_macm(toy_problem, fast_macm, backend)
         if expected["solved"]:
             assert outcome == Solved(f"answer-{seed}")
         else:
@@ -323,9 +322,9 @@ def format_retry_script():
 # scripted replies, enough for several calls.
 BASELINE_RUNS = {
     "io": (MethodIO(), ["Answer: 4"]),
-    "io-n3": (MethodIO(SamplingParams(n=3)), ["Answer: 4", "Answer: 4"]),
-    "cot": (MethodCoT(chain_length_l=3), ["First, 2 + 2.", "That is 4.", "Answer: 4"]),
-    "sc-cot": (MethodSCCoT(chain_length_l=2, voters_v=2),
+    "io-n3": (MethodIO(n=3), ["Answer: 4", "Answer: 4"]),
+    "cot": (MethodCoT(l=3), ["First, 2 + 2.", "That is 4.", "Answer: 4"]),
+    "sc-cot": (MethodSCCoT(l=2, v=2),
                ["2 + 2 is 4.", "Answer: 4", "Answer: 4", "4"]),
 }
 
@@ -333,7 +332,7 @@ BASELINE_RUNS = {
 def scripted_run(run):
     """The problem, the method and a function making new scripted backends of one
     named or random scripted run."""
-    method = MethodMACM(RunConfig(format_retries=0))
+    method = MethodMACM(format_retries=0)
     problem = Problem(id="toy-1", question="Compute 1+1.")
     if run == "algebra":
         problem, method = algebra_problem(), MethodMACM()
@@ -347,7 +346,7 @@ def scripted_run(run):
     elif run == "duplicate":
         build = duplicate_script
     elif run == "format-retry":
-        build, method = format_retry_script, MethodMACM(RunConfig(format_retries=1))
+        build, method = format_retry_script, MethodMACM(format_retries=1)
     else:
         build = lambda: random_script(run)[0]  # noqa: E731
     return problem, method, build
@@ -411,37 +410,37 @@ class TestEveryMethodEndsOneWay:
 
 
 class TestResume:
-    def _record_full_run(self, tmp_path, problem, config):
-        outcome, transcript = run_macm(problem, config, two_round_script())
+    def _record_full_run(self, tmp_path, problem, method):
+        outcome, transcript = run_macm(problem, method, two_round_script())
         assert outcome == Solved("99")
         path = tmp_path / "run.jsonl"
         write_transcript(transcript, path)
         return path, transcript
 
-    def test_resume_after_round_one_sufficiency(self, tmp_path, toy_problem, fast_config):
-        recording, full = self._record_full_run(tmp_path, toy_problem, fast_config)
+    def test_resume_after_round_one_sufficiency(self, tmp_path, toy_problem, fast_macm):
+        recording, full = self._record_full_run(tmp_path, toy_problem, fast_macm)
         cut = next(i for i, e in enumerate(full.events)
                    if isinstance(e, SufficiencyVerdict) and e.round == 1)
         partial = Transcript(full.run_id)
         partial.events = list(full.events[: cut + 1])
         calls_done = partial.query_count()
 
-        resumed = solve_one(toy_problem, MethodMACM(fast_config),
+        resumed = solve_one(toy_problem, fast_macm,
                             lambda _: ReplayBackend(recording, skip_calls=calls_done),
                             prefix=partial)
         assert resumed.outcome == full.outcome
         assert resumed.query_count() == full.query_count()
         assert accepted_mined(resumed) == accepted_mined(full)
 
-    def test_resume_mid_judging(self, tmp_path, toy_problem, fast_config):
-        recording, full = self._record_full_run(tmp_path, toy_problem, fast_config)
+    def test_resume_mid_judging(self, tmp_path, toy_problem, fast_macm):
+        recording, full = self._record_full_run(tmp_path, toy_problem, fast_macm)
         # Cut right after the round-2 candidate was proposed but before judging.
         cut = max(i for i, e in enumerate(full.events)
                   if type(e).__name__ == "ConditionProposed" and e.round == 2)
         partial = Transcript(full.run_id)
         partial.events = list(full.events[: cut + 1])
         resumed = solve_one(
-            toy_problem, MethodMACM(fast_config),
+            toy_problem, fast_macm,
             lambda _: ReplayBackend(recording, skip_calls=partial.query_count()), prefix=partial)
         assert resumed.outcome == full.outcome
 
@@ -513,15 +512,15 @@ class TestResume:
         ConditionProposed("m2", 1), DuplicateDropped("m2", 3), ConditionAccepted("m2", 1),
         ConditionDiscarded("m2", 3), SufficiencyVerdict(1, True)])
     def test_resume_event_filed_under_another_round_is_corrupt(
-            self, tmp_path, toy_problem, fast_config, event):
-        recording, full = self._record_full_run(tmp_path, toy_problem, fast_config)
+            self, tmp_path, toy_problem, fast_macm, event):
+        recording, full = self._record_full_run(tmp_path, toy_problem, fast_macm)
         cut = next(i for i, e in enumerate(full.events)
                    if isinstance(e, SufficiencyVerdict) and e.round == 1)
         partial = Transcript(full.run_id)
         partial.events = full.events[: cut + 1] + [event]
         with pytest.raises(CorruptTranscript,
                            match=rf"event {cut + 1} of the transcript, {type(event).__name__}"):
-            solve_one(toy_problem, MethodMACM(fast_config), lambda _: NeverCalled(),
+            solve_one(toy_problem, fast_macm, lambda _: NeverCalled(),
                       prefix=partial)
 
     @pytest.mark.parametrize("tamper", ["edited prompt", "extra event", "extra call",
@@ -547,11 +546,11 @@ class TestResume:
             events[where] = dataclasses.replace(events[where],
                                                 prompt=events[where].prompt.replace(" ", "  "))
         elif tamper == "fewer rounds":
-            method = MethodMACM(dataclasses.replace(method.config, max_iterations=1))
+            method = dataclasses.replace(method, max_iterations=1)
             where = next(i for i, e in enumerate(events) if isinstance(e, SufficiencyVerdict)) + 1
         else:
             prompts = dataclasses.replace(PromptCatalog(), mine="Mine: {conditions} {objective}")
-            method = MethodMACM(method.config, prompts)
+            method = dataclasses.replace(method, prompts=prompts)
             where = calls[1]
         partial = Transcript(full.run_id)
         partial.events = events
@@ -592,30 +591,30 @@ class TestResume:
         assert asked == []
 
     def test_resume_with_a_missing_continuation_recording_is_a_backend_failure(
-            self, tmp_path, toy_problem, fast_config):
-        _, full = self._record_full_run(tmp_path, toy_problem, fast_config)
+            self, tmp_path, toy_problem, fast_macm):
+        _, full = self._record_full_run(tmp_path, toy_problem, fast_macm)
         cut = next(i for i, e in enumerate(full.events)
                    if isinstance(e, SufficiencyVerdict) and e.round == 1)
         partial = Transcript(full.run_id)
         partial.events = full.events[: cut + 1]
         kept = list(partial.events)
         missing = tmp_path / "missing" / "toy-1.jsonl"
-        resumed = solve_one(toy_problem, MethodMACM(fast_config),
+        resumed = solve_one(toy_problem, fast_macm,
                             lambda _: ReplayBackend(missing), prefix=partial)
         assert resumed.events[:-1] == kept
         assert isinstance(resumed.outcome, RunError)
         assert resumed.outcome.kind == "BackendFailure"
         assert str(missing) in resumed.outcome.detail
 
-    def test_resume_finalized_transcript_is_corrupt(self, toy_problem, fast_config):
+    def test_resume_finalized_transcript_is_corrupt(self, toy_problem, fast_macm):
         transcript = Transcript("done")
         transcript.append(Final(Solved("1")))
         with pytest.raises(CorruptTranscript):
-            solve_one(toy_problem, MethodMACM(fast_config), lambda _: two_round_script(),
+            solve_one(toy_problem, fast_macm, lambda _: two_round_script(),
                       prefix=transcript)
 
-    def test_resume_empty_transcript_is_fresh_solve(self, toy_problem, fast_config):
-        transcript = solve_one(toy_problem, MethodMACM(fast_config),
+    def test_resume_empty_transcript_is_fresh_solve(self, toy_problem, fast_macm):
+        transcript = solve_one(toy_problem, fast_macm,
                                lambda _: two_round_script(), prefix=Transcript("fresh"))
         assert transcript.outcome == Solved("99")
         assert transcript.query_count() == 9
@@ -656,16 +655,16 @@ def test_replay_and_resume_match_a_request_by_one_rule(reader, role, prompt, n, 
 
 
 class TestTranscriptShape:
-    def test_exactly_one_final_and_it_is_last(self, toy_problem, fast_config):
+    def test_exactly_one_final_and_it_is_last(self, toy_problem, fast_macm):
         backend, _ = random_script(7)
-        _, transcript = run_macm(toy_problem, fast_config, backend)
+        _, transcript = run_macm(toy_problem, fast_macm, backend)
         finals = [e for e in transcript.events if isinstance(e, Final)]
         assert len(finals) == 1
         assert isinstance(transcript.events[-1], Final)
 
-    def test_determinism_modulo_timestamps(self, toy_problem, fast_config):
+    def test_determinism_modulo_timestamps(self, toy_problem, fast_macm):
         def run():
-            _, t = run_macm(toy_problem, fast_config, two_round_script())
+            _, t = run_macm(toy_problem, fast_macm, two_round_script())
             return without_timestamps(t.events)
 
         assert run() == run()
