@@ -18,7 +18,6 @@ from macm.domain import (
     AgentCall,
     ConditionAccepted,
     ConditionDiscarded,
-    ConditionProposed,
     Final,
     SufficiencyVerdict,
     Transcript,
@@ -40,7 +39,7 @@ def main() -> None:
             print(f"[verdict] condition: {event.text} -> {isinstance(event, ConditionAccepted)}")
         elif isinstance(event, SufficiencyVerdict):
             print(f"[verdict] sufficient after round {event.round} -> {event.value}")
-        elif not isinstance(event, (ConditionProposed, Final)):
+        elif not isinstance(event, Final):
             print(f"[state]   {type(event).__name__}: {getattr(event, 'text', '')}")
     print(f"\noutcome: {json.dumps(outcome_to_dict(transcript.outcome))}")
     print(f"queries: {transcript.query_count()}")

@@ -376,11 +376,11 @@ class HttpBackend:
     """OpenAI-compatible chat-completions client.
 
     Configuration comes from arguments or the MACM_BASE_URL / MACM_API_KEY /
-    MACM_MODEL environment variables. Transient transport failures and
-    retryable HTTP statuses are retried up to 3 times with exponential
-    backoff, or after the server's ``Retry-After`` (seconds or an HTTP date)
-    if that is longer;
-    4xx auth/client errors fail immediately.
+    MACM_MODEL environment variables; a missing base URL or key, or a base URL
+    that is not http:// or https://, raises ValueError. Transient transport
+    failures and retryable HTTP statuses are retried up to 3 times with
+    exponential backoff, or after the server's ``Retry-After`` (seconds or an
+    HTTP date) if that is longer; 4xx auth/client errors fail immediately.
 
     One instance may be shared by many threads. Each thread keeps its own
     keep-alive ``http.client`` connection, built on its first call; the
@@ -399,13 +399,13 @@ class HttpBackend:
         self.timeout = timeout
         self.counter = counter or QueryCounter()
         if not self.base_url:
-            raise BackendFailure("no base URL configured (set MACM_BASE_URL)")
+            raise ValueError("no base URL configured (set MACM_BASE_URL)")
         if not self.api_key:
-            raise BackendFailure("no API key configured (set MACM_API_KEY)")
+            raise ValueError("no API key configured (set MACM_API_KEY)")
         self._url = f"{self.base_url}/v1/chat/completions"
         self._parts = _http_url(self._url)
         if self._parts is None:
-            raise BackendFailure(f"base URL {self.base_url!r} is not an http:// or https:// URL")
+            raise ValueError(f"base URL {self.base_url!r} is not an http:// or https:// URL")
         self._headers = {"Authorization": f"Bearer {self.api_key}",
                          "Content-Type": "application/json"}
         self._local = threading.local()

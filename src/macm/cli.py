@@ -94,7 +94,7 @@ def _load_dataset(args) -> list[Problem]:
 
 def cmd_solve(args) -> int:
     method = _method(args)
-    if args.question:
+    if args.question is not None:
         problem = Problem(id="cli", question=args.question)
     else:
         problems = harness.load_problems(args.problem_file)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import time
 import unicodedata
 import uuid
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 from .errors import SOLVE_ERRORS
 
@@ -182,16 +182,6 @@ class AgentCall:
 
 
 @dataclass(frozen=True)
-class ConditionProposed:
-    text: str
-    round: int
-
-    def __post_init__(self):
-        _check_text(self.text, "a proposed condition")
-        _check_round(self.round)
-
-
-@dataclass(frozen=True)
 class ObjectiveSet:
     text: str
 
@@ -257,8 +247,8 @@ class Final:
     outcome: Outcome
 
 
-Event = (AgentCall | ConditionProposed | ObjectiveSet | ConditionAccepted | ConditionDiscarded
-         | DuplicateDropped | PlanDesigned | SufficiencyVerdict | Final)
+Event = (AgentCall | ObjectiveSet | ConditionAccepted | ConditionDiscarded | DuplicateDropped
+         | PlanDesigned | SufficiencyVerdict | Final)
 
 
 # The transcript codec: every event is one JSON object, {"event": <kind>, **its
@@ -267,7 +257,6 @@ Event = (AgentCall | ConditionProposed | ObjectiveSet | ConditionAccepted | Cond
 _CLASSES = {"".join(f"_{c.lower()}" if c.isupper() else c for c in cls.__name__)[1:]: cls
             for cls in Event.__args__}
 _KINDS = {cls: kind for kind, cls in _CLASSES.items()}
-_KEYS = {cls: {"event", *(f.name for f in fields(cls))} for cls in _KINDS}
 
 
 def event_to_dict(event: Event) -> dict:
@@ -299,8 +288,8 @@ def event_from_dict(data: dict) -> Event:
     """Decode one transcript line. A key may be missing where its field has a
     default, but every key present must be "event" or one of its kind's fields."""
     cls = _CLASSES[data["event"]]
-    _only_keys(data, _KEYS[cls])
-    if cls is Final:
+    if cls is Final:  # built by hand, so its keys are checked here; cls(**values) checks the rest
+        _only_keys(data, {"event", "outcome"})
         outcome = outcome_from_dict(data["outcome"])
         _only_keys(data["outcome"], outcome_to_dict(outcome).keys())
         return Final(outcome)

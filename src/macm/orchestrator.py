@@ -18,7 +18,6 @@ from .domain import (
     ConditionAccepted,
     ConditionDiscarded,
     ConditionList,
-    ConditionProposed,
     DuplicateDropped,
     ObjectiveSet,
     PlanDesigned,
@@ -45,10 +44,7 @@ def solve(problem: Problem, method: MethodMACM, backend,
             known.add(text)
             log(ConditionAccepted(text))
     for rnd in range(1, method.max_iterations + 1):
-        candidates = client.thinker_mine(known)
-        for text in candidates:
-            log(ConditionProposed(text, rnd))
-        for text in candidates:
+        for text in client.thinker_mine(known):
             if known.is_duplicate(text):
                 log(DuplicateDropped(text, rnd))
                 continue

@@ -19,6 +19,7 @@ from macm.domain import (
     AgentCall,
     ConditionAccepted,
     ConditionDiscarded,
+    DuplicateDropped,
     Problem,
     Solved,
     SufficiencyVerdict,
@@ -98,7 +99,9 @@ def test_termination_after_five_rounds(capfd):
         outcome, transcript = run_macm(problem, MethodMACM(format_retries=0), backend)
         assert outcome == Unsolvable(5)
         mining_rounds = sorted({e.round for e in transcript.events
-                                if type(e).__name__ == "ConditionProposed"})
+                                if isinstance(e, (ConditionAccepted, ConditionDiscarded,
+                                                  DuplicateDropped))
+                                and e.round is not None})
         assert mining_rounds == [1, 2, 3, 4, 5]
         sufficiency = [e for e in transcript.events if isinstance(e, SufficiencyVerdict)]
         assert len(sufficiency) == 5
@@ -122,6 +125,17 @@ def test_gate_soundness_fuzz(capfd):
                     assert call.role == "judge" and event.text in call.prompt
                     assert parse_verdict(call.raw_response).value \
                         is isinstance(event, ConditionAccepted)
+
+            # Each mined candidate is logged once, as its verdict, in the order
+            # the Thinker's mine reply gave it.
+            mine_replies = [e.raw_response for e in transcript.events
+                            if isinstance(e, AgentCall) and e.role == "thinker"
+                            and "Derive new conditions" in e.prompt]
+            verdicts = [[e.text for e in transcript.events
+                         if isinstance(e, (DuplicateDropped, ConditionAccepted,
+                                           ConditionDiscarded)) and e.round == rnd]
+                        for rnd in range(1, len(mine_replies) + 1)]
+            assert verdicts == [parse_candidates(reply) for reply in mine_replies]
 
             discard_points = [(i, e.text)
                               for i, e in enumerate(transcript.events)

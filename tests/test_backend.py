@@ -32,7 +32,7 @@ from macm.backend import (
 )
 from macm.domain import (
     AgentCall,
-    ConditionProposed,
+    DuplicateDropped,
     Final,
     SamplingParams,
     Solved,
@@ -159,7 +159,7 @@ class TestRecordReplay:
         transcript = Transcript("p1")
         for req, role in [(request("q1", n=2), "solver"), (request("q2"), "judge")]:
             logged_request(Choices(), role, req, transcript)
-            transcript.append(ConditionProposed("c", 1))
+            transcript.append(DuplicateDropped("c", 1))
         transcript.append(Final(Solved("7")))
         path = tmp_path / "p1.jsonl"
         write_transcript(transcript, path)
@@ -572,7 +572,7 @@ class TestHttpBackend:
     def test_missing_configuration(self, monkeypatch):
         for var in ("MACM_BASE_URL", "MACM_API_KEY", "MACM_MODEL"):
             monkeypatch.delenv(var, raising=False)
-        with pytest.raises(BackendFailure):
+        with pytest.raises(ValueError):
             HttpBackend()
 
     @pytest.mark.parametrize("status", [429, 503])
@@ -980,7 +980,7 @@ class TestHttpRoute:
     @pytest.mark.parametrize("base_url", ["api.example.com", "ftp://api.example.com",
                                           "https://", "http://api.example.com:port"])
     def test_base_url_must_be_http(self, base_url):
-        with pytest.raises(BackendFailure):
+        with pytest.raises(ValueError):
             HttpBackend(base_url=base_url, api_key="test-key")
 
 

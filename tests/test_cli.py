@@ -47,6 +47,14 @@ class TestSolve:
         assert payload["queries"] == payload["choices"] == 10
         assert (tmp_path / "cli.jsonl").exists()
 
+    def test_empty_question_is_a_configuration_error(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = main(["solve", "--question", "", "--backend", f"scripted:{algebra_trace_path()}",
+                     "--out", str(out)])
+        assert code == 2
+        assert "error: problem question must be nonempty" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_io_method(self, tmp_path, capsys):
         script = tmp_path / "s.json"
         solver_script(script, ["Answer: 2"])
@@ -711,6 +719,27 @@ def test_a_malformed_script_is_refused_before_anything_is_written(command, scrip
     out = tmp_path / "out"
     assert main([command, *dataset_flags(command, dataset, '{"n": [1]}'), "--method", "io",
                  "--backend", f"scripted:{path}", "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("env, message", [
+    ({"MACM_API_KEY": "k"}, "no base URL configured"),
+    ({"MACM_BASE_URL": "http://127.0.0.1:9", "MACM_API_KEY": ""}, "no API key configured"),
+    ({"MACM_BASE_URL": "ftp://x", "MACM_API_KEY": "k"}, "is not an http:// or https:// URL"),
+], ids=["no-base-url", "empty-api-key", "ftp-base-url"])
+@pytest.mark.parametrize("command", ["solve", "bench", "sweep"])
+def test_a_missing_or_malformed_http_setting_is_a_configuration_error(
+        command, env, message, tmp_path, capsys, monkeypatch):
+    for var in ("MACM_BASE_URL", "MACM_API_KEY", "MACM_MODEL"):
+        monkeypatch.delenv(var, raising=False)
+    for var, value in env.items():
+        monkeypatch.setenv(var, value)
+    dataset = tmp_path / "d.jsonl"
+    write_jsonl(dataset, [{"id": "p0", "question": "q", "answer": "7"}])
+    out = tmp_path / "out"
+    assert main([command, *dataset_flags(command, dataset, '{"n": [1]}'), "--method", "io",
+                 "--backend", "http", "--out", str(out)]) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
 

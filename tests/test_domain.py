@@ -15,7 +15,6 @@ from macm.domain import (
     ConditionAccepted,
     ConditionDiscarded,
     ConditionList,
-    ConditionProposed,
     DuplicateDropped,
     Event,
     Final,
@@ -91,9 +90,8 @@ class TestConditionInvariants:
             ConditionDiscarded("x", None)
 
     def test_empty_text_rejected(self):
-        for make in (ObjectiveSet, lambda t: ConditionProposed(t, 1), ConditionAccepted,
-                     lambda t: ConditionDiscarded(t, 1), lambda t: DuplicateDropped(t, 1),
-                     lambda t: PlanDesigned(("a", t))):
+        for make in (ObjectiveSet, ConditionAccepted, lambda t: ConditionDiscarded(t, 1),
+                     lambda t: DuplicateDropped(t, 1), lambda t: PlanDesigned(("a", t))):
             for text in ("", "   ", "\n\t"):
                 with pytest.raises(ValueError):
                     make(text)
@@ -101,7 +99,7 @@ class TestConditionInvariants:
             PlanDesigned(())
 
     def test_round_must_be_positive(self):
-        for make in (ConditionAccepted, ConditionDiscarded, ConditionProposed, DuplicateDropped,
+        for make in (ConditionAccepted, ConditionDiscarded, DuplicateDropped,
                      lambda text, rnd: SufficiencyVerdict(rnd, True)):
             for bad in (0, -1, True, "2", 1.0):
                 with pytest.raises(ValueError):
@@ -251,7 +249,6 @@ _EVENTS = {
         n_choices=st.integers(1, 4), more_choices=st.lists(st.text(), max_size=3).map(tuple),
         n=st.integers(1, 4), temperature=st.none() | st.floats(0, 2),
         max_tokens=st.none() | st.integers(1, 512)),
-    ConditionProposed: st.builds(ConditionProposed, _TEXTS, _ROUNDS),
     ObjectiveSet: st.builds(ObjectiveSet, _TEXTS),
     ConditionAccepted: st.builds(ConditionAccepted, _TEXTS, st.none() | _ROUNDS),
     ConditionDiscarded: st.builds(ConditionDiscarded, _TEXTS, _ROUNDS),

@@ -16,7 +16,6 @@ from macm.domain import (
     AgentCall,
     ConditionAccepted,
     ConditionDiscarded,
-    ConditionProposed,
     Final,
     ObjectiveSet,
     PlanDesigned,
@@ -557,27 +556,28 @@ class TestGoldenTranscriptFormat:
     """tests/data/algebra_transcript.jsonl is the bundled algebra trace's
     transcript (run id "algebra", every timestamp 1700000000.0). Its format
     moves only on purpose: the agent_call lines gained every choice and the
-    request's sampling when replay moved to transcripts, and every other line
+    request's sampling when replay moved to transcripts, every other line
     took the one rule, {"event": <kind>, **its fields}, when the condition
-    verdict event went. These tests pin its bytes."""
+    verdict event went, and its three condition_proposed lines went when a
+    mined condition came to be logged once, as its verdict. These tests pin
+    its bytes."""
 
     def test_decodes_to_typed_events(self):
         events = read_transcript(GOLDEN_ALGEBRA).events
         steps = [e for e in events if not isinstance(e, AgentCall)]
         assert [type(e) for e in steps] == [
             ObjectiveSet, ConditionAccepted, ConditionAccepted,
-            ConditionProposed, ConditionDiscarded, SufficiencyVerdict,
-            ConditionProposed, ConditionProposed, ConditionAccepted,
-            ConditionAccepted, SufficiencyVerdict, PlanDesigned, Final]
+            ConditionDiscarded, SufficiencyVerdict,
+            ConditionAccepted, ConditionAccepted, SufficiencyVerdict, PlanDesigned, Final]
         assert steps[1] == ConditionAccepted(
             "The function (x^2 + 5x + α)/(x^2 + 7x - 44) must be expressible as a "
             "quotient of two linear functions.", None)
-        assert steps[4] == ConditionDiscarded("x^2 + 5x + α = k(x + 11)(x - 4)", 1)
-        assert steps[5] == SufficiencyVerdict(1, False)
-        assert steps[9] == ConditionAccepted("(4)^2 + 5×(4) + α₂ = 0", 2)
-        assert steps[10] == SufficiencyVerdict(2, True)
-        assert len(steps[11].steps) == 3
-        assert steps[12] == Final(Solved("-102"))
+        assert steps[3] == ConditionDiscarded("x^2 + 5x + α = k(x + 11)(x - 4)", 1)
+        assert steps[4] == SufficiencyVerdict(1, False)
+        assert steps[6] == ConditionAccepted("(4)^2 + 5×(4) + α₂ = 0", 2)
+        assert steps[7] == SufficiencyVerdict(2, True)
+        assert len(steps[8].steps) == 3
+        assert steps[9] == Final(Solved("-102"))
 
     def test_file_without_a_meta_line_reads(self, tmp_path):
         path = tmp_path / "algebra.jsonl"
@@ -587,59 +587,58 @@ class TestGoldenTranscriptFormat:
         assert re.fullmatch(r"[0-9a-f]{32}", transcript.run_id)
 
     @pytest.mark.parametrize("mangle, line, cause", [
-        (lambda data: data[:-20], 24, json.JSONDecodeError),
+        (lambda data: data[:-20], 21, json.JSONDecodeError),
         (lambda data: data[:data.index("α".encode()) + 1], 2, UnicodeDecodeError),
         (lambda data: data.replace(b'"agent_call"', b'"bogus"', 1), 2, KeyError),
         (lambda data: data.replace(b'"agent_call",', b'"agent_call", "extra": 1,', 1), 2,
          TypeError),
         (lambda data: re.sub(rb'"objective_set", "text": "[^"]*"', b'"objective_set"', data),
          3, TypeError),
-        (lambda data: data.replace(b'"final",', b'"final", "extra": 1,'), 24, TypeError),
-        (lambda data: data.replace(b'"answer": "-102"', b'"answer": "-102", "extra": 1'), 24,
+        (lambda data: data.replace(b'"final",', b'"final", "extra": 1,'), 21, TypeError),
+        (lambda data: data.replace(b'"answer": "-102"', b'"answer": "-102", "extra": 1'), 21,
          TypeError),
         (lambda data: data.replace(b'"sufficiency_verdict",', b'"sufficiency_verdict", "extra": 1,',
-                                   1), 11, TypeError),
-        (lambda data: re.sub(rb'"steps": \[[^]]*\]', b'"steps": {"x": 1}', data), 22,
+                                   1), 10, TypeError),
+        (lambda data: re.sub(rb'"steps": \[[^]]*\]', b'"steps": {"x": 1}', data), 19,
          TypeError),
         (lambda data: data.replace(b'"more_choices": []', b'"more_choices": "ab"', 1), 2,
          TypeError),
         (lambda data: re.sub(rb'("objective_set", "text": )"[^"]*"', rb'\1" "', data), 3,
          ValueError),
-        (lambda data: re.sub(rb'("condition_proposed", "text": )"[^"]*"', rb'\1""', data,
-                             count=1), 7, ValueError),
+        (lambda data: re.sub(rb'"steps": \["[^"]*"', b'"steps": [" "', data), 19, ValueError),
         (lambda data: re.sub(rb'("condition_accepted", "text": )"[^"]*"', rb'\1""',
                              data, count=1), 4, ValueError),
         (lambda data: re.sub(rb'("condition_discarded", "text": )"[^"]*"', rb'\1" "',
-                             data, count=1), 9, ValueError),
+                             data, count=1), 8, ValueError),
         (lambda data: re.sub(rb'("condition_accepted", "text": "[^"]*", "round": )\d+',
-                             rb'\g<1>0', data, count=1), 16, ValueError),
+                             rb'\g<1>0', data, count=1), 13, ValueError),
         (lambda data: re.sub(rb'("condition_discarded", "text": "[^"]*", "round": )\d+',
-                             rb'\g<1>0', data, count=1), 9, ValueError),
-        (lambda data: re.sub(rb'"steps": \[[^]]*\]', b'"steps": []', data), 22, ValueError),
+                             rb'\g<1>0', data, count=1), 8, ValueError),
+        (lambda data: re.sub(rb'"steps": \[[^]]*\]', b'"steps": []', data), 19, ValueError),
         (lambda data: re.sub(rb'"event": "objective_set", "text": ("[^"]*")',
                              rb'"event": "state_change", "description": "objective set", '
                              rb'"data": {"objective": \1}', data), 3, KeyError),
         (lambda data: data.replace(b'"event": "sufficiency_verdict", "round": 1,',
                                    b'"event": "verdict", "subject": "sufficiency round 1",'),
-         11, KeyError),
-        (lambda data: data + b'{"event": "condition_proposed", "text": "x", "round": 3}\n'
+         10, KeyError),
+        (lambda data: data + b'{"event": "condition_discarded", "text": "x", "round": 3}\n'
                              b'{"event": "final", "outcome": {"kind": "unsolvable", '
-                             b'"rounds_used": 3}}\n', 25, ValueError),
-        (lambda data: data + data.splitlines(keepends=True)[-1], 25, ValueError),
+                             b'"rounds_used": 3}}\n', 22, ValueError),
+        (lambda data: data + data.splitlines(keepends=True)[-1], 22, ValueError),
         (lambda data: (lambda lines: b"".join([lines[1], lines[0], *lines[2:]]))(
             data.splitlines(keepends=True)), 2, KeyError),
         (lambda data: data.split(b"\n", 1)[0] + b"\n" + data, 2, KeyError),
         (lambda data: re.sub(rb'"condition_discarded", "text": "[^"]*"',
-                             b'"duplicate_dropped", "text": ""', data), 9, ValueError),
+                             b'"duplicate_dropped", "text": ""', data), 8, ValueError),
         (lambda data: re.sub(rb'"condition_discarded", ("text": "[^"]*"), "round": 1',
-                             rb'"duplicate_dropped", \1, "round": -3', data), 9, ValueError),
-        (lambda data: data.replace(b'"round": 1}', b'"round": "two"}', 1), 7, ValueError),
+                             rb'"duplicate_dropped", \1, "round": -3', data), 8, ValueError),
+        (lambda data: data.replace(b'"round": 1}', b'"round": "two"}', 1), 8, ValueError),
         (lambda data: re.sub(rb'("condition_accepted", "text": "[^"]*", "round": )\d+',
-                             rb'\g<1>true', data, count=1), 16, ValueError),
+                             rb'\g<1>true', data, count=1), 13, ValueError),
         (lambda data: data.replace(b'"sufficiency_verdict", "round": 1,',
-                                   b'"sufficiency_verdict", "round": 0,'), 11, ValueError),
+                                   b'"sufficiency_verdict", "round": 0,'), 10, ValueError),
         (lambda data: data.replace(b'"round": 1, "value": false', b'"round": 1, "value": "yes"'),
-         11, ValueError),
+         10, ValueError),
         (lambda data: data.replace(b'"run_id": "algebra"', b'"run_id": ""'), 1, ValueError),
         (lambda data: data.replace(b', "run_id": "algebra"', b''), 1, KeyError),
         (lambda data: data.replace(b'"role": "thinker"', b'"role": 5', 1), 2, TypeError),
@@ -648,11 +647,11 @@ class TestGoldenTranscriptFormat:
          TypeError),
     ], ids=["torn", "torn-inside-a-character", "unknown-kind", "extra-key", "missing-field",
             "final-extra-key", "final-outcome-extra-key", "sufficiency-extra-key",
-            "plan-steps-object", "more-choices-text", "blank-objective", "blank-proposed",
+            "plan-steps-object", "more-choices-text", "blank-objective", "blank-plan-step",
             "blank-accepted", "blank-discarded", "accepted-round-0", "discarded-round-0",
             "no-steps", "state-change-line", "old-verdict-line", "event-after-final",
             "second-final", "meta-not-first", "meta-twice", "blank-dropped",
-            "dropped-round-negative", "proposed-round-text", "accepted-round-bool",
+            "dropped-round-negative", "discarded-round-text", "accepted-round-bool",
             "sufficiency-round-0", "sufficiency-value-text", "meta-blank-run-id",
             "meta-no-run-id", "call-role-number", "call-tokens-in-text",
             "call-more-choices-not-text"])
@@ -663,6 +662,39 @@ class TestGoldenTranscriptFormat:
         with pytest.raises(CorruptTranscript, match=where) as info:
             read_transcript(path)
         assert isinstance(info.value.__cause__, cause)
+
+    def test_older_file_with_proposal_lines_replays_but_does_not_read(self, tmp_path, capsys):
+        from macm.agents import parse_candidates
+        from macm.backend import json_lines
+        from macm.cli import main
+        from macm.demo import ALGEBRA_GOLD, ALGEBRA_QUESTION
+
+        # The file as it was written while each mined candidate also had a
+        # condition_proposed line, right after its Thinker mine call.
+        lines, rnd = [], 0
+        for line in GOLDEN_ALGEBRA.read_bytes().splitlines(keepends=True):
+            lines.append(line)
+            data = json.loads(line)
+            if data["event"] == "agent_call" and "Derive new conditions" in data["prompt"]:
+                rnd += 1
+                lines.append(json_lines(
+                    {"event": "condition_proposed", "text": text, "round": rnd}
+                    for text in parse_candidates(data["raw_response"])))
+        older = tmp_path / "older.jsonl"
+        older.write_bytes(b"".join(lines))
+        assert len(older.read_bytes().splitlines()) == 24
+
+        dataset = tmp_path / "algebra.jsonl"
+        dataset.write_text(json.dumps({"id": "algebra", "question": ALGEBRA_QUESTION,
+                                       "answer": ALGEBRA_GOLD}) + "\n")
+        for name, source in [("golden", GOLDEN_ALGEBRA), ("older", older)]:
+            assert main(["bench", "--dataset", str(dataset), "--backend", f"replay:{source}",
+                         "--out", str(tmp_path / name)]) == 0
+        report = (tmp_path / "golden" / "report.csv").read_bytes()
+        assert report == (tmp_path / "older" / "report.csv").read_bytes()
+        assert b",True," in report
+        with pytest.raises(CorruptTranscript, match=rf"{re.escape(str(older))}, line 7:"):
+            read_transcript(older)
 
     def test_rewrites_byte_for_byte(self, tmp_path):
         path = tmp_path / "algebra.jsonl"

@@ -23,7 +23,6 @@ from macm.domain import (
     AgentCall,
     ConditionAccepted,
     ConditionDiscarded,
-    ConditionProposed,
     DuplicateDropped,
     Final,
     ObjectiveSet,
@@ -93,7 +92,8 @@ class TestTermination:
         outcome, transcript = run_macm(toy_problem, fast_macm, backend)
         assert outcome == Unsolvable(5)
         mining_rounds = {e.round for e in transcript.events
-                         if type(e).__name__ == "ConditionProposed"}
+                         if isinstance(e, (ConditionAccepted, ConditionDiscarded, DuplicateDropped))
+                         and e.round is not None}
         assert mining_rounds == {1, 2, 3, 4, 5}
         sufficiency = [e for e in transcript.events if isinstance(e, SufficiencyVerdict)]
         assert len(sufficiency) == 5
@@ -434,9 +434,12 @@ class TestResume:
 
     def test_resume_mid_judging(self, tmp_path, toy_problem, fast_macm):
         recording, full = self._record_full_run(tmp_path, toy_problem, fast_macm)
-        # Cut right after the round-2 candidate was proposed but before judging.
-        cut = max(i for i, e in enumerate(full.events)
-                  if type(e).__name__ == "ConditionProposed" and e.round == 2)
+        # Cut between the round-2 candidate's judge call and its verdict.
+        round_one = next(i for i, e in enumerate(full.events)
+                         if isinstance(e, SufficiencyVerdict) and e.round == 1)
+        cut = next(i for i, e in enumerate(full.events)
+                   if i > round_one and isinstance(e, AgentCall) and e.role == "judge")
+        assert isinstance(full.events[cut + 1], ConditionAccepted)
         partial = Transcript(full.run_id)
         partial.events = list(full.events[: cut + 1])
         resumed = solve_one(
@@ -481,7 +484,8 @@ class TestResume:
         def cuts(events):
             mines = [i for i, e in enumerate(events) if isinstance(e, AgentCall)
                      and e.role == "thinker" and "Derive new conditions" in e.prompt]
-            assert isinstance(events[mines[1] + 1], ConditionProposed)
+            assert isinstance(events[mines[1] + 1], AgentCall)
+            assert events[mines[1] + 1].role == "judge"
             return [mines[1] + 1]
 
         self._resume_matches("two-round", tmp_path, cuts)
@@ -498,19 +502,19 @@ class TestResume:
     def test_resume_golden_file_with_a_misfiled_round_is_corrupt(self, tmp_path):
         golden = Path(__file__).parent / "data" / "algebra_transcript.jsonl"
         path = tmp_path / "misfiled.jsonl"
-        # The first "round": 1} is the first condition_proposed line's.
-        path.write_bytes(golden.read_bytes().replace(b'"round": 1}', b'"round": 3}', 1))
+        # The first "round": 2} is the first mined condition_accepted line's.
+        path.write_bytes(golden.read_bytes().replace(b'"round": 2}', b'"round": 3}', 1))
         transcript = read_transcript(path)
-        assert transcript.events[5] == ConditionProposed("x^2 + 5x + α = k(x + 11)(x - 4)", 3)
+        assert transcript.events[11] == ConditionAccepted("(-11)^2 + 5×(-11) + α₁ = 0", 3)
         transcript.events = transcript.events[:-1]  # drop the Final, as a crash would
         with pytest.raises(CorruptTranscript,
-                           match=r"event 5 of the transcript, ConditionProposed\(.*round=3\)"):
+                           match=r"event 11 of the transcript, ConditionAccepted\(.*round=3\)"):
             solve_one(algebra_problem(), MethodMACM(), lambda _: NeverCalled(),
                       prefix=transcript)
 
     @pytest.mark.parametrize("event", [
-        ConditionProposed("m2", 1), DuplicateDropped("m2", 3), ConditionAccepted("m2", 1),
-        ConditionDiscarded("m2", 3), SufficiencyVerdict(1, True)])
+        DuplicateDropped("m2", 3), ConditionAccepted("m2", 1), ConditionDiscarded("m2", 3),
+        SufficiencyVerdict(1, True)])
     def test_resume_event_filed_under_another_round_is_corrupt(
             self, tmp_path, toy_problem, fast_macm, event):
         recording, full = self._record_full_run(tmp_path, toy_problem, fast_macm)
