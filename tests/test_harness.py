@@ -651,7 +651,7 @@ class TestGoldenTranscriptFormat:
             "blank-accepted", "blank-discarded", "accepted-round-0", "discarded-round-0",
             "no-steps", "state-change-line", "old-verdict-line", "event-after-final",
             "second-final", "meta-not-first", "meta-twice", "blank-dropped",
-            "dropped-round-negative", "discarded-round-text", "accepted-round-bool",
+            "dropped-round-negative", "round-as-text", "accepted-round-bool",
             "sufficiency-round-0", "sufficiency-value-text", "meta-blank-run-id",
             "meta-no-run-id", "call-role-number", "call-tokens-in-text",
             "call-more-choices-not-text"])
