@@ -136,13 +136,13 @@ _ANSWER_MARKER = re.compile(r"answer\s*[::]", re.IGNORECASE)
 
 
 def extract_answer(reply: str) -> str:
-    """Final-answer text: content after the last "Answer:" marker if present,
-    otherwise the last nonempty line."""
+    """Final-answer text: content after the last "Answer:" marker if present
+    (ParseFailure if the marker ends the reply), otherwise the last nonempty line."""
     matches = list(_ANSWER_MARKER.finditer(reply))
     if matches:
-        answer = reply[matches[-1].end():].strip()
-        if answer:
+        if answer := reply[matches[-1].end():].strip():
             return answer
+        raise ParseFailure(f"nothing follows the last answer marker: {reply!r}")
     for line in reversed(reply.splitlines()):
         if line.strip():
             return line.strip()

@@ -23,7 +23,7 @@ from json.encoder import c_make_encoder, encode_basestring
 from pathlib import Path
 from urllib.parse import unquote, urlsplit
 
-from .domain import SamplingParams, check_call_types, normalize_condition_text, now
+from .domain import AgentCall, SamplingParams, event_from_dict, normalize_condition_text, now
 from .errors import BackendFailure
 
 ROLE_SYSTEM = "system"
@@ -595,36 +595,22 @@ def call_fields(role: str, request: ChatRequest, response: ChatResponse,
             "more_choices": response.choices[1:], **vars(request.sampling)}
 
 
-def replayable(call: dict) -> tuple[str, str, int, ChatResponse]:
-    """(role, prompt, n, response) of an AgentCall's fields (its ``vars`` or
-    its agent_call line). A missing field raises KeyError, a field of the wrong
-    type TypeError; a call that returned more choices than it records raises
-    ValueError."""
-    role, prompt, raw = call["role"], call["prompt"], call["raw_response"]
-    tokens_in, tokens_out = call["tokens_in"], call["tokens_out"]
-    more, n, n_choices = call.get("more_choices", ()), call.get("n", 1), call.get("n_choices", 1)
-    check_call_types(role, prompt, raw, tokens_in, tokens_out, n, n_choices, more)
-    if n_choices > 1 + len(more):
-        raise ValueError(f"the call returned {n_choices} choices and records "
-                         f"{1 + len(more)}: its transcript predates recording every choice")
-    return role, prompt, n, ChatResponse((raw, *more), tokens_in, tokens_out)
-
-
-def replay(recorded: tuple, request: ChatRequest, role: str, where, k: int) -> ChatResponse:
-    """The response of ``recorded``, ``replayable`` call k (from 0) at ``where``,
-    if ``request``, sent for ``role``, has its role, its prompt up to whitespace
-    and its ``n``; else BackendFailure. Replay and resume both match so."""
-    recorded_role, prompt, n, response = recorded
+def replay(call: AgentCall, request: ChatRequest, role: str, where, k: int) -> ChatResponse:
+    """The response ``call`` records, call k (from 0) at ``where``, if ``request``,
+    sent for ``role``, has its role, its prompt up to whitespace and its ``n``;
+    else BackendFailure. Replay and resume both match so."""
     got = request.prompt_text()
     # Equal strings normalise equal; normalise only when they differ.
-    if prompt != got and normalize_condition_text(prompt) != normalize_condition_text(got):
+    if call.prompt != got and \
+            normalize_condition_text(call.prompt) != normalize_condition_text(got):
         reason = "prompt differs from the recording"
-    elif recorded_role != role:
-        reason = f"role {role!r} != recorded {recorded_role!r}"
-    elif n != request.sampling.n:
-        reason = f"n={request.sampling.n} != recorded n={n}"
+    elif call.role != role:
+        reason = f"role {role!r} != recorded {call.role!r}"
+    elif call.n != request.sampling.n:
+        reason = f"n={request.sampling.n} != recorded n={call.n}"
     else:
-        return response
+        return ChatResponse((call.raw_response, *call.more_choices), call.tokens_in,
+                            call.tokens_out)
     raise BackendFailure(f"{where}, call {k + 1}: {reason}")
 
 
@@ -657,9 +643,9 @@ class RecordingBackend:
 class ReplayBackend:
     """Answers request k by ``replay`` from the k-th agent_call line of a JSON Lines
     file (a transcript, or a RecordingBackend's), past the first ``skip_calls``. The
-    file is read here, other lines skipped; a line that is not JSON, has no ``event``
-    (an old cassette's) or lacks a field replay reads or types it wrong raises
-    BackendFailure naming it."""
+    file is read here, other lines skipped undecoded; a line that is not JSON, has no
+    ``event`` (an old cassette's), is an agent_call read_transcript refuses, or records
+    fewer choices than its call returned raises BackendFailure naming it."""
 
     def __init__(self, path: str | Path, counter: QueryCounter | None = None,
                  skip_calls: int = 0):
@@ -677,7 +663,11 @@ class ReplayBackend:
                     data = json.loads(line.decode("utf-8"))
                     kind = data.get("event")
                     if kind == "agent_call":
-                        self._calls.append(replayable(data))
+                        call = event_from_dict(data)
+                        if call.n_choices > 1 + len(call.more_choices):
+                            raise ValueError(f"the call returned {call.n_choices} choices, and its "
+                                             "transcript predates recording every choice")
+                        self._calls.append(call)
                     elif kind is None:
                         raise ValueError("no event: cassette lines are no longer read")
                 # JSONDecodeError and UnicodeDecodeError are ValueErrors.

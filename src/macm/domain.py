@@ -265,44 +265,36 @@ def event_to_dict(event: Event) -> dict:
     return {"event": _KINDS[type(event)], **event.__dict__}
 
 
-def _only_keys(data: dict, keys) -> None:
-    extra = data.keys() - keys
-    if extra:
-        raise TypeError(f"unexpected keys {sorted(extra)}")
-
-
-def check_call_types(role, prompt, raw_response, tokens_in, tokens_out, n, n_choices,
-                     more_choices) -> None:
-    """Refuse a recorded call's fields unless they are of their AgentCall types:
-    text, integers, and a list or tuple of text. Transcript reading and replay
-    both check so; a live run builds its calls from typed values."""
-    if ((type(role), type(prompt), type(raw_response), type(tokens_in), type(tokens_out),
-         type(n), type(n_choices)) != (str, str, str, int, int, int, int)
-            or type(more_choices) not in (list, tuple)
-            or more_choices and {*map(type, more_choices)} != {str}):
-        raise TypeError("role, prompt, raw_response and more_choices must be text, "
-                        "tokens_in, tokens_out, n and n_choices integers")
-
-
 def event_from_dict(data: dict) -> Event:
     """Decode one transcript line. A key may be missing where its field has a
-    default, but every key present must be "event" or one of its kind's fields."""
+    default, but every key present must be "event" or one of its kind's fields,
+    and an AgentCall's of its field's type (a live run builds typed calls)."""
     cls = _CLASSES[data["event"]]
     if cls is Final:  # built by hand, so its keys are checked here; cls(**values) checks the rest
-        _only_keys(data, {"event", "outcome"})
         outcome = outcome_from_dict(data["outcome"])
-        _only_keys(data["outcome"], outcome_to_dict(outcome).keys())
+        if data.keys() != {"event", "outcome"} \
+                or data["outcome"].keys() != outcome_to_dict(outcome).keys():
+            raise TypeError(f"unexpected keys in {data!r:.200}")
         return Final(outcome)
-    values = {k: v for k, v in data.items() if k != "event"}
+    values = data.copy()  # faster than a comprehension that leaves "event" out
+    del values["event"]
     for name in ("more_choices", "steps"):
         if name in values:
             if type(values[name]) not in (list, tuple):
                 raise TypeError(f"{name!r} must be a list, got {values[name]!r}")
             values[name] = tuple(values[name])
     event = cls(**values)
-    if cls is AgentCall:
-        check_call_types(event.role, event.prompt, event.raw_response, event.tokens_in,
-                         event.tokens_out, event.n, event.n_choices, event.more_choices)
+    if cls is AgentCall and not (  # type(), not isinstance: a bool is no number here
+            (type(event.role), type(event.prompt), type(event.raw_response),
+             type(event.tokens_in), type(event.tokens_out), type(event.n),
+             type(event.n_choices)) == (str, str, str, int, int, int, int)
+            and type(event.timestamp) in (int, float)
+            and type(event.temperature) in (int, float, type(None))
+            and type(event.max_tokens) in (int, type(None))
+            and (not event.more_choices or {*map(type, event.more_choices)} == {str})):
+        raise TypeError("role, prompt, raw_response and more_choices must be text, "
+                        "tokens_in, tokens_out, n and n_choices integers, timestamp a "
+                        "number, temperature a number or null, max_tokens an integer or null")
     return event
 
 

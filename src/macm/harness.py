@@ -18,7 +18,7 @@ from pathlib import Path
 
 from . import orchestrator
 from .backend import (ChatResponse, QueryCounter, ReplayBackend, ScriptedBackend, json_lines,
-                      open_fresh, replay, replayable, write_all)
+                      open_fresh, replay, write_all)
 from .baselines import (
     Method,
     MethodCoT,
@@ -381,7 +381,7 @@ class _PrefixBackend:
     def complete(self, request, role: str) -> ChatResponse:
         k, self._pos = self._pos, self._pos + 1  # a request that fails ends the re-run
         if k < len(self.calls):
-            return replay(replayable(vars(self.calls[k])), request, role, "the transcript", k)
+            return replay(self.calls[k], request, role, "the transcript", k)
         if k == len(self.calls):
             if _first_difference(self.recorded, self.rerun.events) is not None:
                 raise BackendFailure("the re-run differs from the transcript")

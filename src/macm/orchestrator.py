@@ -40,8 +40,7 @@ def solve(problem: Problem, method: MethodMACM, backend,
     log(ObjectiveSet(objective))
     known = ConditionList(objective)
     for text in texts:
-        if not known.is_duplicate(text):
-            known.add(text)
+        if known.add(text):  # False for a duplicate, which is dropped
             log(ConditionAccepted(text))
     for rnd in range(1, method.max_iterations + 1):
         for text in client.thinker_mine(known):

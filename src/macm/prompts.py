@@ -7,6 +7,7 @@ and prompt0.txt .. prompt6.txt.
 
 from __future__ import annotations
 
+import string
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -92,6 +93,11 @@ _FILE_FIELDS = {
     "prompt5.txt": "execute",
     "prompt6.txt": "format_reminder",
 }
+# The fields the code fills in each formatted prompt; the others are sent as they are.
+FILLED = {"extract": {"question"}, "mine": {"conditions", "objective"},
+          "judge_condition": {"conditions", "candidate"},
+          "sufficiency": {"conditions", "objective"}, "design_steps": {"conditions", "objective"},
+          "execute": {"conditions", "objective", "steps"}}
 
 
 @dataclass(frozen=True)
@@ -110,8 +116,9 @@ class PromptCatalog:
     @classmethod
     def load(cls, directory: str | Path | None = None) -> "PromptCatalog":
         """Default catalog, with any files present in ``directory`` overriding
-        the corresponding embedded prompt. A path that is not a directory, or
-        a ``*.txt`` file there that overrides no prompt, raises ValueError."""
+        the corresponding embedded prompt. A path that is not a directory, a
+        ``*.txt`` file there that overrides no prompt, or a formatted prompt that
+        the code cannot fill (see FILLED) raises ValueError."""
         catalog = cls()
         if directory is None:
             return catalog
@@ -123,5 +130,16 @@ class PromptCatalog:
             if path.name not in _FILE_FIELDS:
                 raise ValueError(f"{path} overrides no prompt; the prompt files are "
                                  + ", ".join(_FILE_FIELDS))
-            overrides[_FILE_FIELDS[path.name]] = path.read_text(encoding="utf-8").strip()
+            name = _FILE_FIELDS[path.name]
+            text = overrides[name] = path.read_text(encoding="utf-8").strip()
+            if name not in FILLED:
+                continue
+            try:  # a positional, dotted or indexed field is not filled either
+                unfilled = [f"{{{field}}}" for _, field, _, _ in string.Formatter().parse(text)
+                            if field is not None and field not in FILLED[name]]
+            except ValueError as exc:  # a lone brace
+                unfilled = [str(exc)]
+            if unfilled:
+                raise ValueError(f"{path}: {', '.join(unfilled)}: this prompt is filled only with "
+                                 f"{sorted(FILLED[name])}; write a literal brace as {{{{ or }}}}")
         return replace(catalog, **overrides)

@@ -1,4 +1,5 @@
 import gc
+import string
 
 import pytest
 from hypothesis import given, strategies as st
@@ -15,7 +16,7 @@ from macm.agents import (
 from macm.baselines import MethodMACM
 from macm.domain import ConditionList, Transcript, Verdict
 from macm.errors import ParseFailure
-from macm.prompts import EXECUTOR_SYSTEM, JUDGE_SYSTEM, THINKER_SYSTEM, PromptCatalog
+from macm.prompts import EXECUTOR_SYSTEM, FILLED, JUDGE_SYSTEM, THINKER_SYSTEM, PromptCatalog
 
 from conftest import scripted
 
@@ -142,6 +143,14 @@ class TestExtractAnswer:
         with pytest.raises(ParseFailure):
             extract_answer("  \n ")
 
+    @pytest.mark.parametrize("reply", ["Step 1: x=3\nAnswer:", "Answer: 5\nAnswer:",
+                                       "The answer: \n"])
+    def test_last_marker_with_nothing_after_it_raises(self, reply):
+        # The last-line fallback is for a reply with no marker; here it would
+        # return the marker's own line.
+        with pytest.raises(ParseFailure, match="nothing follows the last answer marker"):
+            extract_answer(reply)
+
 
 def make_client(backend):
     return AgentClient(backend, MethodMACM(format_retries=0), Transcript("test"))
@@ -222,6 +231,12 @@ class TestAgentOps:
         known = known_with(["a"])
         assert client.executor_compute(known, ("do it",)) == "-102"
 
+    def test_executor_reply_ending_in_the_marker_gets_its_format_retry(self):
+        client = AgentClient(backend=scripted(executor=["work...\nAnswer:", "Answer: -102"]),
+                             method=MethodMACM(format_retries=1), transcript=Transcript("t"))
+        assert client.executor_compute(known_with(["a"]), ("do it",)) == "-102"
+        assert client.transcript.query_count() == 2
+
 
 class TestPromptDiscipline:
     def test_every_prompt_starts_with_role_system_instruction(self, toy_problem):
@@ -299,3 +314,37 @@ class TestPromptCatalogOverride:
     def test_other_files_are_ignored(self, tmp_path):
         (tmp_path / "notes.md").write_text("x")
         assert PromptCatalog.load(tmp_path) == PromptCatalog()
+
+    def test_each_formatted_default_takes_exactly_the_fields_the_code_fills(self):
+        defaults = PromptCatalog()
+        for name in vars(defaults):
+            fields = {f for _, f, _, _ in string.Formatter().parse(getattr(defaults, name))}
+            assert fields - {None} == FILLED.get(name, set()), name
+
+    @pytest.mark.parametrize("text, named", [
+        ("\\frac{1}{2} of {conditions} {objective}", "{1}, {2}"),
+        ("{conditions} {objective} {question}", "{question}"),
+        ("{conditions.x} {objective}", "{conditions.x}"),
+        ("{conditions[0]} {objective}", "{conditions[0]}"),
+        ("{} {objective}", "{}"),
+        ("{0} {objective}", "{0}"),
+        ("{conditions} } {objective}", "Single '}'"),
+        ("{conditions} { {objective}", "unexpected '{'"),
+    ], ids=["latex", "field-of-another-prompt", "dotted", "indexed", "auto-positional",
+            "positional", "lone-closing", "lone-opening"])
+    def test_a_field_the_code_does_not_fill_is_refused(self, tmp_path, text, named):
+        (tmp_path / "prompt1.txt").write_text(text)
+        with pytest.raises(ValueError) as info:
+            PromptCatalog.load(tmp_path)
+        message = str(info.value)
+        assert message.startswith(f"{tmp_path / 'prompt1.txt'}: ")
+        assert named in message and "write a literal brace as {{ or }}" in message
+
+    def test_doubled_braces_and_any_brace_in_a_prompt_sent_as_it_is_load(self, tmp_path):
+        (tmp_path / "prompt1.txt").write_text("\\frac{{1}}{{2}} {conditions:>3} {objective!r}")
+        for name in ("thinker_system", "judge_system", "executor_system"):
+            (tmp_path / f"{name}.txt").write_text("{x} { } \\frac{1}{2}")
+        (tmp_path / "prompt6.txt").write_text("Reply in {format}.")
+        catalog = PromptCatalog.load(tmp_path)
+        assert catalog.mine.format(conditions="c", objective="o") == "\\frac{1}{2}   c 'o'"
+        assert catalog.format_reminder == "Reply in {format}."

@@ -291,8 +291,9 @@ class TestRecordReplay:
          '"tokens_in": 0, "tokens_out": 0, "timestamp": 0.0, "n_choices": 3}',
          "predates recording every choice"),
         *((json.dumps({**_CALL_LINE, field: value}), "must be text") for field, value in [
-            ("prompt", 5), ("role", None), ("raw_response", ["a"]), ("more_choices", "ab"),
-            ("more_choices", [1])]),
+            ("prompt", 5), ("role", None), ("raw_response", ["a"])]),
+        (json.dumps({**_CALL_LINE, "more_choices": "ab"}), "'more_choices' must be a list"),
+        (json.dumps({**_CALL_LINE, "more_choices": [1]}), "must be text"),
         *((json.dumps({**_CALL_LINE, field: value}), "integers") for field, value in [
             ("tokens_in", "3"), ("tokens_out", 1.5), ("n", True), ("n_choices", "1")]),
     ], ids=["old-cassette-line", "torn", "no-prompt", "not-an-object", "old-multi-choice-call",
@@ -328,6 +329,66 @@ class TestRecordReplay:
             ((), 1, None, None)
         with pytest.raises(BackendFailure, match="predates recording every choice"):
             ReplayBackend(path)
+
+
+# A value of each JSON type, for a field given a value of another type.
+_JSON_TYPES = {"null": st.none(), "bool": st.booleans(), "int": st.integers(),
+               "float": st.floats(allow_nan=False), "text": st.text(max_size=4),
+               "list": st.lists(st.text(max_size=3) | st.integers(), max_size=2),
+               "object": st.dictionaries(st.text(max_size=3), st.integers(), max_size=2)}
+
+
+def _json_type(value):
+    return {type(None): "null", bool: "bool", int: "int", float: "float", str: "text",
+            list: "list", dict: "object"}[type(value)]
+
+
+@st.composite
+def _agent_call_lines(draw):
+    """A valid agent_call line, older ones without the later fields included, then
+    perhaps with one field dropped, one key added, or one field of another type."""
+    call = AgentCall(
+        role=draw(st.sampled_from(["thinker", "judge", "solver"])), prompt=draw(st.text()),
+        raw_response=draw(st.text()), tokens_in=draw(st.integers(0, 9)),
+        tokens_out=draw(st.integers(0, 9)), timestamp=draw(st.floats(0, 2e9)),
+        # Independent of more_choices: an older call may return more than it records.
+        n_choices=draw(st.integers(1, 3)), more_choices=tuple(draw(st.lists(st.text(), max_size=2))),
+        n=draw(st.integers(1, 3)), temperature=draw(st.none() | st.floats(0, 2)),
+        max_tokens=draw(st.none() | st.integers(1, 512)))
+    line = json.loads(json.dumps(event_to_dict(call)))
+    for name in draw(st.sets(st.sampled_from(["n_choices", "more_choices", "n", "temperature",
+                                              "max_tokens"]))):
+        del line[name]  # an older line: the field reads as its default
+    fields = sorted(line.keys() - {"event"})
+    change = draw(st.sampled_from(["none", "drop", "add", "retype"]))
+    if change == "drop":
+        del line[draw(st.sampled_from(fields))]
+    elif change == "add":
+        line[draw(st.text(max_size=8).filter(lambda key: key not in line))] = \
+            draw(st.one_of(*_JSON_TYPES.values()))
+    elif change == "retype":
+        name = draw(st.sampled_from(fields))
+        other = draw(st.sampled_from(sorted(_JSON_TYPES.keys() - {_json_type(line[name])})))
+        line[name] = draw(_JSON_TYPES[other])
+    return line
+
+
+@settings(max_examples=200, deadline=None)
+@given(line=_agent_call_lines())
+def test_replay_accepts_exactly_the_agent_call_lines_read_transcript_reads(tmp_path_factory, line):
+    path = tmp_path_factory.mktemp("line") / "run.jsonl"
+    path.write_text('{"event": "meta", "run_id": "run"}\n' + json.dumps(line) + "\n")
+    try:
+        (call,) = read_transcript(path).agent_calls()
+    except CorruptTranscript:
+        call = None
+    try:
+        ReplayBackend(path)
+        replays = True
+    except BackendFailure:
+        replays = False
+    # The one refusal of replay's own: a call that returned more choices than it records.
+    assert replays == (call is not None and call.n_choices <= 1 + len(call.more_choices)), line
 
 
 JSON_VALUES = st.recursive(

@@ -34,6 +34,11 @@ class TestSolveIO:
         with pytest.raises(ParseFailure):
             solve_io(toy_problem, MethodIO(), backend, Transcript("t"))
 
+    def test_reply_ending_in_the_marker_is_a_parse_failure(self, toy_problem):
+        backend = scripted(solver=["Let x = 3.\nAnswer:"])
+        with pytest.raises(ParseFailure, match="nothing follows the last answer marker"):
+            solve_io(toy_problem, MethodIO(), backend, Transcript("t"))
+
 
 class TestSolveCoT:
     def test_early_stop_on_marker(self, toy_problem):
@@ -47,6 +52,11 @@ class TestSolveCoT:
         transcript = Transcript("t")
         answer = solve_cot(toy_problem, MethodCoT(1), backend, transcript)
         assert (answer, transcript.query_count()) == (Solved("5"), 1)
+
+    def test_link_ending_in_the_marker_is_a_parse_failure(self, toy_problem):
+        backend = scripted(solver=["Step: expand.", "Answer: 5\nAnswer:"])
+        with pytest.raises(ParseFailure, match="nothing follows the last answer marker"):
+            solve_cot(toy_problem, MethodCoT(5), backend, Transcript("t"))
 
     def test_exhaustion_without_marker(self, toy_problem):
         backend = scripted(solver=["thinking...", "still thinking..."])

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from macm import harness
+from macm.backend import ScriptedBackend
 from macm.cli import EXIT_FOR_ERROR, _method, build_parser, main
 from macm.demo import ALGEBRA_GOLD, ALGEBRA_QUESTION, algebra_trace_path
 from macm.domain import ERROR_KINDS, RunError, Unsolvable
@@ -839,4 +840,28 @@ def test_bad_prompts_dir_exit_code(command, prompts, tmp_path, capsys):
                  "--method", "macm", "--prompts-dir", str(prompts_dir),
                  "--backend", f"scripted:{algebra_trace_path()}", "--out", str(out)]) == 2
     assert str(prompts_dir) in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["solve", "bench", "sweep"])
+def test_a_prompt_field_the_code_does_not_fill_is_refused_before_any_request(
+        command, tmp_path, capsys, monkeypatch):
+    prompts_dir = tmp_path / "prompts"
+    prompts_dir.mkdir()
+    (prompts_dir / "prompt1.txt").write_text(
+        "Known:\n{conditions}\nObjective: {objective}\nHalve it: \\frac{1}{2}")
+    dataset = tmp_path / "d.jsonl"
+    write_jsonl(dataset, [{"id": "algebra", "question": ALGEBRA_QUESTION,
+                           "answer": ALGEBRA_GOLD}])
+
+    def no_request(self, request, role):
+        raise AssertionError("a request was sent")
+
+    monkeypatch.setattr(ScriptedBackend, "complete", no_request)
+    out = tmp_path / "out"
+    assert main([command, *dataset_flags(command, dataset, '{"max_iterations": [5]}'),
+                 "--method", "macm", "--prompts-dir", str(prompts_dir),
+                 "--backend", f"scripted:{algebra_trace_path()}", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"{prompts_dir / 'prompt1.txt'}: {{1}}, {{2}}:" in err
     assert not out.exists()
